@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race test-all bench bench-json fuzz-wire lint
+.PHONY: check vet build test race test-all bench bench-check bench-json fuzz-wire lint
 
 ## check: the documented tier-1 + race gate (vet, build, race on the
 ## concurrent packages, the full test suite, then the static-analysis
@@ -47,6 +47,11 @@ test-all:
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkParallelReadUpdate|BenchmarkBuildPropagation|BenchmarkApplyPropagation' -benchtime=100x ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkTransportRoundTrip -benchtime=100x -benchmem ./internal/transport
+
+## bench-check: vet and test the live-cluster benchmark under bench/. It
+## is its own Go module, so `go test ./...` at the root never reaches it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 ## bench-json: run the tracked experiment benchmarks (E1/E2/E16/E17/E18/E19/E20)
 ## and write machine-readable results to BENCH_08.json, the perf-trajectory

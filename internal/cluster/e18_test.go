@@ -160,11 +160,10 @@ func TestE18PartitionedVsFullReplication(t *testing.T) {
 	t.Logf("E18: partitioned session %d B total (all control), full replication %d B total / %d B control, %.1f× fewer control bytes",
 		partBytes, fullBytes, fullControl, float64(fullControl)/float64(partBytes))
 	t.Logf("E18: partitioned session %v, full replication %v, %.1f× faster", partTime, fullTime, float64(fullTime)/float64(partTime))
+	// The timing above is logged, not asserted: wall-clock ratios move with
+	// whatever else the machine is running. The counts carry the claim.
 	if partBytes*4 > fullControl {
 		t.Errorf("partitioned session moved %d control bytes, want ≤ 1/4 of full replication's %d", partBytes, fullControl)
-	}
-	if partTime*4 > fullTime {
-		t.Errorf("partitioned session took %v, want ≤ 1/4 of full replication's %v", partTime, fullTime)
 	}
 
 	// Exactly-k: a repeat (no-op) session between this pair costs the

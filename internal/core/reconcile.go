@@ -48,8 +48,10 @@ package core
 // only records that are still intact.
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
+	"repro/internal/ring"
 	"repro/internal/store"
 	"repro/internal/vv"
 )
@@ -152,9 +154,20 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// itemDigest hashes one (key, IVV) pair with FNV-1a 64. The digest covers
-// every non-zero IVV component with its index, so vectors of different
-// (grown) lengths that are component-wise equal digest identically.
+// itemDigest hashes one (key, IVV) pair with FNV-1a 64, finalized with
+// splitmix64. The digest covers every non-zero IVV component with its
+// index, so vectors of different (grown) lengths that are component-wise
+// equal digest identically.
+//
+// The finalizer is what makes XOR range fingerprints sound. Raw FNV-1a ends
+// in a xor-then-multiply per byte, so when two versions of an item differ
+// only in a trailing counter byte, the XOR of their digests is decided
+// mostly by carries in the low bits of the state before that byte: across
+// keys like item-000017, item-000033, ... it takes comparatively few
+// values. Two items changed alike in one range then cancel often, and the
+// range reports "match" while both copies differ. Full avalanche makes each
+// item's change an independent 64-bit value. internal/ring finalizes the
+// same hash for the same reason.
 //
 //epi:hotpath
 func itemDigest(key string, ivv vv.VV) uint64 {
@@ -173,7 +186,7 @@ func itemDigest(key string, ivv vv.VV) uint64 {
 			h = (h ^ uint64(buf[j])) * fnvPrime64
 		}
 	}
-	return h
+	return ring.Mix64(h)
 }
 
 // putUvarint is binary.PutUvarint without the import churn.
@@ -189,46 +202,86 @@ func putUvarint(buf []byte, x uint64) int {
 }
 
 // digestView is an order-statistics view of one replica's item set: keys
-// sorted ascending with the matching (key, IVV) digests. Range
-// fingerprints are XORs of item digests, so they compose over any
-// partition of a range and are insensitive to order — the
-// range-summarizable property the recursion relies on.
+// sorted ascending with the matching (key, IVV) digests, stamped with the
+// DBVV the item set had when the view was built. Range fingerprints are
+// XORs of item digests, so they compose over any partition of a range and
+// are insensitive to order — the range-summarizable property the recursion
+// relies on.
 //
-//epi:notshared per-session view built under the read sweep and used by one goroutine
+// A view is published through Replica.view and never written afterwards:
+// every session holding it reads it with no lock, and a newer item set
+// gets a new view rather than an edit of this one.
 type digestView struct {
-	keys []string
-	fps  []uint64
+	stamp vv.VV    //epi:immutable
+	keys  []string //epi:immutable
+	fps   []uint64 //epi:immutable
 }
 
-// digestViewLocked builds the view. Caller holds at least the all-shard
-// read sweep plus the control mutex. Items in the initial zero state
-// (materialized but never updated) are skipped — they are "absent" for
-// convergence purposes (Snapshot.Equivalent) and must not perturb
-// fingerprints.
+// reconcileView returns a view of the replica's current item set, reusing
+// the published one while it is still current.
+//
+// The DBVV is the view's version. Every in-place change to a regular copy
+// folds a positive delta into the DBVV under the same shard write lock
+// (Update and intra-node replay increment it, adoption accumulates the
+// IVV delta), restore builds a fresh replica, and the DBVV never moves
+// backwards — so a view whose stamp equals the DBVV holds exactly the
+// current digests, and no mutation path needs a hook. A hit costs one
+// vector comparison under the control mutex. A miss takes the read sweep,
+// rechecks (a concurrent session may have rebuilt meanwhile), and
+// publishes a new view.
+func (r *Replica) reconcileView() *digestView {
+	r.ctl.Lock()
+	v := r.view
+	current := v != nil && v.stamp.Equal(r.dbvv)
+	r.ctl.Unlock()
+	if current {
+		return v
+	}
+	r.rlockAll()
+	defer r.runlockAll()
+	if v := r.view; v != nil && v.stamp.Equal(r.dbvv) {
+		return v
+	}
+	r.view = r.digestViewLocked()
+	return r.view
+}
+
+// digestViewLocked builds a view in one ordered pass over viewItems, the
+// key-sorted list of every materialized item. The store never deletes, so
+// that list is re-collected and re-sorted only when the store's length
+// moves; a rebuild for changed versions alone sorts nothing. Caller holds
+// the all-shard read sweep plus the control mutex. Items in the initial
+// zero state (materialized but never updated) are skipped — they are
+// "absent" for convergence purposes (Snapshot.Equivalent) and must not
+// perturb fingerprints.
 //
 //epi:hotpath
-func (r *Replica) digestViewLocked() digestView {
-	var v digestView
-	r.store.ForEach(func(it *store.Item) {
-		if it.IVV.Sum() == 0 && len(it.Value) == 0 {
-			return
-		}
-		v.keys = append(v.keys, it.Key)
-	})
-	sort.Strings(v.keys)
-	v.fps = make([]uint64, len(v.keys))
-	for i, key := range v.keys {
-		v.fps[i] = itemDigest(key, r.store.Get(key).IVV)
+func (r *Replica) digestViewLocked() *digestView {
+	r.viewBuilds.Add(1)
+	if len(r.viewItems) != r.store.Len() {
+		items := make([]*store.Item, 0, r.store.Len())
+		r.store.ForEach(func(it *store.Item) { items = append(items, it) })
+		slices.SortFunc(items, func(a, b *store.Item) int { return strings.Compare(a.Key, b.Key) })
+		r.viewItems = items
 	}
-	return v
+	keys := make([]string, 0, len(r.viewItems))
+	fps := make([]uint64, 0, len(r.viewItems))
+	for _, it := range r.viewItems {
+		if it.IVV.Sum() == 0 && len(it.Value) == 0 {
+			continue
+		}
+		keys = append(keys, it.Key)
+		fps = append(fps, itemDigest(it.Key, it.IVV))
+	}
+	return &digestView{stamp: r.dbvv.Clone(), keys: keys, fps: fps}
 }
 
 // bounds returns the index interval [lo, hi) of keys inside the range.
-func (v digestView) bounds(rr ReconcileRange) (int, int) {
-	lo := sort.SearchStrings(v.keys, rr.Lo)
+func (v *digestView) bounds(rr ReconcileRange) (int, int) {
+	lo, _ := slices.BinarySearch(v.keys, rr.Lo)
 	hi := len(v.keys)
 	if !rr.HiInf {
-		hi = sort.SearchStrings(v.keys, rr.Hi)
+		hi, _ = slices.BinarySearch(v.keys, rr.Hi)
 	}
 	if hi < lo {
 		hi = lo
@@ -237,7 +290,7 @@ func (v digestView) bounds(rr ReconcileRange) (int, int) {
 }
 
 // summarize returns the fingerprint and count over [lo, hi).
-func (v digestView) summarize(lo, hi int) (fp uint64, count uint64) {
+func (v *digestView) summarize(lo, hi int) (fp uint64, count uint64) {
 	for i := lo; i < hi; i++ {
 		fp ^= v.fps[i]
 	}
@@ -247,15 +300,12 @@ func (v digestView) summarize(lo, hi int) (fp uint64, count uint64) {
 // ServeReconcile answers one round of a reconciliation session: for each
 // requested range, either confirm the fingerprint matches, split it into
 // sub-ranges with this replica's fingerprints, or — at leaf size — return
-// the per-key digests. Stateless: each call builds a fresh consistent view
-// under one read sweep, so rounds interleave safely with updates and other
-// sessions (a mutation between rounds at worst re-opens a range that the
-// next round settles).
+// the per-key digests. Stateless: each call answers from a consistent view
+// of the current item set (reconcileView), so rounds interleave safely with
+// updates and other sessions (a mutation between rounds at worst re-opens a
+// range that the next round settles).
 func (r *Replica) ServeReconcile(ranges []ReconcileRange) []ReconcileReply {
-	r.rlockAll()
-	view := r.digestViewLocked()
-	r.runlockAll()
-
+	view := r.reconcileView()
 	replies := make([]ReconcileReply, len(ranges))
 	for i, rr := range ranges {
 		lo, hi := view.bounds(rr)
@@ -319,9 +369,7 @@ type Reconciler struct {
 // StartReconcile opens a reconciliation session (this replica is the
 // recipient). Charges one ReconcileSessions.
 func (r *Replica) StartReconcile() *Reconciler {
-	r.rlockAll()
-	view := r.digestViewLocked()
-	r.runlockAll()
+	view := r.reconcileView()
 	fp, count := view.summarize(0, len(view.keys))
 	r.met.ReconcileSessions.Add(1)
 	return &Reconciler{
@@ -353,11 +401,7 @@ func (rc *Reconciler) Handle(sent []ReconcileRange, replies []ReconcileReply) {
 	if len(replies) > len(sent) {
 		replies = replies[:len(sent)]
 	}
-	r := rc.r
-	r.rlockAll()
-	view := r.digestViewLocked()
-	r.runlockAll()
-
+	view := rc.r.reconcileView()
 	for _, rp := range replies {
 		switch {
 		case rp.Match:
@@ -368,8 +412,8 @@ func (rc *Reconciler) Handle(sent []ReconcileRange, replies []ReconcileReply) {
 			// nothing — reconciliation, like propagation, moves data from
 			// source to recipient only.
 			for _, kd := range rp.Keys {
-				j := sort.SearchStrings(view.keys, kd.Key)
-				if j >= len(view.keys) || view.keys[j] != kd.Key || view.fps[j] != kd.Fp {
+				j, found := slices.BinarySearch(view.keys, kd.Key)
+				if !found || view.fps[j] != kd.Fp {
 					rc.needKeys = append(rc.needKeys, kd.Key)
 				}
 			}

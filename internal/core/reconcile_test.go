@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/op"
+	"repro/internal/store"
 	"repro/internal/vv"
 )
 
@@ -208,6 +212,283 @@ func TestReconcileInterleavesWithUpdates(t *testing.T) {
 	ReconcileAntiEntropy(dst, src)
 	if ok, why := Converged(dst, src); !ok {
 		t.Fatalf("not converged after racing update: %s", why)
+	}
+}
+
+// reconcileRoot is what a from-scratch scan of r's regular copies
+// summarizes to over the whole key space: the root fingerprint and count
+// every current view of r must report.
+func reconcileRoot(r *Replica) ReconcileRange {
+	root := ReconcileRange{HiInf: true}
+	for _, it := range r.Snapshot().Items {
+		if it.IVV.Sum() == 0 && len(it.Value) == 0 {
+			continue
+		}
+		root.Fp ^= itemDigest(it.Key, it.IVV)
+		root.Count++
+	}
+	return root
+}
+
+// sortedItems returns r's key-sorted item list, read under the mutex that
+// guards it.
+func sortedItems(r *Replica) []*store.Item {
+	r.ctl.Lock()
+	defer r.ctl.Unlock()
+	return r.viewItems
+}
+
+func TestReconcileViewFollowsEveryMutation(t *testing.T) {
+	// r is the replica under test, peer originates remote updates, and
+	// mirror follows r by reconciliation alone. After each step, both ends
+	// of a session must see r's current item set: r's own root summary
+	// (StartReconcile) and r's answer to the true root (ServeReconcile).
+	peer, r, mirror := NewReplica(0, 3), NewReplica(1, 3), NewReplica(2, 3)
+	set := func(rep *Replica, key, val string) {
+		t.Helper()
+		if err := rep.Update(key, op.NewSet([]byte(val))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reconcileFill(t, r, 50, 'a')
+
+	var resortedItems []*store.Item
+	steps := []struct {
+		name  string
+		do    func()
+		moves bool // the step changes r's regular copies
+	}{
+		{"update", func() { set(r, "item/0007", "u") }, true},
+		{"log propagation", func() { set(peer, "p/1", "x"); AntiEntropy(r, peer) }, true},
+		{"streamed chunk", func() {
+			set(peer, "p/2", "y")
+			s := peer.StartChunkSession(r.DBVV(), 1)
+			if s == nil {
+				t.Fatal("no chunk session for a recipient that is behind")
+			}
+			r.ApplyChunk(s.Next())
+		}, true},
+		// The OOB copy materializes p/3's regular copy in the zero state
+		// and touches only its auxiliary copy, as does the update after it.
+		{"oob copy", func() { set(peer, "p/3", "z"); r.CopyOutOfBound("p/3", peer) }, false},
+		{"update of the auxiliary copy", func() { set(r, "p/3", "mine") }, false},
+		// Adopting p/3's regular copy replays r's auxiliary update onto it.
+		{"intra-node replay", func() {
+			before := r.Metrics().AuxOpsReplayed
+			AntiEntropy(r, peer)
+			if r.Metrics().AuxOpsReplayed == before {
+				t.Fatal("propagation replayed no auxiliary operation")
+			}
+		}, true},
+		{"reconcile adoption", func() {
+			set(peer, "p/4", "w")
+			if r.ApplyReconcileItems(peer.BuildItems([]string{"p/4"}), peer.ID()) != 1 {
+				t.Fatal("reconcile adoption adopted nothing")
+			}
+		}, true},
+		{"grow", func() { r.Grow(4) }, false},
+		{"zero-state key", func() { set(peer, "p/5", "v"); r.CopyOutOfBound("p/5", peer) }, false},
+		// A rebuild now sorts p/5 into the item order while it is still in
+		// the zero state ...
+		{"update after materialization", func() { set(r, "item/0008", "u") }, true},
+		// ... and the write that leaves the zero state changes no store
+		// length, so the next rebuild must reuse that order and include p/5.
+		{"zero-state key written", func() {
+			resortedItems = sortedItems(r)
+			AntiEntropy(r, peer)
+		}, true},
+	}
+
+	prev := reconcileRoot(r)
+	for _, step := range steps {
+		step.do()
+		want := reconcileRoot(r)
+		if moved := want != prev; moved != step.moves {
+			t.Fatalf("%s: root summary moved=%v, want %v", step.name, moved, step.moves)
+		}
+		prev = want
+		if got := r.StartReconcile().Next()[0]; got.Fp != want.Fp || got.Count != want.Count {
+			t.Fatalf("%s: StartReconcile summarizes (%#x, %d), want (%#x, %d)", step.name, got.Fp, got.Count, want.Fp, want.Count)
+		}
+		if reply := r.ServeReconcile([]ReconcileRange{want}); !reply[0].Match {
+			t.Fatalf("%s: ServeReconcile does not match the current root: %+v", step.name, reply[0])
+		}
+		ReconcileAntiEntropy(mirror, r)
+		if ok, why := Converged(mirror, r); !ok {
+			t.Fatalf("%s: mirror not converged after reconciling: %s", step.name, why)
+		}
+	}
+	if got := sortedItems(r); len(got) != len(resortedItems) || &got[0] != &resortedItems[0] {
+		t.Fatal("a rebuild with an unchanged key set re-sorted the item order")
+	}
+	for _, rep := range []*Replica{peer, r, mirror} {
+		if err := rep.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestReconcileViewBuiltOncePerSidePerSession(t *testing.T) {
+	src := NewReplica(0, 2)
+	dst := NewReplica(1, 2)
+	reconcileFill(t, src, 2000, 'a')
+	AntiEntropy(dst, src)
+	for i := 0; i < 40; i++ {
+		if err := src.Update(fmt.Sprintf("item/%04d", i*37), op.NewSet([]byte{'b', byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dst.Update("local/only", op.NewSet([]byte("mine"))); err != nil {
+		t.Fatal(err)
+	}
+
+	srcBuilds, dstBuilds := src.viewBuilds.Load(), dst.viewBuilds.Load()
+	rc := dst.StartReconcile()
+	rounds := 0
+	for ranges := rc.Next(); ranges != nil; ranges = rc.Next() {
+		rc.Handle(ranges, src.ServeReconcile(ranges))
+		rounds++
+	}
+	if rounds < 3 {
+		t.Fatalf("session took %d rounds; the test needs several to show reuse", rounds)
+	}
+	if got := src.viewBuilds.Load() - srcBuilds; got != 1 {
+		t.Errorf("source built its view %d times in a %d-round session, want 1", got, rounds)
+	}
+	if got := dst.viewBuilds.Load() - dstBuilds; got != 1 {
+		t.Errorf("recipient built its view %d times in a %d-round session, want 1", got, rounds)
+	}
+	if got := len(rc.NeedKeys()); got != 40 {
+		t.Errorf("NeedKeys has %d keys, want the 40 rewritten", got)
+	}
+
+	// Unchanged state: repeated serves share one published view.
+	srcBuilds = src.viewBuilds.Load()
+	view := src.reconcileView()
+	for i := 0; i < 10; i++ {
+		src.ServeReconcile([]ReconcileRange{{HiInf: true}})
+	}
+	if got := src.viewBuilds.Load() - srcBuilds; got != 0 {
+		t.Errorf("repeated serves on unchanged state rebuilt the view %d times", got)
+	}
+	if src.reconcileView() != view {
+		t.Error("unchanged state published a different view")
+	}
+
+	// A version-only change rebuilds once, and reuses the item order.
+	items := sortedItems(src)
+	if err := src.Update("item/0001", op.NewSet([]byte("c"))); err != nil {
+		t.Fatal(err)
+	}
+	src.ServeReconcile([]ReconcileRange{{HiInf: true}})
+	src.ServeReconcile([]ReconcileRange{{HiInf: true}})
+	if got := src.viewBuilds.Load() - srcBuilds; got != 1 {
+		t.Errorf("one update cost %d rebuilds, want 1", got)
+	}
+	if got := sortedItems(src); &got[0] != &items[0] {
+		t.Error("a rebuild with an unchanged key set re-sorted the item order")
+	}
+}
+
+func TestReconcileConcurrentSessionsOfOneSource(t *testing.T) {
+	// Several recipients reconcile against one source at once while it
+	// takes writes: sessions share published views and race rebuilds.
+	// Meant for -race; afterwards one quiet session per recipient must
+	// converge it.
+	const recipients, items = 4, 300
+	src := NewReplica(0, recipients+1)
+	reconcileFill(t, src, items, 'a')
+
+	stop := make(chan struct{})
+	var writer, sessions sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := src.Update(fmt.Sprintf("item/%04d", i%items), op.NewSet([]byte{'w', byte(i)})); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	dsts := make([]*Replica, recipients)
+	for j := range dsts {
+		dsts[j] = NewReplica(j+1, recipients+1)
+		sessions.Add(1)
+		go func(dst *Replica) {
+			defer sessions.Done()
+			for k := 0; k < 10; k++ {
+				ReconcileAntiEntropy(dst, src)
+			}
+		}(dsts[j])
+	}
+	sessions.Wait()
+	close(stop)
+	writer.Wait()
+
+	for _, dst := range dsts {
+		ReconcileAntiEntropy(dst, src)
+		if ok, why := Converged(dst, src); !ok {
+			t.Fatalf("recipient %d not converged: %s", dst.ID(), why)
+		}
+		if err := dst.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestReconcileNeedKeysMatchesBruteForce(t *testing.T) {
+	// The adversarial pattern for XOR range fingerprints: sequential keys,
+	// every copy at IVV {1}, and a random subset moved to {2} at the
+	// source. A digest whose per-item change is not an independent 64-bit
+	// value lets two changed items in one range cancel, and the session
+	// then misses both. NeedKeys must be exactly the brute-force set of
+	// keys whose source copy differs.
+	const keys, seeds = 2000, 100
+	for seed := int64(1); seed <= seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		src := NewReplica(0, 2)
+		dst := NewReplica(1, 2)
+		for i := 0; i < keys; i++ {
+			if err := src.Update(fmt.Sprintf("item-%06d", i), op.NewSet([]byte{'a'})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		AntiEntropy(dst, src)
+
+		var want []string
+		changeOneIn := 2 + rng.Intn(30)
+		for i := 0; i < keys; i++ {
+			if rng.Intn(changeOneIn) != 0 {
+				continue
+			}
+			key := fmt.Sprintf("item-%06d", i)
+			if err := src.Update(key, op.NewSet([]byte{'b'})); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, key)
+		}
+
+		rc := dst.StartReconcile()
+		for ranges := rc.Next(); ranges != nil; ranges = rc.Next() {
+			rc.Handle(ranges, src.ServeReconcile(ranges))
+		}
+		got := slices.Clone(rc.NeedKeys())
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			missed := 0
+			for _, key := range want {
+				if _, found := slices.BinarySearch(got, key); !found {
+					missed++
+				}
+			}
+			t.Fatalf("seed %d: NeedKeys has %d keys, brute force %d (%d missed)", seed, len(got), len(want), missed)
+		}
 	}
 }
 

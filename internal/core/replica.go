@@ -30,6 +30,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/auxlog"
 	"repro/internal/logvec"
@@ -127,6 +128,14 @@ type Replica struct {
 	prunePeers []int   //epi:guard ctl
 	logCap     int     //epi:guard ctl
 	pruned     vv.VV   //epi:guard ctl //epi:monotone merge=Merge,Extended
+
+	// Reconciliation's cached digest view (see reconcileView): view is the
+	// last published view, stamped with the DBVV it was built at; viewItems
+	// is every materialized item sorted by key, re-sorted only when the
+	// store's length moves; viewBuilds counts rebuilds for tests.
+	view       *digestView   //epi:guard ctl
+	viewItems  []*store.Item //epi:guard ctl
+	viewBuilds atomic.Uint64 //epi:guard atomic
 
 	// store is the data plane: items with IVVs and aux copies, sharded by
 	// key hash with per-shard RWMutexes.

@@ -23,7 +23,7 @@
 // triple builds byte-identical rings on every node, so placement needs no
 // coordination or gossip. Hashing is FNV-1a shared with the store's shard
 // striping; the ring passes it through a splitmix64 finalizer before
-// taking the high bits for the partition range (see mix64), while the
+// taking the high bits for the partition range (see Mix64), while the
 // shard index uses the raw hash's low bits — the two stripings stay
 // independent.
 package ring
@@ -38,7 +38,7 @@ const (
 )
 
 // Hash64 returns the FNV-1a hash of key. internal/store uses its low bits
-// for the shard index; the ring finalizes it with mix64 and uses the high
+// for the shard index; the ring finalizes it with Mix64 and uses the high
 // bits for the partition, so a partition's items still spread across all
 // shards.
 func Hash64(key string) uint64 {
@@ -121,13 +121,14 @@ func New(servers, partitions, placement int) *Ring {
 	return r
 }
 
-// mix64 is the splitmix64 finalizer: full-avalanche diffusion of every
+// Mix64 is the splitmix64 finalizer: full-avalanche diffusion of every
 // input bit into every output bit. FNV-1a needs it before its high bits
 // are usable — the multiply-only update propagates a byte's influence
 // upward by only ~40 bits per step, so the top bits of short keys that
 // differ near the end (item/0001 vs item/0002) are identical and a
 // high-bits partition split would collapse them into one partition.
-func mix64(x uint64) uint64 {
+// internal/core finalizes its reconcile item digests with it too.
+func Mix64(x uint64) uint64 {
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -140,7 +141,7 @@ func mix64(x uint64) uint64 {
 // the full hash.
 func serverToken(s, v int) uint64 {
 	x := uint64(uint32(s))<<32 | uint64(uint32(v))
-	return mix64(x + 0x9e3779b97f4a7c15)
+	return Mix64(x + 0x9e3779b97f4a7c15)
 }
 
 // successors walks the ring clockwise from start collecting the first
@@ -178,7 +179,7 @@ func (r *Ring) PartitionOf(key string) int {
 		// 2^64/1 overflows uint64 (it stores as 0), so short-circuit.
 		return 0
 	}
-	return int(mix64(Hash64(key)) / r.width)
+	return int(Mix64(Hash64(key)) / r.width)
 }
 
 // Owners returns the servers replicating partition pid, in successor

@@ -22,7 +22,7 @@ func TestHash64MatchesStdlib(t *testing.T) {
 // Sequential keys must spread across partitions. This is the regression
 // test for a real failure: raw FNV-1a's high bits barely depend on a
 // key's last few characters (each multiply lifts a byte's influence only
-// ~40 bits), so without the mix64 finalizer every key of a "key%06d"
+// ~40 bits), so without the Mix64 finalizer every key of a "key%06d"
 // workload landed in one partition.
 func TestPartitionOfDistributesSequentialKeys(t *testing.T) {
 	for _, pattern := range []string{"key%06d", "item/%d", "user:%d:profile"} {
