@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race test-all bench bench-check bench-json fuzz-wire lint
+.PHONY: check vet build test race test-all bench bench-check fuzz-wire lint
 
 ## check: the documented tier-1 + race gate (vet, build, race on the
 ## concurrent packages, the full test suite, then the static-analysis
@@ -52,12 +52,6 @@ bench:
 ## is its own Go module, so `go test ./...` at the root never reaches it.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-
-## bench-json: run the tracked experiment benchmarks (E1/E2/E16/E17/E18/E19/E20)
-## and write machine-readable results to BENCH_08.json, the perf-trajectory
-## artifact CI uploads per run.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_08.json
 
 ## fuzz-wire: short fuzz pass over the wire codec decoders. The session
 ## and reconcile targets start from the committed seed corpora under

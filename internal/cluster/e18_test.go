@@ -288,7 +288,8 @@ func TestPartNodeBootstrap(t *testing.T) {
 // BenchmarkE18PartitionedSession times the E18 pairwise session in both
 // worlds: a burst confined to one keyspace partition, pulled by a peer
 // that does not replicate it (partitioned) vs. a peer that replicates
-// everything (full replication). Run via cmd/benchjson into BENCH_07.json.
+// everything (full replication). Run with
+// `go test -run=NONE -bench=BenchmarkE18PartitionedSession -benchtime=5x -v ./internal/cluster`.
 func BenchmarkE18PartitionedSession(b *testing.B) {
 	b.Run("full-replication", func(b *testing.B) {
 		nodes, err := StartCluster(e18Servers, 0)

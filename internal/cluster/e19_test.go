@@ -152,7 +152,8 @@ func TestE19BoundedLogReconcileCatchup(t *testing.T) {
 // BenchmarkE19ReconcileCatchup times the rejoin catch-up session: per
 // iteration the source takes a burst of rewrites the recipient missed and
 // cap-prunes past its acknowledgement, then the timed pull reconciles and
-// catches up. Run via cmd/benchjson into BENCH_07.json.
+// catches up. Run with
+// `go test -run=NONE -bench=BenchmarkE19ReconcileCatchup -benchtime=5x -v ./internal/cluster`.
 func BenchmarkE19ReconcileCatchup(b *testing.B) {
 	nodes := startE19Cluster(b)
 	src, dst := nodes[0], nodes[1]

@@ -462,6 +462,7 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 				it.IVV.AccumulateDelta(payload.IVV, r.dbvv)
 				it.Value = newVal
 				it.IVV = payload.IVV.Clone()
+				r.noteChangedLocked(it)
 				if r.deltaMode {
 					// Retain the whole chain (bounded by our own depth)
 					// for forwarding to nodes behind us.
@@ -497,6 +498,7 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 				it.IVV = payload.IVV.Clone()
 			}
 			it.Deltas = nil // a wholesale adoption invalidates any retained chain
+			r.noteChangedLocked(it)
 			r.met.ItemsCopied.Add(1)
 			copied = append(copied, it)
 		case vv.Concurrent:
@@ -617,6 +619,7 @@ func (r *Replica) intraNodePropagateLocked(it *store.Item) {
 			it.IVV.Inc(r.id)
 			r.dbvv.Inc(r.id)
 			r.logs.Component(r.id).Add(it.Key, r.dbvv[r.id])
+			r.noteChangedLocked(it)
 			r.aux.Remove(e)
 			r.met.AuxOpsReplayed.Add(1)
 		case vv.Concurrent:

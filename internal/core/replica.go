@@ -130,12 +130,14 @@ type Replica struct {
 	pruned     vv.VV   //epi:guard ctl //epi:monotone merge=Merge,Extended
 
 	// Reconciliation's cached digest view (see reconcileView): view is the
-	// last published view, stamped with the DBVV it was built at; viewItems
-	// is every materialized item sorted by key, re-sorted only when the
-	// store's length moves; viewBuilds counts rebuilds for tests.
-	view       *digestView   //epi:guard ctl
-	viewItems  []*store.Item //epi:guard ctl
-	viewBuilds atomic.Uint64 //epi:guard atomic
+	// last published view, stamped with the DBVV it was built at;
+	// viewDirty queues, once each, the items whose regular copy changed
+	// since then (noteChangedLocked); viewBuilds and viewDigests count
+	// builds and item digests for tests.
+	view        *digestView   //epi:guard ctl
+	viewDirty   []*store.Item //epi:guard ctl
+	viewBuilds  atomic.Uint64 //epi:guard atomic
+	viewDigests atomic.Uint64 //epi:guard atomic
 
 	// store is the data plane: items with IVVs and aux copies, sharded by
 	// key hash with per-shard RWMutexes.
@@ -274,6 +276,7 @@ func (r *Replica) Update(key string, o op.Op) error {
 	r.ctl.Lock()
 	r.dbvv.Inc(r.id)
 	r.logs.Component(r.id).Add(key, r.dbvv[r.id])
+	r.noteChangedLocked(it)
 	r.ctl.Unlock()
 	r.met.UpdatesApplied.Add(1)
 	r.met.UpdatesRegular.Add(1)

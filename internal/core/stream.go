@@ -466,33 +466,38 @@ func (r *Replica) PlanPropagation(recipientDBVV vv.VV, maxBytes uint64) SessionP
 	// header, each record, each selected item (always at its full-value
 	// size — the streaming path ships whole items, and counting deltas
 	// here would only flatter the estimate toward the monolithic choice).
+	// Every term is non-negative, so the walk stops as soon as the running
+	// sum passes the cap: the answer is "stream" however much tail is left.
+	plan := PlanMonolithic
 	size := varintSize(int64(r.id)) + uvarintSize(uint64(r.n))
 	var selected []*store.Item
+walk:
 	for k := 0; k < r.n; k++ {
 		nrecs := uint64(0)
-		if r.dbvv[k] > recipientDBVV.Get(k) {
-			r.logs.Component(k).TailAfter(recipientDBVV.Get(k), func(rec *logvec.Record) {
+		if floor := recipientDBVV.Get(k); r.dbvv[k] > floor {
+			for rec := r.logs.Component(k).TailStart(floor); rec != nil; rec = rec.Next() {
 				size += recordWireSize(TailRecord{Key: rec.Key, Seq: rec.Seq})
 				nrecs++
-				it := r.store.Get(rec.Key)
-				if it == nil || it.Selected() {
-					return
+				if it := r.store.Get(rec.Key); it != nil && !it.Selected() {
+					it.SetSelected(true)
+					selected = append(selected, it)
+					size += 1 + stringWireSize(len(it.Key)) + stringWireSize(len(it.Value)) + uint64(it.IVV.BinarySize())
 				}
-				it.SetSelected(true)
-				selected = append(selected, it)
-			})
+				if size > maxBytes {
+					plan = PlanStream
+					break walk
+				}
+			}
 		}
 		size += uvarintSize(nrecs)
 	}
-	size += uvarintSize(uint64(len(selected)))
 	for _, it := range selected {
 		it.SetSelected(false)
-		size += 1 + stringWireSize(len(it.Key)) + stringWireSize(len(it.Value)) + uint64(it.IVV.BinarySize())
 	}
-	if size > maxBytes {
-		return PlanStream
+	if size+uvarintSize(uint64(len(selected))) > maxBytes {
+		plan = PlanStream
 	}
-	return PlanMonolithic
+	return plan
 }
 
 // RecordStreamFirstApply records the delay between a catch-up session's

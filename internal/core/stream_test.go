@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/op"
+	"repro/internal/store"
 	"repro/internal/vv"
 )
 
@@ -217,6 +218,34 @@ func TestPlanPropagation(t *testing.T) {
 		t.Fatalf("plan under a tiny cap = %v, want PlanStream", got)
 	}
 	// The plan sweep must not leak IsSelected flags (invariant 4).
+	checkAll(t, source)
+}
+
+func TestPlanPropagationEarlyExitClearsSelected(t *testing.T) {
+	source := NewReplica(0, 2)
+	populate(t, source, 500)
+	stale := vv.New(2)
+	exact := source.BuildPropagation(stale).WireSize()
+
+	// A cap a few items in stops the walk early, with items selected.
+	if got := source.PlanPropagation(stale, 100); got != PlanStream {
+		t.Fatalf("plan under a 100-byte cap = %v, want PlanStream", got)
+	}
+	source.rlockAll()
+	source.store.ForEach(func(it *store.Item) {
+		if it.Selected() {
+			t.Errorf("early exit left %q selected", it.Key)
+		}
+	})
+	source.runlockAll()
+	// A leaked flag would drop its item from later estimates; the boundary
+	// must still sit exactly at the encoded size.
+	if got := source.PlanPropagation(stale, exact); got != PlanMonolithic {
+		t.Errorf("plan at the exact size = %v, want PlanMonolithic", got)
+	}
+	if got := source.PlanPropagation(stale, exact-1); got != PlanStream {
+		t.Errorf("plan one byte under the exact size = %v, want PlanStream", got)
+	}
 	checkAll(t, source)
 }
 

@@ -7,9 +7,9 @@ package durable
 // (NoGroupCommit: the seed's write path, one fsync inside the lock per
 // record) pays one flush each. ns/op is the inverse aggregate throughput;
 // p50-/p99-commit-ns are the per-update commit latencies (time from Update
-// entry to durable acknowledgement). Run via cmd/benchjson into
-// BENCH_08.json; methodology and recorded numbers live in EXPERIMENTS.md
-// (E20).
+// entry to durable acknowledgement). Run with
+// `go test -run=NONE -bench=BenchmarkE20 -benchtime=300x -v ./internal/durable`;
+// methodology and recorded numbers live in EXPERIMENTS.md (E20).
 
 import (
 	"fmt"

@@ -86,19 +86,6 @@ func (c *Component) Add(key string, seq uint64) *Record {
 	return rec
 }
 
-// Remove unlinks the record for key, if present. Used by AcceptPropagation
-// when purging records that refer to conflicting items. O(1).
-func (c *Component) Remove(key string) bool {
-	rec := c.byKey[key]
-	if rec == nil {
-		return false
-	}
-	c.unlink(rec)
-	delete(c.byKey, key)
-	c.size--
-	return true
-}
-
 func (c *Component) append(rec *Record) {
 	rec.prev = c.tail
 	rec.next = nil
@@ -146,23 +133,31 @@ func (c *Component) TruncateBefore(floor uint64) int {
 	return n
 }
 
+// TailStart returns the oldest record with Seq > seq — the first record of
+// the tail D_k of Figure 2 — or nil when the tail is empty. It walks
+// backwards from the tail to find the boundary, so its cost is linear in
+// the tail's length (plus one), never in the component length; callers
+// walk the tail forward with Next and may stop early.
+func (c *Component) TailStart(seq uint64) *Record {
+	start := c.tail
+	if start == nil || start.Seq <= seq {
+		return nil
+	}
+	for start.prev != nil && start.prev.Seq > seq {
+		start = start.prev
+	}
+	return start
+}
+
 // TailAfter visits, oldest first, every record with Seq > seq — the tail
-// D_k of Figure 2. It walks backwards from the tail to find the boundary,
-// then forward, so its cost is linear in the number of records visited
+// D_k of Figure 2 — at a cost linear in the number of records visited
 // (plus one), never in the component length.
 //
 // The returned count is the number of records visited. If visit is nil the
 // records are only counted.
 func (c *Component) TailAfter(seq uint64, visit func(*Record)) int {
-	start := c.tail
-	if start == nil || start.Seq <= seq {
-		return 0
-	}
-	for start.prev != nil && start.prev.Seq > seq {
-		start = start.prev
-	}
 	n := 0
-	for rec := start; rec != nil; rec = rec.next {
+	for rec := c.TailStart(seq); rec != nil; rec = rec.next {
 		n++
 		if visit != nil {
 			visit(rec)
@@ -260,20 +255,6 @@ func (v *Vector) TruncateBefore(floor []uint64) int {
 		}
 	}
 	return total
-}
-
-// RemoveKey removes records referring to key from every component — the
-// conflict-purge step of AcceptPropagation (Fig. 3). Returns how many
-// records were removed. O(n), not O(records): each component removal is
-// O(1) via its P_j(x) pointer.
-func (v *Vector) RemoveKey(key string) int {
-	n := 0
-	for _, c := range v.comps {
-		if c.Remove(key) {
-			n++
-		}
-	}
-	return n
 }
 
 // CheckInvariants verifies every component. Intended for tests.

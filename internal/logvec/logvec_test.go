@@ -119,41 +119,6 @@ func TestAddOutOfOrderPanics(t *testing.T) {
 	c.Add("b", 4)
 }
 
-func TestRemove(t *testing.T) {
-	c := NewComponent()
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Add("c", 3)
-	if !c.Remove("b") {
-		t.Fatal("Remove(b) = false")
-	}
-	if c.Remove("b") {
-		t.Error("second Remove(b) = true")
-	}
-	if c.Remove("ghost") {
-		t.Error("Remove of absent key = true")
-	}
-	got := collect(c)
-	if len(got) != 2 || got[0].Key != "a" || got[1].Key != "c" {
-		t.Errorf("records = %v", got)
-	}
-	check(t, c)
-}
-
-func TestRemoveAll(t *testing.T) {
-	c := NewComponent()
-	c.Add("a", 1)
-	c.Add("b", 2)
-	c.Remove("a")
-	c.Remove("b")
-	if c.Len() != 0 || c.Head() != nil || c.Tail() != nil {
-		t.Error("component not empty after removing all")
-	}
-	check(t, c)
-	c.Add("c", 3) // must still work after emptying
-	check(t, c)
-}
-
 func TestTailAfter(t *testing.T) {
 	c := NewComponent()
 	for i := uint64(1); i <= 10; i++ {
@@ -187,6 +152,12 @@ func TestTailAfterBoundaries(t *testing.T) {
 	empty := NewComponent()
 	if n := empty.TailAfter(0, nil); n != 0 {
 		t.Errorf("empty TailAfter = %d, want 0", n)
+	}
+	if rec := c.TailStart(5); rec == nil || rec.Key != "b" {
+		t.Errorf("TailStart(5) = %+v, want b", rec)
+	}
+	if rec := c.TailStart(9); rec != nil {
+		t.Errorf("TailStart(9) = %+v, want nil", rec)
 	}
 }
 
@@ -229,22 +200,6 @@ func TestVectorBasics(t *testing.T) {
 	}
 }
 
-func TestVectorRemoveKey(t *testing.T) {
-	v := NewVector(3)
-	v.Component(0).Add("x", 1)
-	v.Component(1).Add("x", 4)
-	v.Component(2).Add("y", 2)
-	if n := v.RemoveKey("x"); n != 2 {
-		t.Errorf("RemoveKey(x) = %d, want 2", n)
-	}
-	if v.Len() != 1 {
-		t.Errorf("Len = %d, want 1", v.Len())
-	}
-	if n := v.RemoveKey("x"); n != 0 {
-		t.Errorf("second RemoveKey(x) = %d, want 0", n)
-	}
-}
-
 func TestBoundedByItemCountRandomized(t *testing.T) {
 	// §4.2: the log never exceeds one record per item per origin, no matter
 	// how many updates occur.
@@ -269,7 +224,7 @@ func TestRandomizedOpsKeepInvariants(t *testing.T) {
 	keys := []string{"a", "b", "c", "d", "e"}
 	for step := 0; step < 2000; step++ {
 		if rng.Intn(4) == 0 {
-			c.Remove(keys[rng.Intn(len(keys))])
+			c.TruncateBefore(seq - min(seq, uint64(rng.Intn(4))))
 		} else {
 			seq++
 			c.Add(keys[rng.Intn(len(keys))], seq)

@@ -107,6 +107,11 @@ type Item struct {
 	// lock: BuildPropagation flips it while holding only READ shard locks
 	// (rlockAll), and concurrent builders are kept apart by ctl alone.
 	selected bool //epi:guard ctl
+
+	// viewDirty marks an item queued for re-digesting by the replica's
+	// reconcile view; like selected it is serialized by the control mutex,
+	// and it keeps the queue free of duplicates.
+	viewDirty bool //epi:guard ctl
 }
 
 // Selected reports the IsSelected flag.
@@ -118,6 +123,16 @@ func (it *Item) Selected() bool { return it.selected }
 //
 //epi:requires ctl
 func (it *Item) SetSelected(v bool) { it.selected = v }
+
+// ViewDirty reports whether the item is queued for the reconcile view.
+//
+//epi:requires ctl read
+func (it *Item) ViewDirty() bool { return it.viewDirty }
+
+// SetViewDirty sets the reconcile-view queue flag.
+//
+//epi:requires ctl
+func (it *Item) SetViewDirty(v bool) { it.viewDirty = v }
 
 // CurrentValue returns the value user operations observe: the auxiliary
 // copy if one exists, else the regular copy (§5.3).

@@ -182,25 +182,15 @@ func (p *Pool) put(addr string, pc *poolConn) {
 	p.mu.Unlock()
 }
 
-// healthy probes a pooled connection for remote close or protocol garbage
-// before reuse: a zero-deadline read must time out (no data, still open).
+// healthy rejects a pooled connection whose read buffer already holds
+// unsolicited bytes. That is all a local check can see: a read under an
+// already-expired deadline fails with a timeout without consulting the
+// socket, so it cannot tell a closed peer from an idle one. A connection
+// the peer closed, or that turns to garbage, is caught by its first
+// exchange instead, and roundTrip and runStream retry that exchange once
+// on a fresh dial.
 func (pc *poolConn) healthy() bool {
-	if pc.br.Buffered() > 0 {
-		return false // stray unsolicited bytes
-	}
-	if err := pc.conn.SetReadDeadline(time.Unix(1, 0)); err != nil {
-		return false
-	}
-	var b [1]byte
-	n, err := pc.conn.Read(b[:])
-	if resetErr := pc.conn.SetReadDeadline(time.Time{}); resetErr != nil {
-		return false
-	}
-	if n > 0 {
-		return false
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	return pc.br.Buffered() == 0
 }
 
 // exchange runs one framed request/response on the connection.
@@ -238,8 +228,8 @@ type tripStats struct {
 
 // roundTrip runs one pooled framed exchange against addr, retrying once on
 // a fresh dial when a reused connection turns out stale (the server may
-// have closed it between health check and use; requests are idempotent
-// reads, so the retry is safe).
+// have closed it while it sat in the pool; requests are idempotent reads,
+// so the retry is safe).
 //
 //epi:hotpath
 func (p *Pool) roundTrip(addr string, req *Request, resp *Response) (tripStats, error) {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -114,6 +115,63 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 	}
 	if v, _ := b.Read("x"); string(v) != "v2" {
 		t.Fatalf("b.x = %q after restart", v)
+	}
+}
+
+func TestPoolRedialsAfterPeerClosedPooledConnection(t *testing.T) {
+	// A peer answers one exchange, then writes a stray byte and closes. The
+	// pooled connection may still look idle when the next pull checks it
+	// out; that pull must notice on its first exchange and succeed on a
+	// fresh dial.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	closed := make(chan struct{})
+	go func() {
+		for first := true; ; first = false {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn, first bool) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				if wire.ReadPreamble(br) != nil {
+					return
+				}
+				current := wire.AppendResponse(nil, &Response{Current: true})
+				for {
+					if _, err := wire.ReadFrame(br, wire.FrameRequest, nil); err != nil {
+						return
+					}
+					if err := wire.WriteFrame(conn, wire.FrameResponse, current); err != nil {
+						return
+					}
+					if first {
+						conn.Write([]byte{0xFF})
+						conn.Close()
+						close(closed)
+						return
+					}
+				}
+			}(conn, first)
+		}
+	}()
+
+	c := NewClient(Options{})
+	defer c.Close()
+	b := core.NewReplica(1, 2)
+	if _, err := c.Pull(b, ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	<-closed
+	if _, err := c.Pull(b, ln.Addr().String()); err != nil {
+		t.Fatalf("pull after the peer closed its pooled connection: %v", err)
+	}
+	if st := c.PoolStats(); st.Dials != 2 {
+		t.Errorf("dials = %d, want 2 (one fresh dial after the close)", st.Dials)
 	}
 }
 
