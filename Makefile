@@ -42,8 +42,9 @@ test-all:
 	$(GO) test ./...
 
 ## bench: smoke run of the experiment benchmarks — the parallel read /
-## propagation benchmark (E16), the propagation builders, and the transport
-## hot path (E15). 100 iterations each: checks they run, not their timing.
+## propagation benchmark (E16), the propagation builders, and the pooled
+## transport round trip (E15). 100 iterations each: checks they run, not
+## their timing.
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkParallelReadUpdate|BenchmarkBuildPropagation|BenchmarkApplyPropagation' -benchtime=100x ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkTransportRoundTrip -benchtime=100x -benchmem ./internal/transport

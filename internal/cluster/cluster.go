@@ -45,8 +45,7 @@ type Config struct {
 	// DurableOptions tunes the durable layer when DataDir is set.
 	DurableOptions durable.Options
 	// Transport tunes the node's pooled transport client. The zero value
-	// uses the pooled framed-binary codec with default pool limits; set
-	// DialPerRequest to exercise the legacy gob-per-dial path.
+	// uses default pool limits.
 	Transport transport.Options
 	// Partitions > 1 splits the keyspace into that many token-ring
 	// partitions, each with its own DBVV and log vector, and the node
@@ -74,13 +73,13 @@ type Config struct {
 // Node is one live server: a replica, its TCP server and its anti-entropy
 // scheduler.
 type Node struct {
-	cfg     Config            //epi:immutable
-	replica *core.Replica     //epi:immutable nil on partitioned nodes
-	parted  *core.Partitioned //epi:immutable non-nil when Partitions > 1
-	dur     *durable.Replica  //epi:immutable non-nil when DataDir is set, unpartitioned
+	cfg     Config               //epi:immutable
+	replica *core.Replica        //epi:immutable nil on partitioned nodes
+	parted  *core.Partitioned    //epi:immutable non-nil when Partitions > 1
+	dur     *durable.Replica     //epi:immutable non-nil when DataDir is set, unpartitioned
 	dpart   *durable.Partitioned //epi:immutable non-nil when DataDir is set with Partitions > 1
-	server  *transport.Server //epi:immutable
-	client  *transport.Client //epi:immutable pooled: sessions reuse warm peer connections
+	server  *transport.Server    //epi:immutable
+	client  *transport.Client    //epi:immutable pooled: sessions reuse warm peer connections
 
 	mu    sync.Mutex
 	peers []string //epi:guard mu

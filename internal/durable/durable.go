@@ -22,7 +22,6 @@ package durable
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,16 +31,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/op"
 	"repro/internal/transport"
-	"repro/internal/vv"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
 const (
-	// legacySnapshotFile is the pre-floor snapshot name: it supersedes the
-	// whole log (the writer reset the WAL after publishing it), so it
-	// recovers with floor 0 — replay everything present.
-	legacySnapshotFile = "snapshot.bin"
 	// Floor-named snapshots: snapshot-NNNNNNNN.bin supersedes every WAL
 	// segment below NNNNNNNN. Publishing a snapshot and discarding the
 	// superseded segments are two steps; naming the floor into the file
@@ -62,30 +56,6 @@ const (
 	recPrune
 )
 
-// walRecord is the legacy gob encoding of a log entry, kept so data
-// directories written before the varint codec (wire.WALRecord) replay.
-// New records are never written in this form.
-//
-//epi:notshared gob codec value decoded by one goroutine
-type walRecord struct {
-	Kind  uint8
-	Key   string
-	Op    op.Op
-	Prop  *core.Propagation
-	Items []core.ItemPayload // second-round full copies of a delta session,
-	// or the fetched difference of a reconciliation session (recReconcile)
-	OOB    *core.OOBReply
-	Source int
-
-	// Pruning-pass inputs (recPrune): the ack table, peer set and cap at
-	// the moment of the pass. Replaying Prune with these against the
-	// deterministically rebuilt log reproduces the same floor, so the
-	// pruned watermark recovers exactly.
-	Acked      []vv.VV
-	PrunePeers []int
-	LogCap     int
-}
-
 // Options configures a durable replica.
 //
 //epi:notshared options value copied at Open
@@ -104,11 +74,6 @@ type Options struct {
 	// batch (larger batches, higher ack latency). Used when Committer is
 	// nil.
 	CommitDelay time.Duration
-	// NoGroupCommit restores the historical write path — stage and wait
-	// for the fsync inside the ordering lock, serializing writers one
-	// flush each. It exists as the honest baseline for the group-commit
-	// experiment (E20) and has no other use.
-	NoGroupCommit bool
 	// Core options (conflict handlers) applied at create and recover.
 	CoreOptions []core.Option
 }
@@ -135,13 +100,13 @@ type Replica struct {
 	// released inside it.
 	wmu      sync.Mutex
 	snapCond *sync.Cond    //epi:immutable signals snapping falling; waits on wmu
-	replica *core.Replica //epi:immutable
+	replica  *core.Replica //epi:immutable
 	// log is set once at Open; the WAL synchronizes its own state (staging
 	// under its committer's mutex, file I/O under the leader handoff), so
 	// only the stage/apply *ordering* needs wmu, not the pointer itself.
 	log    *wal.WAL //epi:immutable
 	since  int      //epi:guard wmu logged actions since last snapshot cut
-	encBuf   []byte        //epi:guard wmu record-encode scratch (Stage copies)
+	encBuf []byte   //epi:guard wmu record-encode scratch (Stage copies)
 	// snapping marks a captured snapshot not yet published: the capture
 	// happened under wmu, the serialize+sync+rename runs outside it, and
 	// no second capture may start until the first publishes.
@@ -196,9 +161,8 @@ func Open(dir string, id, n int, opts Options) (*Replica, error) {
 	return d, nil
 }
 
-// restoreSnapshot loads the newest snapshot in dir (preferring floor-named
-// files over the legacy floor-0 name) or builds a fresh replica, returning
-// the WAL floor replay must start from.
+// restoreSnapshot loads the newest floor-named snapshot in dir or builds a
+// fresh replica, returning the WAL floor replay must start from.
 func restoreSnapshot(dir string, id, n int, opts Options) (*core.Replica, uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -216,12 +180,9 @@ func restoreSnapshot(dir string, id, n int, opts Options) (*core.Replica, uint64
 		}
 	}
 	if path == "" {
-		path = filepath.Join(dir, legacySnapshotFile)
+		return core.NewReplica(id, n, opts.CoreOptions...), 0, nil
 	}
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return core.NewReplica(id, n, opts.CoreOptions...), floor, nil
-	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("durable: read snapshot: %w", err)
 	}
@@ -233,30 +194,16 @@ func restoreSnapshot(dir string, id, n int, opts Options) (*core.Replica, uint64
 }
 
 // replay re-applies every logged action at or above floor to the restored
-// snapshot. Records are decoded with the varint codec (wire.WALRecord) or,
-// for directories written before it, gob — the leading byte tells them
-// apart (a gob stream can never start with wire.WALMagic).
+// snapshot. A record that does not decode — wrong magic included — fails
+// recovery: skipping it would let the replica diverge from what it
+// acknowledged.
 //
 //epi:init recovery runs inside Open before the replica is published
 func (d *Replica) replay(floor uint64) error {
 	var rec wire.WALRecord
 	return d.log.ReplayFrom(floor, func(payload []byte) error {
-		if len(payload) > 0 && payload[0] == wire.WALMagic {
-			if err := wire.DecodeWALRecord(payload, &rec); err != nil {
-				return fmt.Errorf("durable: decode wal record: %w", err)
-			}
-		} else {
-			var legacy walRecord
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&legacy); err != nil {
-				return fmt.Errorf("durable: decode legacy wal record: %w", err)
-			}
-			rec = wire.WALRecord{
-				Kind: legacy.Kind, Key: legacy.Key,
-				Op: legacy.Op, HasOp: legacy.Kind == recUpdate,
-				Prop: legacy.Prop, Items: legacy.Items,
-				OOB: legacy.OOB, Source: legacy.Source,
-				Acked: legacy.Acked, PrunePeers: legacy.PrunePeers, LogCap: legacy.LogCap,
-			}
+		if err := wire.DecodeWALRecord(payload, &rec); err != nil {
+			return fmt.Errorf("durable: decode wal record: %w", err)
 		}
 		switch rec.Kind {
 		case recUpdate:
@@ -378,9 +325,9 @@ func (d *Replica) writeSnapFile(s *pendingSnap) error {
 		return fmt.Errorf("durable: publish snapshot: %w", err)
 	}
 	// The snapshot is durable and named with its floor: everything below
-	// it — older snapshots, the legacy name, superseded segments — is now
-	// garbage. A crash anywhere in this cleanup recovers correctly (Open
-	// picks the highest floor and re-discards).
+	// it — older snapshots, superseded segments — is now garbage. A crash
+	// anywhere in this cleanup recovers correctly (Open picks the highest
+	// floor and re-discards).
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
 		return fmt.Errorf("durable: readdir after publish: %w", err)
@@ -391,24 +338,15 @@ func (d *Replica) writeSnapFile(s *pendingSnap) error {
 			os.Remove(filepath.Join(d.dir, e.Name()))
 		}
 	}
-	os.Remove(filepath.Join(d.dir, legacySnapshotFile))
 	return d.log.DiscardBefore(s.floor)
 }
 
 // finish completes a durable action begun under wmu: release the ordering
 // lock, wait for the group commit covering the staged record, and publish
-// any snapshot the action triggered. With NoGroupCommit the wait happens
-// before the lock is released, reproducing the historical serialized
-// write path exactly.
+// any snapshot the action triggered.
 func (d *Replica) finish(t wal.Ticket, snap *pendingSnap) error {
-	var err error
-	if d.opts.NoGroupCommit {
-		err = t.Wait()
-		d.wmu.Unlock()
-	} else {
-		d.wmu.Unlock()
-		err = t.Wait()
-	}
+	d.wmu.Unlock()
+	err := t.Wait()
 	if snap != nil {
 		// A failed background publish does not fail the action (its record
 		// is durable); it is reported through Close (snapErr).

@@ -22,8 +22,8 @@ func mustOpen(t *testing.T, dir string, id, n int, opts Options) *Replica {
 }
 
 // latestSnapshotPath returns the snapshot file recovery would load — the
-// highest-floor snapshot-NNNNNNNN.bin, or the legacy snapshot.bin, or ""
-// when the directory holds no snapshot.
+// highest-floor snapshot-NNNNNNNN.bin, or "" when the directory holds no
+// snapshot.
 func latestSnapshotPath(dir string) string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -38,12 +38,6 @@ func latestSnapshotPath(dir string) string {
 		}
 		if f >= floor {
 			floor, path = f, filepath.Join(dir, e.Name())
-		}
-	}
-	if path == "" {
-		legacy := filepath.Join(dir, legacySnapshotFile)
-		if _, err := os.Stat(legacy); err == nil {
-			return legacy
 		}
 	}
 	return path

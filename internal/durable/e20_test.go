@@ -3,9 +3,7 @@ package durable
 // Experiment E20: group-commit durable write throughput. N concurrent
 // writers apply durable updates with fsync ENABLED; the group-commit path
 // (stage, release the ordering lock, wait for the covering flush) amortizes
-// the writers into shared fsyncs, while the per-record baseline
-// (NoGroupCommit: the seed's write path, one fsync inside the lock per
-// record) pays one flush each. ns/op is the inverse aggregate throughput;
+// the writers into shared fsyncs. ns/op is the inverse aggregate throughput;
 // p50-/p99-commit-ns are the per-update commit latencies (time from Update
 // entry to durable acknowledgement). Run with
 // `go test -run=NONE -bench=BenchmarkE20 -benchtime=300x -v ./internal/durable`;
@@ -89,16 +87,6 @@ func BenchmarkE20GroupCommit(b *testing.B) {
 	for _, w := range []int{1, 8, 16} {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			benchE20(b, w, Options{SnapshotEvery: 1 << 30})
-		})
-	}
-}
-
-// BenchmarkE20PerRecordFsync is the seed baseline: stage and flush inside
-// the ordering lock, one fsync per record regardless of concurrency.
-func BenchmarkE20PerRecordFsync(b *testing.B) {
-	for _, w := range []int{1, 8} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			benchE20(b, w, Options{NoGroupCommit: true, SnapshotEvery: 1 << 30})
 		})
 	}
 }

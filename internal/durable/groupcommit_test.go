@@ -4,13 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/op"
+	"repro/internal/wire"
 )
 
 // TestGroupCommitConcurrentDurableWrites drives concurrent durable updates
@@ -94,95 +94,52 @@ func TestSnapshotFloorCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestNoGroupCommitBaseline checks the E20 baseline path (stage + wait
-// inside the ordering lock) still yields a correct, recoverable log.
-func TestNoGroupCommitBaseline(t *testing.T) {
-	dir := t.TempDir()
-	d := mustOpen(t, dir, 0, 1, Options{NoGroupCommit: true})
-	for i := 0; i < 10; i++ {
-		if err := d.Update(fmt.Sprintf("k%d", i), op.NewSet([]byte("v"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := d.WALStats()
-	if st.Fsyncs != 10 || st.MaxBatch != 1 {
-		t.Errorf("baseline path batched: Fsyncs=%d MaxBatch=%d, want one fsync per record", st.Fsyncs, st.MaxBatch)
-	}
-	if err := d.CloseWithoutSnapshot(); err != nil {
+// TestWALRecordWithoutMagicFailsRecovery stages a log record that does not
+// lead with wire.WALMagic — a pre-varint gob record, or a varint record with
+// its magic byte lost — and checks recovery refuses the directory: Open
+// fails naming the magic instead of skipping the record and diverging from
+// what the replica acknowledged.
+func TestWALRecordWithoutMagicFailsRecovery(t *testing.T) {
+	var gobRec bytes.Buffer
+	if err := gob.NewEncoder(&gobRec).Encode(struct {
+		Kind uint8
+		Key  string
+	}{recUpdate, "old"}); err != nil {
 		t.Fatal(err)
 	}
-	d2 := mustOpen(t, dir, 0, 1, Options{})
-	defer d2.Close()
-	if v, ok := d2.Core().Read("k9"); !ok || string(v) != "v" {
-		t.Fatalf("baseline record lost: %q/%v", v, ok)
-	}
-}
+	noMagic := wire.AppendWALRecord(nil, &wire.WALRecord{Kind: recUpdate, Key: "k", Op: op.NewSet([]byte("v")), HasOp: true})
+	noMagic[0] = 0
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"gob-record", gobRec.Bytes()},
+		{"magic-cleared", noMagic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := mustOpen(t, dir, 0, 1, Options{NoSync: true})
+			if err := d.Update("new", op.NewSet([]byte("varint"))); err != nil {
+				t.Fatal(err)
+			}
+			d.wmu.Lock()
+			if err := d.log.Append(tc.payload); err != nil {
+				d.wmu.Unlock()
+				t.Fatal(err)
+			}
+			d.wmu.Unlock()
+			if err := d.CloseWithoutSnapshot(); err != nil {
+				t.Fatal(err)
+			}
 
-// TestLegacyGobWALReplays writes a legacy gob-encoded record into the log
-// and recovers: existing data directories (pre-varint-codec) must replay
-// through the fallback decoder.
-func TestLegacyGobWALReplays(t *testing.T) {
-	dir := t.TempDir()
-	d := mustOpen(t, dir, 0, 1, Options{NoSync: true})
-	// A new-format record first, then a legacy gob record appended raw.
-	if err := d.Update("new", op.NewSet([]byte("varint"))); err != nil {
-		t.Fatal(err)
-	}
-	legacy := walRecord{Kind: recUpdate, Key: "old", Op: op.NewSet([]byte("gob"))}
-	var enc bytes.Buffer
-	if err := gob.NewEncoder(&enc).Encode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	buf := enc.Bytes()
-	if buf[0] == 0xE2 {
-		t.Fatal("gob record starts with the varint magic; the sniff is unsound")
-	}
-	d.wmu.Lock()
-	if err := d.log.Append(buf); err != nil {
-		d.wmu.Unlock()
-		t.Fatal(err)
-	}
-	d.wmu.Unlock()
-	if err := d.CloseWithoutSnapshot(); err != nil {
-		t.Fatal(err)
-	}
-
-	d2 := mustOpen(t, dir, 0, 1, Options{NoSync: true})
-	defer d2.Close()
-	if v, ok := d2.Core().Read("new"); !ok || string(v) != "varint" {
-		t.Fatalf("varint record lost: %q/%v", v, ok)
-	}
-	if v, ok := d2.Core().Read("old"); !ok || string(v) != "gob" {
-		t.Fatalf("legacy gob record lost: %q/%v", v, ok)
-	}
-}
-
-// TestLegacySnapshotNameRecovers restores from a directory whose snapshot
-// uses the pre-floor name (snapshot.bin + reset log), the layout older
-// deployments left behind.
-func TestLegacySnapshotNameRecovers(t *testing.T) {
-	dir := t.TempDir()
-	d := mustOpen(t, dir, 0, 1, Options{NoSync: true})
-	if err := d.Update("x", op.NewSet([]byte("snapped"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Rewrite the floor-named snapshot to the legacy layout: legacy name,
-	// floor 0, and no leftover segments below the old floor (the legacy
-	// writer reset the log after snapshotting).
-	snap := latestSnapshotPath(dir)
-	if snap == "" {
-		t.Fatal("no snapshot written")
-	}
-	if err := os.Rename(snap, filepath.Join(dir, legacySnapshotFile)); err != nil {
-		t.Fatal(err)
-	}
-
-	d2 := mustOpen(t, dir, 0, 1, Options{NoSync: true})
-	defer d2.Close()
-	if v, ok := d2.Core().Read("x"); !ok || string(v) != "snapped" {
-		t.Fatalf("legacy snapshot not restored: %q/%v", v, ok)
+			d2, err := Open(dir, 0, 1, Options{NoSync: true})
+			if err == nil {
+				d2.Close()
+				t.Fatal("recovery accepted a record without the WAL magic")
+			}
+			if !strings.Contains(err.Error(), "magic") {
+				t.Fatalf("recovery error %q does not name the magic", err)
+			}
+		})
 	}
 }

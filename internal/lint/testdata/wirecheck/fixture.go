@@ -1,14 +1,12 @@
 // Package fixture seeds a miniature wire protocol whose kinds each drop
 // exactly one leg of the surface wirecheck enforces: encoder, dispatch,
-// fuzz-driver membership, codec/size-arm symmetry, and the gob-fallback
-// path for request kinds; writer, reader, fuzz, and codec-pair legs for
-// untyped frame kinds. KindGood and KindFrameGood carry every leg and
+// fuzz-driver membership, and codec/size-arm symmetry for request kinds;
+// writer, reader, fuzz, and codec-pair legs for untyped frame kinds. KindGood and KindFrameGood carry every leg and
 // must stay silent.
 package fixture
 
 import (
 	"bufio"
-	"encoding/gob"
 	"io"
 	"testing"
 )
@@ -19,10 +17,9 @@ type Kind uint8
 const (
 	KindGood       Kind = iota + 1
 	KindNoEncode        // want `wire kind KindNoEncode has no encoder leg: nothing constructs a request with Kind: KindNoEncode`
-	KindNoDispatch      // want `wire kind KindNoDispatch has no dispatch leg` `wire kind KindNoDispatch has no gob-fallback or explicit-rejection arm`
+	KindNoDispatch      // want `wire kind KindNoDispatch has no dispatch leg`
 	KindNoFuzz          // want `wire kind KindNoFuzz is not exercised by any Fuzz\* driver`
 	KindNoSizeArm       // want `wire kind KindNoSizeArm: kind-gated codec arms out of sync: present in AppendRequest/DecodeRequest, missing from RequestWireSize`
-	KindNoGob           // want `wire kind KindNoGob has no gob-fallback or explicit-rejection arm \(via handleGob → dispatch\)`
 )
 
 // Session frame kinds: untyped, sharing the byte namespace with the
@@ -80,14 +77,13 @@ func RequestWireSize(req *Request) uint64 {
 func newGood() *Request       { return &Request{Kind: KindGood} }
 func newNoDispatch() *Request { return &Request{Kind: KindNoDispatch} }
 func newNoFuzz() *Request     { return &Request{Kind: KindNoFuzz} }
-func newNoSize() *Request     { return &Request{Kind: KindNoSizeArm} }
-func newNoGob() *Request {
+func newNoSize() *Request {
 	req := &Request{}
-	req.Kind = KindNoGob
+	req.Kind = KindNoSizeArm
 	return req
 }
 
-// --- dispatch: reachable from the gob front end -------------------------
+// --- dispatch -----------------------------------------------------------
 
 func dispatch(req *Request) byte {
 	switch req.Kind {
@@ -102,25 +98,6 @@ func dispatch(req *Request) byte {
 	default:
 		return 0
 	}
-}
-
-// handleGob is the legacy front end; dispatch is gob-reachable through it.
-func handleGob(r io.Reader) byte {
-	dec := gob.NewDecoder(r)
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		return 0
-	}
-	return dispatch(&req)
-}
-
-// handleFramed is only on the framed path: KindNoGob's dispatch arm here
-// satisfies the dispatch leg but not the gob leg.
-func handleFramed(req *Request) byte {
-	if req.Kind == KindNoGob {
-		return 9
-	}
-	return dispatch(req)
 }
 
 // --- frame writer / reader ----------------------------------------------
@@ -181,7 +158,6 @@ func FuzzRequestFrames(f *testing.F) {
 	f.Add([]byte{byte(KindNoEncode)})
 	f.Add([]byte{byte(KindNoDispatch)})
 	f.Add([]byte{byte(KindNoSizeArm)})
-	f.Add([]byte{byte(KindNoGob)})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
 		_ = DecodeRequest(data, &req)

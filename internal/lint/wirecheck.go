@@ -13,7 +13,7 @@ import (
 
 // wirecheck: protocol-surface exhaustiveness. The wire protocol is at
 // ~10 kinds and still growing (reconciliation and Byzantine-resilience
-// work will add more); every kind that ships must carry five legs, and
+// work will add more); every kind that ships must carry four legs, and
 // forgetting one is a silent interoperability or coverage hole that no
 // test trips until a peer does. The analyzer discovers every package-
 // level `Kind*` constant in the package that declares `AppendRequest`
@@ -29,15 +29,10 @@ import (
 //     (4) codec/size symmetry — a kind-gated arm in any of
 //     AppendRequest / DecodeRequest / RequestWireSize must appear in
 //     all three, so encoding, decoding, and accounting never drift;
-//     (5) a gob leg — a dispatch arm (or the default rejection) in a
-//     function reachable from the legacy gob front end, reported with
-//     the call-path witness `(via handleGob → dispatch)` when absent;
 //
 //   - frame kinds (untyped constants — the session framing):
 //     a writer (`WriteFrame(…, KindX, …)`), a reader arm, a fuzz leg,
-//     and the `Append<X>`/`Decode<X>` codec pair. Frame kinds have no
-//     gob leg: sessions exist only on framed connections, and the gob
-//     path's divert/rejection is checked through the request kinds.
+//     and the `Append<X>`/`Decode<X>` codec pair.
 //
 // A missing leg is reported at the constant's declaration, naming the
 // kind and the absent leg.
@@ -46,9 +41,9 @@ import (
 var WireCheck = &Analyzer{
 	Name: "wirecheck",
 	Doc: "every wire.Kind* constant carries its full protocol surface: encoder, " +
-		"dispatch arm, Fuzz* driver membership, AppendRequest/DecodeRequest/" +
-		"RequestWireSize symmetry, and a gob-fallback or explicit-rejection path " +
-		"(writer/reader/codec-pair legs for untyped session frame kinds)",
+		"dispatch arm, Fuzz* driver membership, and AppendRequest/DecodeRequest/" +
+		"RequestWireSize symmetry (writer/reader/codec-pair legs for untyped " +
+		"session frame kinds)",
 	Run: runWireCheck,
 }
 
@@ -61,12 +56,11 @@ type wireKind struct {
 // wireKindUses accumulates every way one kind constant is referenced
 // across the whole program.
 type wireKindUses struct {
-	encode      bool
-	dispatch    bool
-	gobDispatch bool
-	written     bool
-	fuzz        bool
-	codecArms   map[string]bool // membership in the codec trio's bodies
+	encode    bool
+	dispatch  bool
+	written   bool
+	fuzz      bool
+	codecArms map[string]bool // membership in the codec trio's bodies
 }
 
 var codecTrio = [...]string{"AppendRequest", "DecodeRequest", "RequestWireSize"}
@@ -90,8 +84,7 @@ func runWireCheck(pass *Pass) {
 		names[k.name] = true
 	}
 
-	reach := gobReachable(pass.Prog)
-	uses, gobHub := scanWireKindUses(pass.Prog, names, reach)
+	uses := scanWireKindUses(pass.Prog, names)
 	for name, ok := range testFuzzRefs(kindsDir(pass), names) {
 		if ok {
 			uses[name].fuzz = true
@@ -121,9 +114,6 @@ func runWireCheck(pass *Pass) {
 				}
 				pass.Reportf(k.pos, "wire kind %s: kind-gated codec arms out of sync: present in %s, missing from %s",
 					k.name, strings.Join(present, "/"), strings.Join(missing, "/"))
-			}
-			if !u.gobDispatch {
-				pass.Reportf(k.pos, "wire kind %s has no gob-fallback or explicit-rejection arm%s", k.name, viaSuffix(gobHub))
 			}
 			continue
 		}
@@ -200,15 +190,12 @@ func kindRefName(e ast.Expr, names map[string]bool) string {
 
 // scanWireKindUses classifies every reference to a kind constant across
 // all loaded packages. Only function bodies are scanned, so the alias
-// re-declarations in transport's const block never count as uses. It
-// also returns the gob hub witness: the call path to the gob-reachable
-// function holding the most dispatch arms.
-func scanWireKindUses(prog *Program, names map[string]bool, reach map[string]string) (map[string]*wireKindUses, string) {
+// re-declarations in transport's const block never count as uses.
+func scanWireKindUses(prog *Program, names map[string]bool) map[string]*wireKindUses {
 	uses := map[string]*wireKindUses{}
 	for nm := range names {
 		uses[nm] = &wireKindUses{codecArms: map[string]bool{}}
 	}
-	hubCount := map[string]int{}
 	codec := map[string]bool{}
 	for _, fn := range codecTrio {
 		codec[fn] = true
@@ -222,10 +209,6 @@ func scanWireKindUses(prog *Program, names map[string]bool, reach map[string]str
 					continue
 				}
 				fname := fd.Name.Name
-				var sym string
-				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					sym = symbolOf(obj)
-				}
 				isFuzz := strings.HasPrefix(fname, "Fuzz")
 				dispatchUse := func(nm string) {
 					if isFuzz {
@@ -239,10 +222,6 @@ func scanWireKindUses(prog *Program, names map[string]bool, reach map[string]str
 						return
 					}
 					uses[nm].dispatch = true
-					if _, ok := reach[sym]; ok {
-						uses[nm].gobDispatch = true
-						hubCount[sym]++
-					}
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					switch n := n.(type) {
@@ -302,92 +281,7 @@ func scanWireKindUses(prog *Program, names map[string]bool, reach map[string]str
 		}
 	}
 
-	hub := ""
-	best := -1
-	hubs := make([]string, 0, len(hubCount))
-	for sym := range hubCount {
-		hubs = append(hubs, sym)
-	}
-	sort.Strings(hubs)
-	for _, sym := range hubs {
-		if hubCount[sym] > best {
-			best, hub = hubCount[sym], reach[sym]
-		}
-	}
-	return uses, hub
-}
-
-// gobReachable computes the set of functions reachable from the legacy
-// gob front ends — any function whose body references encoding/gob —
-// each mapped to its call-path witness from the root.
-func gobReachable(prog *Program) map[string]string {
-	var roots []string
-	for _, pkg := range prog.pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				usesGob := false
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok || usesGob {
-						return !usesGob
-					}
-					if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok && pn.Imported().Path() == "encoding/gob" {
-						usesGob = true
-					}
-					return true
-				})
-				if !usesGob {
-					continue
-				}
-				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					roots = append(roots, symbolOf(obj))
-				}
-			}
-		}
-	}
-	sort.Strings(roots)
-
-	reach := map[string]string{}
-	queue := make([]string, 0, len(roots))
-	for _, sym := range roots {
-		if fi := prog.fns[sym]; fi != nil {
-			if _, ok := reach[sym]; !ok {
-				reach[sym] = fi.shortName()
-				queue = append(queue, sym)
-			}
-		}
-	}
-	const maxDepth = 8
-	for depth := 0; depth < maxDepth && len(queue) > 0; depth++ {
-		var next []string
-		for _, sym := range queue {
-			fi := prog.fns[sym]
-			pass := prog.passes[fi.pkg]
-			ast.Inspect(fi.decl.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := prog.lookup(pass, call)
-				if callee == nil {
-					return true
-				}
-				csym := symbolOf(callee.obj)
-				if _, ok := reach[csym]; ok {
-					return true
-				}
-				reach[csym] = reach[sym] + " → " + callee.shortName()
-				next = append(next, csym)
-				return true
-			})
-		}
-		queue = next
-	}
-	return reach
+	return uses
 }
 
 // testFuzzRefs parses the protocol package's _test.go files (which the

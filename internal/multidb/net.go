@@ -9,8 +9,7 @@ import (
 
 // Serve starts a TCP server answering propagation, fetch and out-of-bound
 // requests for every database attached to s. Requests carry the database
-// name — routed identically over the framed binary codec (the DB field of
-// every request frame) and the legacy gob path; unknown names are
+// name in the DB field of every request frame; unknown names are
 // rejected.
 func (s *Server) Serve(addr string) (*transport.Server, error) {
 	return transport.ListenMulti(s, addr)

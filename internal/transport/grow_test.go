@@ -9,7 +9,7 @@ import (
 
 func TestGrowthSpreadsOverTCP(t *testing.T) {
 	// A two-server system grows to three; the un-grown replica learns the
-	// new width from a gob-encoded propagation message over a real socket.
+	// new width from a propagation message over a real socket.
 	a := core.NewReplica(0, 2)
 	b := core.NewReplica(1, 2)
 	a.Update("x", op.NewSet([]byte("v")))

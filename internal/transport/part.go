@@ -91,10 +91,6 @@ func (s *Server) dispatchParted(req *Request) *Response {
 		}
 	case KindPropagation:
 		resp.Err = "server is partitioned; open a partitioned session"
-	case KindStream, KindPartStream:
-		// Reachable only through the legacy gob front-end; the framed loop
-		// intercepts stream kinds before dispatch.
-		resp.Err = "streaming session requires the framed protocol"
 	default:
 		resp.Err = fmt.Sprintf("unknown request kind %d", req.Kind)
 	}
@@ -167,7 +163,7 @@ func (c *Client) PullPartOffers(recipient *core.Partitioned, addr, db string, of
 		MaxBytes: maxBytes,
 	}
 	var resp Response
-	st, err := c.roundTrip(addr, req, &resp)
+	st, err := c.pool.roundTrip(addr, req, &resp)
 	recipient.AddWireStats(st.sent, st.recv, boolCount(st.dialed), boolCount(st.reused))
 	if err != nil {
 		return nil, err
@@ -181,13 +177,9 @@ func (c *Client) PullPartOffers(recipient *core.Partitioned, addr, db string, of
 // PullPartDB is PullPart against a named database of a multi-database
 // server.
 func (c *Client) PullPartDB(recipient *core.Partitioned, addr, db string) (int, error) {
-	var maxBytes uint64
-	if !c.opts.DialPerRequest {
-		// Announce the per-partition monolithic ceiling; the legacy gob path
-		// has no session framing, so it keeps unbounded inline payloads.
-		maxBytes = DefaultMonolithicCap
-	}
-	parts, err := c.PullPartOffers(recipient, addr, db, nil, maxBytes)
+	// Announce the per-partition monolithic ceiling: a dirty partition above
+	// it is answered "stream instead" rather than inline.
+	parts, err := c.PullPartOffers(recipient, addr, db, nil, DefaultMonolithicCap)
 	if err != nil {
 		return 0, err
 	}

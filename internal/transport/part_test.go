@@ -332,24 +332,51 @@ func TestPullPartStreamsLargePartition(t *testing.T) {
 	}
 }
 
-// Partitioned sessions must also work over the legacy gob transport: the
-// client announces no cap, so every dirty partition ships inline.
-func TestPullPartGobFallback(t *testing.T) {
+// An uncapped negotiation — the round durable.Partitioned drives — answers
+// every dirty partition inline, however large, and opens no stream session.
+func TestPullPartOffersUncappedShipsInline(t *testing.T) {
 	a, b, srv := startPartPair(t, 2, 8, 2)
 	rg := a.Ring()
-	for _, k := range partKeysT(t, rg, 2, 6) {
-		if err := a.Update(k, op.NewSet([]byte("gob"))); err != nil {
+	big := rg.Shared(0, 1)[0]
+	small := rg.Shared(0, 1)[1]
+	payload := bytes.Repeat([]byte("s"), 64<<10)
+	for _, k := range partKeysT(t, rg, big, 40) { // ~2.5 MB > DefaultMonolithicCap
+		if err := a.Update(k, op.NewSet(payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := NewClient(Options{DialPerRequest: true})
+	for _, k := range partKeysT(t, rg, small, 6) {
+		if err := a.Update(k, op.NewSet([]byte("tiny"))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewClient(Options{})
 	defer c.Close()
-	shipped, err := c.PullPart(b, srv.Addr())
+	replies, err := c.PullPartOffers(b, srv.Addr(), "", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shipped != 1 {
-		t.Fatalf("shipped %d partitions, want 1", shipped)
+	inline := 0
+	for _, pe := range replies {
+		if pe.Stream || pe.Reconcile {
+			t.Fatalf("partition %d diverted (stream=%v reconcile=%v) with no cap", pe.Pid, pe.Stream, pe.Reconcile)
+		}
+		if pe.Prop == nil {
+			continue
+		}
+		inline++
+		if err := c.applySession(b.Partition(pe.Pid), srv.Addr(), "", pe.Prop); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inline != 2 {
+		t.Fatalf("%d partitions shipped inline, want 2", inline)
+	}
+	if got := a.Metrics().ChunksSent; got != 0 {
+		t.Errorf("uncapped negotiation streamed %d chunks", got)
+	}
+	if st := c.PoolStats(); st.Dials != 1 {
+		t.Errorf("dials = %d, want 1 (the negotiation connection only)", st.Dials)
 	}
 	if ok, why := core.PartConverged(a, b); !ok {
 		t.Fatalf("not converged: %s", why)

@@ -3,14 +3,13 @@ package transport
 // Connection pooling: the recipient side of the protocol keeps persistent
 // framed connections per peer address and reuses them across anti-entropy
 // sessions, so the common O(1) "you-are-current" exchange costs one small
-// request frame and one small response frame instead of a TCP dial plus
-// gob type descriptors. Concurrency is by connection checkout — each
-// in-flight exchange owns one connection; concurrent sessions to the same
-// peer each get their own (pooled or freshly dialed) connection.
+// request frame and one small response frame instead of a TCP dial.
+// Concurrency is by connection checkout — each in-flight exchange owns one
+// connection; concurrent sessions to the same peer each get their own
+// (pooled or freshly dialed) connection.
 
 import (
 	"bufio"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -267,25 +266,20 @@ func (p *Pool) roundTrip(addr string, req *Request, resp *Response) (tripStats, 
 //
 //epi:notshared options value copied into the client at construction
 type Options struct {
-	// DialPerRequest bypasses the pool and the binary codec: every
-	// exchange dials a fresh connection and speaks one-shot gob, exactly
-	// the seed transport. For tests and benchmarks of the legacy path.
-	DialPerRequest bool
-	// Pool tunes the connection pool (ignored under DialPerRequest).
+	// Pool tunes the connection pool.
 	Pool PoolOptions
 }
 
 // Client is the recipient side of the protocol: it runs exchanges against
-// peer servers over pooled persistent connections (or legacy one-shot gob
-// when configured). Methods are safe for concurrent use.
+// peer servers over pooled persistent connections. Methods are safe for
+// concurrent use.
 type Client struct {
-	opts Options //epi:immutable
-	pool *Pool   //epi:immutable
+	pool *Pool //epi:immutable
 }
 
 // NewClient returns a client with its own connection pool.
 func NewClient(opts Options) *Client {
-	return &Client{opts: opts, pool: NewPool(opts.Pool)}
+	return &Client{pool: NewPool(opts.Pool)}
 }
 
 // DefaultClient serves the package-level convenience functions (Pull,
@@ -299,41 +293,10 @@ func (c *Client) Close() { c.pool.Close() }
 // PoolStats returns a snapshot of the client's pool counters.
 func (c *Client) PoolStats() PoolStats { return c.pool.Stats() }
 
-// roundTrip runs one exchange, via the pool or per-request gob.
-func (c *Client) roundTrip(addr string, req *Request, resp *Response) (tripStats, error) {
-	if c.opts.DialPerRequest {
-		return gobRoundTrip(addr, req, resp)
-	}
-	return c.pool.roundTrip(addr, req, resp)
-}
-
-// gobRoundTrip is the seed transport verbatim: dial, one gob exchange,
-// close — kept for backward-compat tests and as the benchmark baseline.
-func gobRoundTrip(addr string, req *Request, resp *Response) (st tripStats, err error) {
-	st.dialed = true
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return st, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	cr := &countingReader{r: conn}
-	cw := &countingWriter{w: conn}
-	defer func() {
-		st.sent, st.recv = cw.n, cr.n
-	}()
-	if err := gob.NewEncoder(cw).Encode(req); err != nil {
-		return st, fmt.Errorf("transport: send request: %w", err)
-	}
-	if err := gob.NewDecoder(cr).Decode(resp); err != nil {
-		return st, fmt.Errorf("transport: read response: %w", err)
-	}
-	return st, nil
-}
-
 // do runs one exchange and charges its measured cost to the replica's
 // counters (skipped when the caller has no replica in hand).
 func (c *Client) do(r *core.Replica, addr string, req *Request, resp *Response) error {
-	st, err := c.roundTrip(addr, req, resp)
+	st, err := c.pool.roundTrip(addr, req, resp)
 	if r != nil {
 		var dials, reuses uint64
 		if st.dialed {
@@ -424,17 +387,14 @@ func (c *Client) FetchItemsMetered(r *core.Replica, addr, db string, from int, k
 func (c *Client) Pull(recipient *core.Replica, addr string) (bool, error) {
 	shipped := false
 	for attempt := 0; ; attempt++ {
+		// Announce the monolithic-response ceiling: above it the source
+		// replies Stream instead of materializing the payload, and the pull
+		// restarts as a chunked session.
 		req := &Request{
-			Kind: KindPropagation,
-			From: recipient.ID(),
-			DBVV: recipient.PropagationRequest(),
-		}
-		if !c.opts.DialPerRequest {
-			// Announce the monolithic-response ceiling: above it the source
-			// replies Stream instead of materializing the payload, and the pull
-			// restarts as a chunked session. Legacy gob clients announce nothing
-			// (MaxBytes zero) and keep the unbounded monolithic behavior.
-			req.MaxBytes = DefaultMonolithicCap
+			Kind:     KindPropagation,
+			From:     recipient.ID(),
+			DBVV:     recipient.PropagationRequest(),
+			MaxBytes: DefaultMonolithicCap,
 		}
 		var resp Response
 		err := c.do(recipient, addr, req, &resp)

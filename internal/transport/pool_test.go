@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
@@ -197,83 +199,59 @@ func TestPoolIdleTimeout(t *testing.T) {
 	}
 }
 
-func TestDialPerRequestCompat(t *testing.T) {
-	// The legacy gob path must still interoperate with the new server.
-	a, _, srv := startPair(t)
-	a.Update("x", op.NewSet([]byte("gob-value")))
-	c := NewClient(Options{DialPerRequest: true})
-	b := core.NewReplica(1, 2)
-	shipped, err := c.Pull(b, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shipped {
-		t.Fatal("gob pull shipped nothing")
-	}
-	if v, _ := b.Read("x"); string(v) != "gob-value" {
-		t.Fatalf("b.x = %q", v)
-	}
-	if st := c.PoolStats(); st.Dials != 0 || st.Reused != 0 {
-		t.Errorf("DialPerRequest used the pool: %+v", st)
-	}
-	if m := b.Metrics(); m.WireBytesSent == 0 || m.Dials == 0 {
-		t.Errorf("legacy path not metered: %+v", m)
-	}
-}
-
-func TestMixedCodecsOneServer(t *testing.T) {
-	// A pooled binary client and a legacy gob client share one server.
-	a, _, srv := startPair(t)
-	a.Update("x", op.NewSet([]byte("v")))
-	binC := NewClient(Options{})
-	defer binC.Close()
-	gobC := NewClient(Options{DialPerRequest: true})
-	b1 := core.NewReplica(1, 2)
-	b2 := core.NewReplica(1, 2)
-	if _, err := binC.Pull(b1, srv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gobC.Pull(b2, srv.Addr()); err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range []*core.Replica{b1, b2} {
-		if ok, why := core.Converged(a, r); !ok {
-			t.Errorf("client %d not converged: %s", i, why)
-		}
-	}
-}
-
 func TestMalformedFrameClosesConnection(t *testing.T) {
-	// A framed connection that turns to garbage must be closed by the
-	// server — not crash it, not hang it.
-	a := core.NewReplica(0, 2)
-	srv, err := Listen(a, "127.0.0.1:0")
-	if err != nil {
+	// A peer that does not speak the framed codec, or whose framed
+	// connection turns to garbage, must be hung up on without a reply — not
+	// crash the server, not hang it.
+	var gobReq bytes.Buffer
+	if err := gob.NewEncoder(&gobReq).Encode(&Request{Kind: KindPropagation, From: 1}); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+	}{
+		// The seed transport's one-shot exchange: no preamble at all.
+		{"gob-request-no-preamble", gobReq.Bytes()},
+		{"preamble-version-99", []byte{wire.Magic, 99}},
+		// Valid preamble and type byte, absurd length, no body.
+		{"absurd-frame-length", []byte{wire.Magic, wire.Version, wire.FrameRequest, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := core.NewReplica(0, 2)
+			srv, err := Listen(a, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WritePreamble(conn); err != nil {
-		t.Fatal(err)
-	}
-	// Valid type byte, absurd length, no body: the server must hang up.
-	conn.Write([]byte{wire.FrameRequest, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := conn.Read(buf); err == nil {
-		t.Fatal("server answered a malformed frame instead of closing")
-	}
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.bytes); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			n, err := conn.Read(make([]byte, 1))
+			if n != 0 || err == nil {
+				t.Fatalf("server wrote %d byte(s) instead of closing", n)
+			}
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("server kept the connection open")
+			}
 
-	// And the server keeps serving well-formed sessions afterwards.
-	a.Update("x", op.NewSet([]byte("v")))
-	b := core.NewReplica(1, 2)
-	if _, err := Pull(b, srv.Addr()); err != nil {
-		t.Fatalf("pull after malformed frame: %v", err)
+			// And the server keeps serving well-formed sessions afterwards.
+			a.Update("x", op.NewSet([]byte("v")))
+			b := core.NewReplica(1, 2)
+			if _, err := Pull(b, srv.Addr()); err != nil {
+				t.Fatalf("pull after the refused connection: %v", err)
+			}
+			if v, _ := b.Read("x"); string(v) != "v" {
+				t.Fatalf("b.x = %q after the refused connection", v)
+			}
+		})
 	}
 }
 

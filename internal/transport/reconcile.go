@@ -2,8 +2,8 @@ package transport
 
 // Client side of range-based set reconciliation (core/reconcile.go) over
 // the transport: the fingerprint rounds ride ordinary KindReconcile
-// request/response exchanges (pooled framed connections or legacy gob — no
-// session framing is needed, every round is stateless on the server), and
+// request/response exchanges on pooled framed connections (no session
+// framing is needed, every round is stateless on the server), and
 // the computed difference is fetched in bounded KindFetch batches.
 //
 // A recipient lands here when a propagation request comes back with the

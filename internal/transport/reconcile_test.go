@@ -112,24 +112,6 @@ func TestPullStreamDivertsToReconcile(t *testing.T) {
 	}
 }
 
-func TestGobClientDivertsToReconcile(t *testing.T) {
-	const base, diff, valueSize = 100, 5, 64
-	a, b, srv, _, _ := catchUpSetup(t, base, diff, valueSize)
-
-	gc := NewClient(Options{DialPerRequest: true})
-	defer gc.Close()
-	shipped, err := gc.Pull(b, srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !shipped {
-		t.Fatal("gob catch-up shipped nothing")
-	}
-	if ok, why := core.Converged(a, b); !ok {
-		t.Fatalf("gob path not converged: %s", why)
-	}
-}
-
 func TestPullSessionMeteredSurfacesErrNeedsReconcile(t *testing.T) {
 	_, b, srv, c, _ := catchUpSetup(t, 50, 5, 32)
 	_, err := c.PullSessionMetered(b, srv.Addr(), "", b.ID(), b.PropagationRequest())

@@ -151,8 +151,7 @@ type flushWriter interface {
 // PullStream performs one streaming propagation session: recipient pulls
 // from the server at addr chunk by chunk, committing each chunk as it
 // arrives. It returns true when data was shipped, false when the recipient
-// was already current. Under DialPerRequest (legacy gob transport, no
-// session framing) it falls back to the monolithic Pull.
+// was already current.
 func (c *Client) PullStream(recipient *core.Replica, addr string) (bool, error) {
 	return c.PullStreamDB(recipient, addr, "")
 }
@@ -160,9 +159,6 @@ func (c *Client) PullStream(recipient *core.Replica, addr string) (bool, error) 
 // PullStreamDB is PullStream against a named database of a multi-database
 // server.
 func (c *Client) PullStreamDB(recipient *core.Replica, addr, db string) (bool, error) {
-	if c.opts.DialPerRequest {
-		return c.Pull(recipient, addr)
-	}
 	shipped := false
 	for attempt := 0; ; attempt++ {
 		req := &Request{Kind: KindStream, DB: db, From: recipient.ID(), DBVV: recipient.PropagationRequest()}

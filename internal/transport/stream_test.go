@@ -123,30 +123,6 @@ func TestPullSmallStaysMonolithic(t *testing.T) {
 	}
 }
 
-func TestPullStreamDialPerRequestFallsBack(t *testing.T) {
-	src := core.NewReplica(0, 2)
-	populateStream(t, src, 50, 64)
-	srv, err := Listen(src, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	rec := core.NewReplica(1, 2)
-	c := NewClient(Options{DialPerRequest: true})
-	defer c.Close()
-	shipped, err := c.PullStream(rec, srv.Addr())
-	if err != nil || !shipped {
-		t.Fatalf("legacy-path stream pull = (%v, %v)", shipped, err)
-	}
-	if got := rec.Metrics().ChunksApplied; got != 0 {
-		t.Fatalf("legacy client applied %d chunks, want monolithic fallback", got)
-	}
-	if ok, why := src.Snapshot().Equivalent(rec.Snapshot()); !ok {
-		t.Fatalf("recipient did not converge: %s", why)
-	}
-}
-
 func TestPullStreamRemoteError(t *testing.T) {
 	src := core.NewReplica(0, 2)
 	srv, err := Listen(src, "127.0.0.1:0")

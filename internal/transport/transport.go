@@ -10,11 +10,9 @@
 // owns the recipient side. The hot path speaks the compact framed binary
 // codec of internal/wire over persistent pooled connections (see pool.go),
 // so thousands of O(1) "you-are-current" exchanges per second share warm
-// TCP connections instead of paying dial + gob type-descriptor overhead per
-// session. The server sniffs each connection's first byte and still accepts
-// the legacy one-shot gob protocol, so old clients interoperate unchanged;
-// Options.DialPerRequest selects that legacy path on the client for tests
-// and benchmarks.
+// TCP connections instead of paying a dial per session. It is the only
+// protocol: a connection that does not open with the codec's preamble is
+// closed without a reply.
 //
 // Within one connection, exchanges alternate strictly (one request, one
 // response); concurrency comes from the pool handing distinct connections
@@ -25,7 +23,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
@@ -228,32 +225,19 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handle sniffs the connection's first byte to pick a protocol: the framed
-// binary codec announces itself with wire.Magic (a byte no gob stream can
-// start with); anything else is served as a legacy one-shot gob exchange.
-func (s *Server) handle(conn net.Conn) {
-	cr := &countingReader{r: conn}
-	cw := &countingWriter{w: conn}
-	br := bufio.NewReader(cr)
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == wire.Magic {
-		s.handleFramed(br, cr, cw)
-		return
-	}
-	s.handleGob(br, cr, cw)
-}
-
-// handleFramed serves a persistent framed-binary connection: requests and
+// handle serves one persistent framed-binary connection: requests and
 // responses alternate until the peer hangs up or sends a malformed frame,
-// which is answered by closing the connection (never by panicking).
+// which is answered by closing the connection (never by panicking). A bad
+// preamble — wrong magic or an unknown version — closes it before any
+// request is read.
 //
 // Bytes are metered below the bufio layer, so read-ahead may attribute a
 // request's bytes to the preceding exchange; per-connection totals are
 // exact.
-func (s *Server) handleFramed(br *bufio.Reader, cr *countingReader, cw *countingWriter) {
+func (s *Server) handle(conn net.Conn) {
+	cr := &countingReader{r: conn}
+	cw := &countingWriter{w: conn}
+	br := bufio.NewReader(cr)
 	if err := wire.ReadPreamble(br); err != nil {
 		return
 	}
@@ -329,20 +313,6 @@ func (s *Server) chargeServed(replica *core.Replica, sent, recv uint64) {
 	}
 }
 
-// handleGob serves one legacy gob exchange — the seed protocol: one
-// request, one response, connection closed.
-func (s *Server) handleGob(br *bufio.Reader, cr *countingReader, cw *countingWriter) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(cw)
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		return
-	}
-	replica, resp := s.dispatch(&req)
-	_ = enc.Encode(resp)
-	s.chargeServed(replica, cw.n, cr.n)
-}
-
 // route resolves the replica a request addresses, shared by the one-shot
 // dispatch and the streaming session handler. The replica is nil when the
 // request could not be routed, with the error text as the second result.
@@ -362,14 +332,14 @@ func (s *Server) route(req *Request) (*core.Replica, string) {
 	return replica, ""
 }
 
-// dispatch routes one decoded request to the owning replica and runs the
-// exchange, shared by both protocol front-ends. The returned replica is nil
-// when the request could not be routed.
+// dispatch routes one decoded non-streaming request to the owning replica
+// and runs the exchange. The returned replica is nil when the request could
+// not be routed.
 func (s *Server) dispatch(req *Request) (*core.Replica, *Response) {
 	if s.parted != nil {
 		return nil, s.dispatchParted(req)
 	}
-	if req.Kind == KindPartPropagation || req.Kind == KindPartStream {
+	if req.Kind == KindPartPropagation {
 		return nil, &Response{Err: "server is not partitioned"}
 	}
 	replica, errmsg := s.route(req)
@@ -420,10 +390,6 @@ func (s *Server) dispatch(req *Request) (*core.Replica, *Response) {
 		resp.Items = replica.BuildItems(req.Keys)
 	case KindReconcile:
 		resp.Recon = replica.ServeReconcile(req.Ranges)
-	case KindStream:
-		// Reachable only through the legacy gob front-end; the framed loop
-		// intercepts KindStream before dispatch.
-		resp.Err = "streaming session requires the framed protocol"
 	default:
 		resp.Err = fmt.Sprintf("unknown request kind %d", req.Kind)
 	}
@@ -480,6 +446,6 @@ func FetchOOB(recipient *core.Replica, addr, key string) (bool, error) {
 // roundTrip performs one exchange through the default client. Kept as the
 // package's internal seam so tests can drive raw requests.
 func roundTrip(addr string, req Request, resp *Response) error {
-	_, err := DefaultClient.roundTrip(addr, &req, resp)
+	_, err := DefaultClient.pool.roundTrip(addr, &req, resp)
 	return err
 }

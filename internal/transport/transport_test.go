@@ -172,7 +172,7 @@ func TestMalformedRequestIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn.Write([]byte("garbage that is not gob"))
+	conn.Write([]byte("garbage that is not the framed codec"))
 	conn.Close()
 	// Server must survive; a real session afterwards still works.
 	b := core.NewReplica(1, 2)

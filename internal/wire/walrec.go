@@ -1,16 +1,12 @@
 package wire
 
 // WAL record codec: the durable layer's log entries in the same compact
-// varint style as the session wire format, replacing per-record gob (a
-// gob encoder re-transmits type descriptors on every record because each
-// WAL entry is encoded with a fresh encoder — most of a small record's
-// bytes were framing, and encode cost sat inside the durable write lock).
+// varint style as the session wire format.
 //
 // The durable layer owns the record *kinds* (they are log-format, not
-// wire-protocol, surface); this file owns the byte layout. A leading
-// magic byte distinguishes the varint format from legacy gob records —
-// gob streams begin with a small type-id varint and can never start with
-// 0xE2 — so existing data directories replay through a fallback decoder.
+// wire-protocol, surface); this file owns the byte layout. Every record
+// leads with WALMagic, and a record that does not is rejected: recovery
+// fails rather than skip a record it cannot read.
 
 import (
 	"encoding/binary"
@@ -32,13 +28,13 @@ const WALMagic = 0xE2
 //
 //epi:notshared codec value assembled or decoded by one goroutine
 type WALRecord struct {
-	Kind  uint8
-	Key   string
-	Op    op.Op
-	HasOp bool // Kind 0 is not a valid op encoding, so presence is explicit
-	Prop  *core.Propagation
-	Items []core.ItemPayload
-	OOB   *core.OOBReply
+	Kind   uint8
+	Key    string
+	Op     op.Op
+	HasOp  bool // Kind 0 is not a valid op encoding, so presence is explicit
+	Prop   *core.Propagation
+	Items  []core.ItemPayload
+	OOB    *core.OOBReply
 	Source int
 
 	// Pruning-pass inputs: the ack table, peer set and cap at the moment

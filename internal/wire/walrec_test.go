@@ -9,7 +9,7 @@ import (
 	"repro/internal/vv"
 )
 
-func walRecordSamples() []WALRecord {
+func sampleWALRecords() []WALRecord {
 	return []WALRecord{
 		{Kind: 1, Key: "user:42", HasOp: true, Op: op.NewSet([]byte("hello"))},
 		{Kind: 1, Key: "", HasOp: true, Op: op.NewWriteAt(7, []byte("xy"))},
@@ -37,7 +37,7 @@ func walRecordSamples() []WALRecord {
 }
 
 func TestWALRecordRoundTrip(t *testing.T) {
-	for i, rec := range walRecordSamples() {
+	for i, rec := range sampleWALRecords() {
 		buf := AppendWALRecord(nil, &rec)
 		if buf[0] != WALMagic {
 			t.Fatalf("sample %d: first byte %#x", i, buf[0])
@@ -110,7 +110,7 @@ func TestWALRecordDecodeDoesNotAliasInput(t *testing.T) {
 // must never panic, and any record it accepts must re-encode and decode
 // to the same value (the WAL replays what the codec accepts).
 func FuzzDecodeWALRecord(f *testing.F) {
-	for _, rec := range walRecordSamples() {
+	for _, rec := range sampleWALRecords() {
 		f.Add(AppendWALRecord(nil, &rec))
 	}
 	f.Add([]byte{WALMagic})

@@ -15,11 +15,9 @@
 //
 //	[Magic 0xEB] [Version 0x01]
 //
-// 0xEB can never begin a gob stream (gob messages start with a uvarint byte
-// count, whose first byte is either < 0x80 or >= 0xF8), so a server can
-// sniff the first byte and fall back to the legacy one-shot gob protocol
-// for old clients. The version byte names the codec below; unknown versions
-// are rejected by closing the connection.
+// The magic byte is a sanity check that the peer speaks this codec at all;
+// the version byte names the codec below. A wrong magic or an unknown
+// version is rejected by closing the connection without a reply.
 //
 // # Frames
 //
@@ -58,8 +56,8 @@ import (
 
 // Wire-level constants.
 const (
-	// Magic is the first byte of a framed connection. Chosen from the
-	// 0x80..0xF7 range no gob stream can start with.
+	// Magic is the first byte of a framed connection: a sanity check that
+	// the peer speaks this codec, rejected by closing when it differs.
 	Magic = 0xEB
 	// Version is the codec version this package speaks.
 	Version = 1
@@ -88,7 +86,7 @@ const (
 	// KindStream opens a streaming propagation session: instead of one
 	// Response frame, the server answers with a session frame sequence
 	// (KindSessionBegin, zero or more KindSessionChunk, KindSessionEnd);
-	// see stream.go. Framed connections only.
+	// see stream.go.
 	KindStream
 	// KindPartPropagation opens a partitioned propagation session: the
 	// request carries one (partition id, DBVV) pair per partition the
@@ -99,7 +97,7 @@ const (
 	KindPartPropagation
 	// KindPartStream opens a streaming propagation session for a single
 	// keyspace partition (Request.Part); the frame sequence is identical to
-	// KindStream's. Framed connections only.
+	// KindStream's.
 	KindPartStream
 	// KindReconcile drives one round of range-based set reconciliation: the
 	// request carries the recipient's unresolved ranges (Request.Ranges),
@@ -127,8 +125,8 @@ type Request struct {
 	// MaxBytes, when non-zero on a KindPropagation request, caps the
 	// monolithic response: a source whose payload estimate exceeds it
 	// replies with Response.Stream set instead of building the payload,
-	// and the recipient re-pulls over a KindStream session. Zero keeps the
-	// legacy uncapped behavior. On a KindPartPropagation request it caps
+	// and the recipient re-pulls over a KindStream session. Zero means
+	// uncapped. On a KindPartPropagation request it caps
 	// each partition's inline payload the same way.
 	MaxBytes uint64
 	// Parts is the partitioned session negotiation (KindPartPropagation
