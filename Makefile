@@ -33,10 +33,10 @@ build:
 	$(GO) build ./...
 
 ## race: the concurrency-heavy packages (protocol core with the sharded
-## data plane, simulator, TCP transport pool, live cluster, multi-database
-## propagation, durable log) under the race detector.
+## data plane, simulator, TCP transport pool, live cluster,
+## durable log) under the race detector.
 race:
-	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/transport/... ./internal/cluster/... ./internal/multidb/... ./internal/durable/...
+	$(GO) test -race ./internal/core/... ./internal/sim/... ./internal/transport/... ./internal/cluster/... ./internal/durable/...
 
 test-all:
 	$(GO) test ./...

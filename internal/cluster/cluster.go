@@ -80,6 +80,11 @@ type Node struct {
 	dpart   *durable.Partitioned //epi:immutable non-nil when DataDir is set with Partitions > 1
 	server  *transport.Server    //epi:immutable
 	client  *transport.Client    //epi:immutable pooled: sessions reuse warm peer connections
+	// sink is what an unpartitioned pull commits into, and sinks[pid] what
+	// partition pid's does (nil where the node does not replicate it): the
+	// durable replicas on a durable node, in-memory adapters otherwise.
+	sink  transport.Sink   //epi:immutable
+	sinks []transport.Sink //epi:immutable
 
 	mu    sync.Mutex
 	peers []string //epi:guard mu
@@ -123,11 +128,18 @@ func Start(cfg Config) (*Node, error) {
 			if err != nil {
 				return nil, err
 			}
-			dp.SetClient(n.client)
 			n.dpart = dp
 			n.parted = dp.Parted()
 		} else {
 			n.parted = core.NewPartitioned(cfg.ID, cfg.Servers, cfg.Partitions, placement)
+		}
+		n.sinks = make([]transport.Sink, cfg.Partitions)
+		for _, pid := range n.parted.Owned() {
+			if n.dpart != nil {
+				n.sinks[pid] = n.dpart.Partition(pid)
+			} else {
+				n.sinks[pid] = transport.InMemory(n.parted.Partition(pid))
+			}
 		}
 		// Each partition's pruning is gated by its own ring owners — the
 		// only peers whose sessions can ever need its records.
@@ -147,11 +159,12 @@ func Start(cfg Config) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.SetClient(n.client)
 		n.dur = d
 		n.replica = d.Core()
+		n.sink = d
 	default:
 		n.replica = core.NewReplica(cfg.ID, cfg.Servers)
+		n.sink = transport.InMemory(n.replica)
 	}
 	// Pruning is gated by every other server in the cluster: a record may
 	// be dropped only once all of them have acknowledged it (or the log cap
@@ -255,18 +268,11 @@ func (n *Node) PullOnce() (string, error) {
 // same peer ride one warm framed connection, and concurrent sessions to
 // distinct peers proceed in parallel over their own connections.
 func (n *Node) PullFrom(addr string) (bool, error) {
-	if n.dpart != nil {
-		shipped, err := n.dpart.PullFrom(addr)
-		return shipped > 0, err
-	}
 	if n.parted != nil {
-		shipped, err := n.client.PullPart(n.parted, addr)
+		shipped, err := n.client.PullPart(n.parted, n.sinks, addr)
 		return shipped > 0, err
 	}
-	if n.dur != nil {
-		return n.dur.PullFrom(addr)
-	}
-	return n.client.Pull(n.replica, addr)
+	return n.client.Pull(n.sink, addr)
 }
 
 // PullStreamFrom performs one streaming anti-entropy session against a
@@ -281,10 +287,7 @@ func (n *Node) PullStreamFrom(addr string) (bool, error) {
 		// through its own chunked session.
 		return n.PullFrom(addr)
 	}
-	if n.dur != nil {
-		return n.dur.PullFrom(addr)
-	}
-	return n.client.PullStream(n.replica, addr)
+	return n.client.PullStream(n.sink, addr)
 }
 
 // SetChunkBytes overrides the node's server-side chunk payload budget for
@@ -294,20 +297,13 @@ func (n *Node) SetChunkBytes(b uint64) { n.server.SetChunkBytes(b) }
 
 // FetchOOB copies one item out-of-bound from a specific peer.
 func (n *Node) FetchOOB(addr, key string) (bool, error) {
-	if n.dpart != nil {
-		return n.dpart.FetchOOB(addr, key)
-	}
+	sink := n.sink
 	if n.parted != nil {
-		part := n.parted.Partition(n.parted.PartitionOf(key))
-		if part == nil {
+		if sink = n.sinks[n.parted.PartitionOf(key)]; sink == nil {
 			return false, fmt.Errorf("cluster: %w", core.ErrNotOwner)
 		}
-		return n.client.FetchOOB(part, addr, key)
 	}
-	if n.dur != nil {
-		return n.dur.FetchOOB(addr, key)
-	}
-	return n.client.FetchOOB(n.replica, addr, key)
+	return n.client.FetchOOB(sink, addr, key)
 }
 
 // PoolStats returns the node's transport connection-pool counters.
@@ -436,13 +432,7 @@ func (n *Node) Bootstrap() (int, error) {
 	n.mu.Unlock()
 	total := 0
 	for _, addr := range peers {
-		var shipped int
-		var err error
-		if n.dpart != nil {
-			shipped, err = n.dpart.PullFrom(addr)
-		} else {
-			shipped, err = n.client.PullPart(n.parted, addr)
-		}
+		shipped, err := n.client.PullPart(n.parted, n.sinks, addr)
 		total += shipped
 		if err != nil {
 			return total, err

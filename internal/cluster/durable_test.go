@@ -272,3 +272,47 @@ func TestMixedDurableVolatileCluster(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchOOBMetersEveryNodeShape runs one out-of-bound copy into each
+// node shape that can hold the key and checks the exchange's bytes reach
+// the node's Metrics: an OOB copy into a durable node is the same metered
+// call as into a volatile one.
+func TestFetchOOBMetersEveryNodeShape(t *testing.T) {
+	const parts = 4
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"volatile", Config{}},
+		{"durable", Config{DataDir: t.TempDir()}},
+		{"durable-partitioned", Config{DataDir: t.TempDir(), Partitions: parts}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := Start(Config{ID: 0, Servers: 2, Partitions: tc.cfg.Partitions})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			if err := src.Update("hot", op.NewSet([]byte("fresh"))); err != nil {
+				t.Fatal(err)
+			}
+			cfg := tc.cfg
+			cfg.ID, cfg.Servers = 1, 2
+			cfg.DurableOptions = durable.Options{NoSync: true}
+			node, err := Start(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer node.Close()
+
+			before := node.Metrics().WireBytesRecv
+			adopted, err := node.FetchOOB(src.Addr(), "hot")
+			if err != nil || !adopted {
+				t.Fatalf("FetchOOB = %v/%v", adopted, err)
+			}
+			if got := node.Metrics().WireBytesRecv; got <= before {
+				t.Errorf("received wire bytes %d -> %d: the OOB copy was not metered", before, got)
+			}
+		})
+	}
+}

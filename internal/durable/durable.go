@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/op"
-	"repro/internal/transport"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -112,8 +111,6 @@ type Replica struct {
 	// no second capture may start until the first publishes.
 	snapping bool  //epi:guard wmu
 	snapErr  error //epi:guard wmu first failed background snapshot publish
-
-	client *transport.Client //epi:immutable nil: use transport.DefaultClient (see net.go)
 }
 
 // Open creates or recovers the durable replica in dir for server id of n.

@@ -11,6 +11,26 @@ import (
 	"repro/internal/transport"
 )
 
+// testClient drives the tests' pulls; a durable Replica is its own sink.
+var testClient = transport.NewClient(transport.Options{})
+
+// partSinks returns the durable sink of every partition p replicates,
+// indexed by pid.
+func partSinks(p *Partitioned) []transport.Sink {
+	sinks := make([]transport.Sink, len(p.parts))
+	for pid, part := range p.parts {
+		if part != nil {
+			sinks[pid] = part
+		}
+	}
+	return sinks
+}
+
+// pullPart runs one partitioned pull into p through testClient.
+func pullPart(p *Partitioned, addr string) (int, error) {
+	return testClient.PullPart(p.Parted(), partSinks(p), addr)
+}
+
 func startSource(t *testing.T, opts ...core.Option) (*core.Replica, string) {
 	t.Helper()
 	src := core.NewReplica(0, 2, opts...)
@@ -30,17 +50,17 @@ func TestPullFromOverTCP(t *testing.T) {
 	d := mustOpen(t, t.TempDir(), 1, 2, Options{NoSync: true})
 	defer d.Close()
 
-	shipped, err := d.PullFrom(addr)
+	shipped, err := testClient.Pull(d, addr)
 	if err != nil || !shipped {
-		t.Fatalf("PullFrom = %v/%v", shipped, err)
+		t.Fatalf("Pull = %v/%v", shipped, err)
 	}
 	if ok, why := core.Converged(src, d.Core()); !ok {
 		t.Fatalf("not converged: %s", why)
 	}
 	// Current replica: second pull is a no-op.
-	shipped, err = d.PullFrom(addr)
+	shipped, err = testClient.Pull(d, addr)
 	if err != nil || shipped {
-		t.Fatalf("second PullFrom = %v/%v, want no-op", shipped, err)
+		t.Fatalf("second Pull = %v/%v, want no-op", shipped, err)
 	}
 }
 
@@ -52,12 +72,12 @@ func TestPullFromDeltaFetchRound(t *testing.T) {
 	d := mustOpen(t, dir, 1, 2, opts)
 
 	src.Update("x", op.NewSet([]byte("v1")))
-	if _, err := d.PullFrom(addr); err != nil {
+	if _, err := testClient.Pull(d, addr); err != nil {
 		t.Fatal(err)
 	}
 	src.Update("x", op.NewSet([]byte("v2")))
 	src.Update("x", op.NewSet([]byte("v3"))) // two behind: fetch round
-	if _, err := d.PullFrom(addr); err != nil {
+	if _, err := testClient.Pull(d, addr); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := d.Core().Read("x")
@@ -80,7 +100,7 @@ func TestFetchOOBOverTCPDurable(t *testing.T) {
 	dir := t.TempDir()
 	d := mustOpen(t, dir, 1, 2, Options{NoSync: true, SnapshotEvery: 1 << 30})
 
-	adopted, err := d.FetchOOB(addr, "hot")
+	adopted, err := testClient.FetchOOB(d, addr, "hot")
 	if err != nil || !adopted {
 		t.Fatalf("FetchOOB = %v/%v", adopted, err)
 	}
@@ -100,10 +120,10 @@ func TestFetchOOBOverTCPDurable(t *testing.T) {
 func TestPullFromDeadAddress(t *testing.T) {
 	d := mustOpen(t, t.TempDir(), 1, 2, Options{NoSync: true})
 	defer d.Close()
-	if _, err := d.PullFrom("127.0.0.1:1"); err == nil {
-		t.Error("PullFrom dead address succeeded")
+	if _, err := testClient.Pull(d, "127.0.0.1:1"); err == nil {
+		t.Error("Pull dead address succeeded")
 	}
-	if _, err := d.FetchOOB("127.0.0.1:1", "x"); err == nil {
+	if _, err := testClient.FetchOOB(d, "127.0.0.1:1", "x"); err == nil {
 		t.Error("FetchOOB dead address succeeded")
 	}
 }
@@ -156,7 +176,7 @@ func TestPullFromDivertsToReconcileThenCrash(t *testing.T) {
 	}
 	dir := t.TempDir()
 	d := mustOpen(t, dir, 1, 2, Options{NoSync: true, SnapshotEvery: 1 << 30})
-	if _, err := d.PullFrom(addr); err != nil {
+	if _, err := testClient.Pull(d, addr); err != nil {
 		t.Fatal(err)
 	}
 	// The source moves on and prunes past our acknowledged DBVV.
@@ -171,9 +191,9 @@ func TestPullFromDivertsToReconcileThenCrash(t *testing.T) {
 		t.Fatal("setup: replica still within the source's log")
 	}
 
-	shipped, err := d.PullFrom(addr)
+	shipped, err := testClient.Pull(d, addr)
 	if err != nil || !shipped {
-		t.Fatalf("diverted PullFrom = %v/%v", shipped, err)
+		t.Fatalf("diverted Pull = %v/%v", shipped, err)
 	}
 	if ok, why := core.Converged(src, d.Core()); !ok {
 		t.Fatalf("not converged after divert: %s", why)

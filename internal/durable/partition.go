@@ -12,12 +12,12 @@ package durable
 // flushes every dirty partition's segment and k concurrent partitions
 // still amortize toward one fsync sequence, not k.
 //
-// The pull path mirrors durable.Replica.PullFrom per partition: the
-// negotiation round (transport.PullPartOffers) announces no inline cap, so
-// a dirty partition always answers with a monolithic payload the recipient
-// can write-ahead log before applying — the streaming divert, which
-// applies chunks directly to the replica, is never taken by a durable
-// recipient.
+// This package drives no network session. Each partition's Replica is the
+// sink a pull commits into (internal/transport's Client takes it per
+// partition), and every commit is write-ahead logged to that partition's
+// WAL before it applies. Because the sink is durable, the pull asks for
+// uncapped inline payloads and never streams: streamed chunks would apply
+// straight to the replica, past the log.
 
 import (
 	"fmt"
@@ -26,9 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/op"
 	"repro/internal/ring"
-	"repro/internal/transport"
 	"repro/internal/wal"
-	"repro/internal/wire"
 )
 
 // partDirFmt names one partition's durable directory under the node root.
@@ -44,8 +42,6 @@ type Partitioned struct {
 	// not replicate. Immutable after OpenPartitioned, like core's slice.
 	parts []*Replica     //epi:immutable
 	com   *wal.Committer //epi:immutable shared by every partition's WAL
-
-	client *transport.Client //epi:immutable nil: use transport.DefaultClient
 }
 
 // OpenPartitioned creates or recovers the durable partitioned node rooted
@@ -106,26 +102,6 @@ func (p *Partitioned) Partition(pid int) *Replica {
 	return p.parts[pid]
 }
 
-// SetClient routes every partition's network sessions through a specific
-// transport client. Setup-phase wiring, like Replica.SetClient.
-//
-//epi:init setup-phase wiring, documented not concurrent with sessions
-func (p *Partitioned) SetClient(c *transport.Client) {
-	p.client = c
-	for _, part := range p.parts {
-		if part != nil {
-			part.SetClient(c)
-		}
-	}
-}
-
-func (p *Partitioned) transportClient() *transport.Client {
-	if p.client != nil {
-		return p.client
-	}
-	return transport.DefaultClient
-}
-
 // Update durably applies a user update to key's partition, or rejects it
 // with core.ErrNotOwner when this node does not replicate that partition.
 func (p *Partitioned) Update(key string, o op.Op) error {
@@ -141,97 +117,6 @@ func (p *Partitioned) Update(key string, o op.Op) error {
 // Read returns the node's current value for key (absent outside owned
 // partitions). Reads never touch the WAL.
 func (p *Partitioned) Read(key string) ([]byte, bool) { return p.parted.Read(key) }
-
-// PullFrom durably performs one partitioned anti-entropy session against
-// the partitioned server at addr: one negotiation round offers every owned
-// partition, and each dirty partition's payload is write-ahead logged to
-// that partition's WAL before it is applied. Partitions the source has
-// pruned past divert to per-partition reconciliation (each fetched batch
-// logged before commit) and are then re-offered once. Returns the number
-// of partitions that shipped data.
-func (p *Partitioned) PullFrom(addr string) (int, error) {
-	c := p.transportClient()
-	replies, err := c.PullPartOffers(p.parted, addr, "", nil, 0)
-	if err != nil {
-		return 0, err
-	}
-	shipped := 0
-	for _, pe := range replies {
-		n, err := p.applyPartReply(c, addr, pe, true)
-		shipped += n
-		if err != nil {
-			return shipped, err
-		}
-	}
-	return shipped, nil
-}
-
-// applyPartReply commits one partition's session reply through the durable
-// write path, returning 1 when the partition shipped data. allowReconcile
-// bounds the reconcile→re-offer recursion to a single round, mirroring the
-// attempt guard of Replica.PullFrom.
-func (p *Partitioned) applyPartReply(c *transport.Client, addr string, pe wire.PartReply, allowReconcile bool) (int, error) {
-	part := p.Partition(pe.Pid)
-	if part == nil || pe.Unowned || pe.Current {
-		return 0, nil
-	}
-	if pe.Reconcile {
-		if !allowReconcile {
-			return 0, nil
-		}
-		adopted, err := part.reconcileFrom(c, addr, pe.Pid)
-		if err != nil {
-			if adopted > 0 {
-				return 1, err
-			}
-			return 0, err
-		}
-		// Re-offer just this partition: the reconciled DBVV is at or above
-		// the source's watermark, so it now drains inline (or is current).
-		offer := []core.PartState{{Pid: pe.Pid, DBVV: part.Core().PropagationRequest()}}
-		replies, err := c.PullPartOffers(p.parted, addr, "", offer, 0)
-		if err != nil || len(replies) == 0 {
-			if adopted > 0 {
-				return 1, err
-			}
-			return 0, err
-		}
-		n, err := p.applyPartReply(c, addr, replies[0], false)
-		if adopted > 0 && n == 0 {
-			n = 1
-		}
-		return n, err
-	}
-	if pe.Prop == nil {
-		// Defensive: an uncapped offer never diverts to streaming, and an
-		// empty non-current reply carries nothing to log.
-		return 0, nil
-	}
-	r := part.Core()
-	var items []core.ItemPayload
-	if need := r.NeedFull(pe.Prop); len(need) > 0 {
-		var err error
-		items, err = c.FetchItemsMetered(r, addr, "", r.ID(), need)
-		if err != nil {
-			return 0, err
-		}
-	}
-	if err := part.ApplyPropagationWithItems(pe.Prop, items); err != nil {
-		return 0, err
-	}
-	r.NoteSessionAck(pe.Prop.Source, pe.Prop)
-	return 1, nil
-}
-
-// FetchOOB durably copies one item out-of-bound from the server at addr
-// into its partition's replica.
-func (p *Partitioned) FetchOOB(addr, key string) (bool, error) {
-	part := p.Partition(p.parted.PartitionOf(key))
-	if part == nil {
-		return false, fmt.Errorf("durable: %w", core.ErrNotOwner)
-	}
-	return part.FetchOOB(addr, key)
-}
 
 // Prune durably runs one log-pruning pass over every owned partition,
 // returning the total records dropped. Each partition's pass is logged to

@@ -132,7 +132,7 @@ func TestPartitionedPullDurableThenCrash(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{NoSync: true, SnapshotEvery: 1 << 30}
 	p := mustOpenPart(t, dir, 1, 2, parts, 2, opts)
-	shipped, err := p.PullFrom(addr)
+	shipped, err := pullPart(p, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestPartitionedPullDurableThenCrash(t *testing.T) {
 		t.Fatalf("not converged: %s", why)
 	}
 	// Current node: a second pull ships nothing.
-	if shipped, err = p.PullFrom(addr); err != nil || shipped != 0 {
+	if shipped, err = pullPart(p, addr); err != nil || shipped != 0 {
 		t.Fatalf("second pull = %d/%v, want clean no-op", shipped, err)
 	}
 	if err := p.CloseWithoutSnapshot(); err != nil {
@@ -177,7 +177,7 @@ func TestPartitionedPullDivertsToReconcile(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{NoSync: true, SnapshotEvery: 1 << 30}
 	p := mustOpenPart(t, dir, 1, 2, parts, 2, opts)
-	if _, err := p.PullFrom(addr); err != nil {
+	if _, err := pullPart(p, addr); err != nil {
 		t.Fatal(err)
 	}
 	// The source moves on and caps its logs below the new tail.
@@ -200,7 +200,7 @@ func TestPartitionedPullDivertsToReconcile(t *testing.T) {
 		t.Fatal("setup: no partition needs reconciliation")
 	}
 
-	if _, err := p.PullFrom(addr); err != nil {
+	if _, err := pullPart(p, addr); err != nil {
 		t.Fatal(err)
 	}
 	if ok, why := core.PartConverged(src, p.Parted()); !ok {
@@ -242,8 +242,8 @@ func TestPartitionedRejectsNonOwnedWrites(t *testing.T) {
 	if err := p.Update(foreign, op.NewSet([]byte("x"))); !errors.Is(err, core.ErrNotOwner) {
 		t.Fatalf("foreign update error = %v, want ErrNotOwner", err)
 	}
-	if _, err := p.FetchOOB("127.0.0.1:1", foreign); !errors.Is(err, core.ErrNotOwner) {
-		t.Fatalf("foreign FetchOOB error = %v, want ErrNotOwner", err)
+	if p.Partition(p.Parted().PartitionOf(foreign)) != nil {
+		t.Fatal("a foreign key's partition has a durable replica to pull into")
 	}
 }
 

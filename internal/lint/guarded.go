@@ -32,7 +32,7 @@ var Guarded = &Analyzer{
 // file-level //epi:coverage directive instead.
 var gateSegments = map[string]bool{
 	"store": true, "core": true, "cluster": true,
-	"durable": true, "transport": true, "multidb": true,
+	"durable": true, "transport": true,
 }
 
 func gatePackage(path string) bool {

@@ -33,7 +33,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p, err := c.PullSession(srv.Addr(), 1, dbvv)
+			p, err := c.PullSessionMetered(nil, srv.Addr(), "", 1, dbvv)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func BenchmarkTransportRoundTrip(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p, err := c.PullSession(srv.Addr(), 1, stale)
+				p, err := c.PullSessionMetered(nil, srv.Addr(), "", 1, stale)
 				if err != nil {
 					b.Fatal(err)
 				}

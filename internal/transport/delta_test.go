@@ -21,12 +21,12 @@ func TestDeltaSessionOverTCP(t *testing.T) {
 	if err := a.Update("doc", op.NewSet(big)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Pull(b, srv.Addr()); err != nil {
+	if _, err := pull(b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	// One small update ships as a delta over the wire.
 	a.Update("doc", op.NewAppend([]byte("!")))
-	if _, err := Pull(b, srv.Addr()); err != nil {
+	if _, err := pull(b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := b.Read("doc")
@@ -51,13 +51,13 @@ func TestDeltaFetchRoundOverTCP(t *testing.T) {
 	defer srv.Close()
 
 	a.Update("x", op.NewSet([]byte("v1")))
-	if _, err := Pull(b, srv.Addr()); err != nil {
+	if _, err := pull(b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	// Two updates: b is two behind, so Pull must run the KindFetch round.
 	a.Update("x", op.NewSet([]byte("v2")))
 	a.Update("x", op.NewSet([]byte("v3")))
-	if _, err := Pull(b, srv.Addr()); err != nil {
+	if _, err := pull(b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := b.Read("x")

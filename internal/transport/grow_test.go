@@ -19,7 +19,7 @@ func TestGrowthSpreadsOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srvA.Close()
-	if _, err := Pull(b, srvA.Addr()); err != nil {
+	if _, err := pull(b, srvA.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -33,11 +33,11 @@ func TestGrowthSpreadsOverTCP(t *testing.T) {
 	c.Update("from-c", op.NewSet([]byte("new-server")))
 
 	// a pulls the new server's data (a is already 3-wide)...
-	if _, err := Pull(a, srvC.Addr()); err != nil {
+	if _, err := pull(a, srvC.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	// ...and b, still 2-wide, grows from a's next reply over the wire.
-	if _, err := Pull(b, srvA.Addr()); err != nil {
+	if _, err := pull(b, srvA.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if b.Servers() != 3 {
@@ -47,7 +47,7 @@ func TestGrowthSpreadsOverTCP(t *testing.T) {
 		t.Errorf("b missing new server's data: %q", v)
 	}
 	// The new server catches up over the wire too.
-	if _, err := Pull(c, srvA.Addr()); err != nil {
+	if _, err := pull(c, srvA.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if ok, why := core.Converged(a, b, c); !ok {

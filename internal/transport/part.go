@@ -16,52 +16,39 @@ package transport
 
 import (
 	"fmt"
-	"net"
 	"sync"
 
 	"repro/internal/core"
 	"repro/internal/wire"
 )
 
-// NewPartServer starts serving a partitioned node on the listener.
-func NewPartServer(pr *core.Partitioned, ln net.Listener) *Server {
-	s := &Server{parted: pr, ln: ln}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s
-}
-
 // ListenPart is the partitioned counterpart of Listen: listen on addr and
 // serve the partitioned node.
 func ListenPart(pr *core.Partitioned, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	return NewPartServer(pr, ln), nil
+	return listen(&Server{parted: pr}, addr)
 }
 
 // dispatchParted serves one non-streaming request on a partitioned server.
 // Single-key exchanges route to the owning partition's replica through the
 // ring; plain KindPropagation is rejected — a partitioned database has no
 // single DBVV for it to compare against.
-func (s *Server) dispatchParted(req *Request) *Response {
+func (s *Server) dispatchParted(req *wire.Request) *wire.Response {
 	pr := s.parted
-	var resp Response
+	var resp wire.Response
 	switch req.Kind {
-	case KindPartPropagation:
+	case wire.KindPartPropagation:
 		resp.Parts = make([]wire.PartReply, 0, len(req.Parts))
 		for _, ps := range req.Parts {
 			resp.Parts = append(resp.Parts, s.servePartOffer(ps, req.MaxBytes, req.From))
 		}
-	case KindReconcile:
+	case wire.KindReconcile:
 		part := pr.Partition(req.Part)
 		if part == nil {
 			resp.Err = fmt.Sprintf("partition %d not replicated here", req.Part)
 			break
 		}
 		resp.Recon = part.ServeReconcile(req.Ranges)
-	case KindOOB:
+	case wire.KindOOB:
 		pid := pr.PartitionOf(req.Key)
 		part := pr.Partition(pid)
 		if part == nil {
@@ -70,7 +57,7 @@ func (s *Server) dispatchParted(req *Request) *Response {
 		}
 		reply := part.ServeOOB(req.Key)
 		resp.OOB = &reply
-	case KindFetch:
+	case wire.KindFetch:
 		// Fetch keys may span partitions; group per partition and serve each
 		// group from its replica. Non-owned keys are skipped — the recipient
 		// treats a missing item as "re-probe next session", the same defensive
@@ -89,7 +76,7 @@ func (s *Server) dispatchParted(req *Request) *Response {
 				resp.Items = append(resp.Items, part.BuildItems(groups[pid])...)
 			}
 		}
-	case KindPropagation:
+	case wire.KindPropagation:
 		resp.Err = "server is partitioned; open a partitioned session"
 	default:
 		resp.Err = fmt.Sprintf("unknown request kind %d", req.Kind)
@@ -133,53 +120,19 @@ func (s *Server) servePartOffer(ps core.PartState, maxBytes uint64, from int) wi
 }
 
 // PullPart performs one complete partitioned session: recipient pulls from
-// the partitioned server at addr. One exchange negotiates every partition
-// the recipient replicates; inline payloads are applied immediately, and
-// partitions diverted to streaming or reconciliation catch up
-// concurrently, one KindPartStream session each. It returns the number of
-// partitions that shipped data and the first error in partition order.
-func (c *Client) PullPart(recipient *core.Partitioned, addr string) (int, error) {
-	return c.PullPartDB(recipient, addr, "")
-}
-
-// PullPartOffers runs just the negotiation round of a partitioned session:
-// offer the given (partition, DBVV) pairs to the server at addr and return
-// its per-partition replies WITHOUT applying anything. Callers that need
-// custom apply semantics (the durable layer write-ahead logs each payload
-// before committing it) drive the replies themselves. A nil offers slice
-// offers every partition the recipient replicates; maxBytes is the inline
-// payload ceiling per partition — zero announces no cap, so the server
-// always answers a dirty partition inline rather than diverting it to a
-// streaming session. Wire cost is charged to the recipient's node counters.
-func (c *Client) PullPartOffers(recipient *core.Partitioned, addr, db string, offers []core.PartState, maxBytes uint64) ([]wire.PartReply, error) {
-	if offers == nil {
-		offers = recipient.PartRequest()
-	}
-	req := &Request{
-		Kind:     KindPartPropagation,
-		DB:       db,
-		From:     recipient.ID(),
-		Parts:    offers,
-		MaxBytes: maxBytes,
-	}
-	var resp Response
-	st, err := c.pool.roundTrip(addr, req, &resp)
-	recipient.AddWireStats(st.sent, st.recv, boolCount(st.dialed), boolCount(st.reused))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("transport: remote error: %s", resp.Err)
-	}
-	return resp.Parts, nil
-}
-
-// PullPartDB is PullPart against a named database of a multi-database
-// server.
-func (c *Client) PullPartDB(recipient *core.Partitioned, addr, db string) (int, error) {
-	// Announce the per-partition monolithic ceiling: a dirty partition above
-	// it is answered "stream instead" rather than inline.
-	parts, err := c.PullPartOffers(recipient, addr, db, nil, DefaultMonolithicCap)
+// the partitioned server at addr, committing partition pid into sinks[pid]
+// (nil for a partition it does not replicate). One exchange negotiates
+// every partition the recipient replicates; inline payloads are applied
+// immediately, and partitions diverted to streaming or reconciliation catch
+// up concurrently. It returns the number of partitions that shipped data
+// and the first error in partition order. The negotiation's wire cost is
+// charged to the recipient's node counters, each catch-up's to its
+// partition.
+func (c *Client) PullPart(recipient *core.Partitioned, sinks []Sink, addr string) (int, error) {
+	// In-memory sinks announce the per-partition monolithic ceiling: a dirty
+	// partition above it is answered "stream instead" rather than inline.
+	maxBytes := monolithicCap(sinks...)
+	parts, err := c.partOffers(recipient, addr, recipient.PartRequest(), maxBytes)
 	if err != nil {
 		return 0, err
 	}
@@ -198,27 +151,27 @@ func (c *Client) PullPartDB(recipient *core.Partitioned, addr, db string) (int, 
 	slots := make(chan struct{}, c.pool.opts.MaxIdlePerHost)
 	var wg sync.WaitGroup
 	for i, pe := range parts {
-		part := recipient.Partition(pe.Pid)
-		if part == nil || seen[pe.Pid] {
+		if pe.Pid < 0 || pe.Pid >= len(sinks) || sinks[pe.Pid] == nil || seen[pe.Pid] {
 			// Defensive: the server answered a partition we never offered,
 			// or one twice; at most one goroutine per owned partition.
 			continue
 		}
 		seen[pe.Pid] = true
+		sink := sinks[pe.Pid]
 		switch {
 		case pe.Unowned, pe.Current:
 			// Nothing to do for this partition.
 		case pe.Prop != nil:
 			slots <- struct{}{}
-			err := c.applySession(part, addr, db, pe.Prop)
+			err := c.applySession(sink, addr, pe.Prop)
 			<-slots
 			outcomes[i] = outcome{shipped: err == nil, err: err}
-		case pe.Reconcile, pe.Stream:
+		case pe.Reconcile, pe.Stream && maxBytes > 0:
 			slots <- struct{}{}
 			wg.Add(1)
 			go func(out *outcome, pid int, reconcile bool) {
 				defer func() { <-slots; wg.Done() }()
-				out.shipped, out.err = c.catchUpPart(recipient, addr, db, pid, reconcile)
+				out.shipped, out.err = c.catchUpPart(recipient, sink, addr, pid, reconcile)
 			}(&outcomes[i], pe.Pid, pe.Reconcile)
 		}
 	}
@@ -236,38 +189,68 @@ func (c *Client) PullPartDB(recipient *core.Partitioned, addr, db string) (int, 
 	return shipped, firstErr
 }
 
-// catchUpPart drains one partition the negotiation diverted: over its
-// stream session, after reconciling it first when the source pruned past
-// its DBVV. It reports whether the partition took any data.
-func (c *Client) catchUpPart(recipient *core.Partitioned, addr, db string, pid int, reconcile bool) (bool, error) {
+// partOffers runs the negotiation round of a partitioned session: offer
+// the given (partition, DBVV) pairs to the server at addr with maxBytes as
+// the inline payload ceiling per partition (zero: uncapped, never
+// streamed) and return its per-partition replies without applying
+// anything. Wire cost is charged to the recipient's node counters.
+func (c *Client) partOffers(recipient *core.Partitioned, addr string, offers []core.PartState, maxBytes uint64) ([]wire.PartReply, error) {
+	req := &wire.Request{
+		Kind:     wire.KindPartPropagation,
+		From:     recipient.ID(),
+		Parts:    offers,
+		MaxBytes: maxBytes,
+	}
+	var resp wire.Response
+	st, err := c.pool.roundTrip(addr, req, &resp)
+	st.charge(recipient)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Parts, remoteErr(resp.Err)
+}
+
+// catchUpPart drains one partition the negotiation diverted, after
+// reconciling it first when the source pruned past its DBVV. An in-memory
+// sink drains over a stream session. Any other sink re-offers the partition
+// uncapped and commits the inline reply, because streamed chunks would
+// bypass its log; one reconciliation is all this pull spends on it. It
+// reports whether the partition took any data.
+func (c *Client) catchUpPart(recipient *core.Partitioned, s Sink, addr string, pid int, reconcile bool) (bool, error) {
 	adopted := 0
 	if reconcile {
 		var err error
-		adopted, err = c.reconcileWith(recipient.Partition(pid), addr, db, pid)
+		adopted, err = c.reconcileWith(s, addr, pid)
 		if err != nil {
-			return false, err
+			return adopted > 0, err
 		}
 	}
 	// After reconciling, the DBVV is at or above the watermark, so the
-	// stream session drains normally (or finds the partition current).
-	ok, err := c.pullPartStream(recipient, addr, db, pid)
-	return ok || adopted > 0, err
+	// partition drains normally (or finds itself current).
+	if m, ok := s.(memSink); ok {
+		ok, err := c.pullPartStream(recipient, m.r, addr, pid)
+		return ok || adopted > 0, err
+	}
+	offer := []core.PartState{{Pid: pid, DBVV: s.Core().PropagationRequest()}}
+	replies, err := c.partOffers(recipient, addr, offer, 0)
+	if err != nil || len(replies) == 0 || replies[0].Prop == nil {
+		return adopted > 0, err
+	}
+	if err := c.applySession(s, addr, replies[0].Prop); err != nil {
+		return adopted > 0, err
+	}
+	return true, nil
 }
 
 // pullPartStream drains one partition over a KindPartStream session,
 // reusing the chunked pipeline with the partition's replica as the sink.
 // Wire cost is charged to the partition replica (whose counters roll up
 // into the node's Metrics).
-func (c *Client) pullPartStream(recipient *core.Partitioned, addr, db string, pid int) (bool, error) {
-	part := recipient.Partition(pid)
-	if part == nil {
-		return false, nil
-	}
+func (c *Client) pullPartStream(recipient *core.Partitioned, part *core.Replica, addr string, pid int) (bool, error) {
 	shipped := false
 	for attempt := 0; ; attempt++ {
-		req := &Request{
-			Kind: KindPartStream,
-			DB:   db,
+		req := &wire.Request{
+			Kind: wire.KindPartStream,
 			From: recipient.ID(),
 			Part: pid,
 			DBVV: part.PropagationRequest(),
@@ -277,23 +260,10 @@ func (c *Client) pullPartStream(recipient *core.Partitioned, addr, db string, pi
 		if err != nil || !reconcile || attempt > 0 {
 			return shipped, err
 		}
-		adopted, err := c.reconcileWith(part, addr, db, pid)
+		adopted, err := c.reconcileWith(memSink{part}, addr, pid)
 		if err != nil {
 			return shipped, err
 		}
 		shipped = shipped || adopted > 0
 	}
-}
-
-// PullPart is the package-level convenience: one partitioned session
-// through the default client.
-func PullPart(recipient *core.Partitioned, addr string) (int, error) {
-	return DefaultClient.PullPart(recipient, addr)
-}
-
-func boolCount(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

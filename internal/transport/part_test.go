@@ -52,7 +52,7 @@ func TestPullPartOverTCP(t *testing.T) {
 			}
 		}
 	}
-	shipped, err := PullPart(b, srv.Addr())
+	shipped, err := pullPart(b, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func pruneEveryPartition(t *testing.T, a, b *core.Partitioned, srv *Server) [][]
 			}
 		}
 	}
-	if _, err := PullPart(b, srv.Addr()); err != nil {
+	if _, err := pullPart(b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for pid := range keys {
@@ -126,7 +126,7 @@ func TestPullPartReconcilesPartitionsConcurrently(t *testing.T) {
 		}
 	}()
 	before := b.Metrics().ReconcileSessions
-	shipped, err := PullPart(b, srv.Addr())
+	shipped, err := pullPart(b, srv.Addr())
 	close(stop)
 	writer.Wait()
 	if err != nil {
@@ -143,7 +143,7 @@ func TestPullPartReconcilesPartitionsConcurrently(t *testing.T) {
 		if ok, _ := core.PartConverged(a, b); ok {
 			break
 		}
-		if _, err := PullPart(b, srv.Addr()); err != nil {
+		if _, err := pullPart(b, srv.Addr()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,7 +165,7 @@ func TestPullPartFanOutKeepsItsConnections(t *testing.T) {
 	pruneEveryPartition(t, a, b, srv)
 	c := NewClient(Options{Pool: PoolOptions{MaxIdlePerHost: 4}})
 	defer c.Close()
-	shipped, err := c.PullPart(b, srv.Addr())
+	shipped, err := c.PullPart(b, memSinks(b), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,13 @@ func TestPullPartNoopCostsExactlyKComparisons(t *testing.T) {
 	for _, k := range partKeysT(t, rg, 3, 5) {
 		a.Update(k, op.NewSet([]byte("x")))
 	}
-	if _, err := PullPart(b, srv.Addr()); err != nil {
+	if _, err := pullPart(b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
 	k := len(rg.Shared(0, 1))
 	before := a.Metrics()
-	shipped, err := PullPart(b, srv.Addr())
+	shipped, err := pullPart(b, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestPullPartPartialPlacement(t *testing.T) {
 			}
 		}
 	}
-	shipped, err := PullPart(b, srv.Addr())
+	shipped, err := pullPart(b, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestPullPartPartialPlacement(t *testing.T) {
 func TestPullPartSkipsCleanPartitions(t *testing.T) {
 	a, b, srv := startPartPair(t, 2, 16, 2)
 	rg := a.Ring()
-	if _, err := PullPart(b, srv.Addr()); err != nil {
+	if _, err := pullPart(b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -277,7 +277,7 @@ func TestPullPartSkipsCleanPartitions(t *testing.T) {
 		}
 	}
 	before := a.Metrics()
-	shipped, err := PullPart(b, srv.Addr())
+	shipped, err := pullPart(b, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestPullPartStreamsLargePartition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shipped, err := PullPart(b, srv.Addr())
+	shipped, err := pullPart(b, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestPullPartOffersUncappedShipsInline(t *testing.T) {
 	}
 	c := NewClient(Options{})
 	defer c.Close()
-	replies, err := c.PullPartOffers(b, srv.Addr(), "", nil, 0)
+	replies, err := c.partOffers(b, srv.Addr(), b.PartRequest(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestPullPartOffersUncappedShipsInline(t *testing.T) {
 			continue
 		}
 		inline++
-		if err := c.applySession(b.Partition(pe.Pid), srv.Addr(), "", pe.Prop); err != nil {
+		if err := c.applySession(InMemory(b.Partition(pe.Pid)), srv.Addr(), pe.Prop); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -392,7 +392,7 @@ func TestOOBAndFetchRouteByRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	recipient := b.Partition(rg.PartitionOf(key))
-	adopted, err := DefaultClient.FetchOOB(recipient, srv.Addr(), key)
+	adopted, err := testClient.FetchOOB(InMemory(recipient), srv.Addr(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestOOBAndFetchRouteByRing(t *testing.T) {
 		t.Fatalf("b.%s = %q/%v after OOB", key, v, ok)
 	}
 
-	items, err := DefaultClient.FetchItems(srv.Addr(), 1, []string{key, "missing/key"})
+	items, err := testClient.fetchItems(recipient, srv.Addr(), []string{key, "missing/key"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,11 +419,11 @@ func TestPartKindMismatches(t *testing.T) {
 
 	// Plain pull against a partitioned server.
 	plain := core.NewReplica(1, 2)
-	if _, err := Pull(plain, partSrv.Addr()); err == nil || !strings.Contains(err.Error(), "partitioned") {
+	if _, err := pull(plain, partSrv.Addr()); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Errorf("plain Pull against partitioned server: err = %v", err)
 	}
 	// Plain stream against a partitioned server.
-	if _, err := PullStreamAddr(plain, partSrv.Addr()); err == nil || !strings.Contains(err.Error(), "partitioned") {
+	if _, err := testClient.PullStream(InMemory(plain), partSrv.Addr()); err == nil || !strings.Contains(err.Error(), "partitioned") {
 		t.Errorf("plain stream against partitioned server: err = %v", err)
 	}
 
@@ -433,7 +433,7 @@ func TestPartKindMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plainSrv.Close()
-	if _, err := PullPart(b, plainSrv.Addr()); err == nil || !strings.Contains(err.Error(), "not partitioned") {
+	if _, err := pullPart(b, plainSrv.Addr()); err == nil || !strings.Contains(err.Error(), "not partitioned") {
 		t.Errorf("PullPart against plain server: err = %v", err)
 	}
 }

@@ -64,8 +64,8 @@ type PoolStats struct {
 	Retired uint64
 }
 
-// Pool maintains persistent framed connections to peer servers.
-type Pool struct {
+// pool maintains persistent framed connections to peer servers.
+type pool struct {
 	opts PoolOptions //epi:immutable
 
 	mu     sync.Mutex
@@ -77,19 +77,18 @@ type Pool struct {
 	retired atomic.Uint64 //epi:guard atomic
 }
 
-// NewPool returns an empty pool.
-func NewPool(opts PoolOptions) *Pool {
-	return &Pool{opts: opts.withDefaults(), hosts: make(map[string][]*poolConn)}
+func newPool(opts PoolOptions) *pool {
+	return &pool{opts: opts.withDefaults(), hosts: make(map[string][]*poolConn)}
 }
 
-// Stats returns a snapshot of the pool's counters.
-func (p *Pool) Stats() PoolStats {
+// stats returns a snapshot of the pool's counters.
+func (p *pool) stats() PoolStats {
 	return PoolStats{Dials: p.dials.Load(), Reused: p.reused.Load(), Retired: p.retired.Load()}
 }
 
-// Close discards all idle connections. Connections checked out by in-flight
+// close discards all idle connections. Connections checked out by in-flight
 // exchanges are closed by their owners; subsequent checkouts dial fresh.
-func (p *Pool) Close() {
+func (p *pool) close() {
 	p.mu.Lock()
 	hosts := p.hosts
 	p.hosts = make(map[string][]*poolConn)
@@ -118,7 +117,7 @@ type poolConn struct {
 
 // dial establishes a fresh framed connection: TCP connect plus the codec
 // preamble.
-func (p *Pool) dial(addr string) (*poolConn, error) {
+func (p *pool) dial(addr string) (*poolConn, error) {
 	conn, err := net.DialTimeout("tcp", addr, p.opts.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
@@ -138,7 +137,7 @@ func (p *Pool) dial(addr string) (*poolConn, error) {
 
 // get checks out a healthy pooled connection to addr, dialing when none is
 // available. The second result reports whether the connection was reused.
-func (p *Pool) get(addr string) (*poolConn, bool, error) {
+func (p *pool) get(addr string) (*poolConn, bool, error) {
 	now := time.Now()
 	p.mu.Lock()
 	for {
@@ -168,7 +167,7 @@ func (p *Pool) get(addr string) (*poolConn, bool, error) {
 }
 
 // put returns a connection to the pool after a clean exchange.
-func (p *Pool) put(addr string, pc *poolConn) {
+func (p *pool) put(addr string, pc *poolConn) {
 	pc.lastUsed = time.Now()
 	p.mu.Lock()
 	if p.closed || len(p.hosts[addr]) >= p.opts.MaxIdlePerHost {
@@ -195,7 +194,7 @@ func (pc *poolConn) healthy() bool {
 // exchange runs one framed request/response on the connection.
 //
 //epi:hotpath
-func (pc *poolConn) exchange(req *Request, resp *Response) error {
+func (pc *poolConn) exchange(req *wire.Request, resp *wire.Response) error {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	*buf = wire.AppendRequest((*buf)[:0], req)
@@ -225,13 +224,31 @@ type tripStats struct {
 	reused     bool
 }
 
+// wireMeter is what an exchange's measured cost is charged to: a replica,
+// or a partitioned node for its negotiation rounds.
+type wireMeter interface {
+	AddWireStats(sent, recv, dials, reused uint64)
+}
+
+// charge adds the exchange's cost to m's counters.
+func (st tripStats) charge(m wireMeter) {
+	var dials, reuses uint64
+	if st.dialed {
+		dials = 1
+	}
+	if st.reused {
+		reuses = 1
+	}
+	m.AddWireStats(st.sent, st.recv, dials, reuses)
+}
+
 // roundTrip runs one pooled framed exchange against addr, retrying once on
 // a fresh dial when a reused connection turns out stale (the server may
 // have closed it while it sat in the pool; requests are idempotent reads,
 // so the retry is safe).
 //
 //epi:hotpath
-func (p *Pool) roundTrip(addr string, req *Request, resp *Response) (tripStats, error) {
+func (p *pool) roundTrip(addr string, req *wire.Request, resp *wire.Response) (tripStats, error) {
 	var st tripStats
 	pc, reused, err := p.get(addr)
 	if err != nil {
@@ -271,77 +288,63 @@ type Options struct {
 }
 
 // Client is the recipient side of the protocol: it runs exchanges against
-// peer servers over pooled persistent connections. Methods are safe for
-// concurrent use.
+// peer servers over pooled persistent connections. It is the only code that
+// drives a pull; what the pull commits into is the caller's Sink. Methods
+// are safe for concurrent use.
 type Client struct {
-	pool *Pool //epi:immutable
+	pool *pool //epi:immutable
 }
 
 // NewClient returns a client with its own connection pool.
 func NewClient(opts Options) *Client {
-	return &Client{pool: NewPool(opts.Pool)}
+	return &Client{pool: newPool(opts.Pool)}
 }
 
-// DefaultClient serves the package-level convenience functions (Pull,
-// PullSession, ...). Long-lived components that want isolated pools and
-// explicit shutdown (internal/cluster nodes) create their own.
-var DefaultClient = NewClient(Options{})
-
 // Close discards the client's idle pooled connections.
-func (c *Client) Close() { c.pool.Close() }
+func (c *Client) Close() { c.pool.close() }
 
 // PoolStats returns a snapshot of the client's pool counters.
-func (c *Client) PoolStats() PoolStats { return c.pool.Stats() }
+func (c *Client) PoolStats() PoolStats { return c.pool.stats() }
 
 // do runs one exchange and charges its measured cost to the replica's
-// counters (skipped when the caller has no replica in hand).
-func (c *Client) do(r *core.Replica, addr string, req *Request, resp *Response) error {
+// counters (skipped when r is nil), then surfaces a remote error.
+func (c *Client) do(r *core.Replica, addr string, req *wire.Request, resp *wire.Response) error {
 	st, err := c.pool.roundTrip(addr, req, resp)
 	if r != nil {
-		var dials, reuses uint64
-		if st.dialed {
-			dials = 1
-		}
-		if st.reused {
-			reuses = 1
-		}
-		r.AddWireStats(st.sent, st.recv, dials, reuses)
+		st.charge(r)
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	return remoteErr(resp.Err)
+}
+
+// remoteErr wraps a server-side error description; nil when empty.
+func remoteErr(msg string) error {
+	if msg == "" {
+		return nil
+	}
+	return fmt.Errorf("transport: remote error: %s", msg)
 }
 
 // newPullRequest builds the propagation-pull request, cloning dbvv: the
 // request outlives this statement (the pool re-encodes it on the
 // stale-connection retry path), so it must not alias the caller's live
 // vector.
-func newPullRequest(db string, from int, dbvv vv.VV) *Request {
-	return &Request{Kind: KindPropagation, DB: db, From: from, DBVV: dbvv.Clone()}
+func newPullRequest(from int, dbvv vv.VV) *wire.Request {
+	return &wire.Request{Kind: wire.KindPropagation, From: from, DBVV: dbvv.Clone()}
 }
 
-// PullSession fetches the propagation message from the server at addr for
-// a recipient whose DBVV is dbvv. A nil message means the recipient is
-// current.
-func (c *Client) PullSession(addr string, from int, dbvv vv.VV) (*core.Propagation, error) {
-	return c.PullSessionDB(addr, "", from, dbvv)
-}
-
-// PullSessionDB is PullSession against a named database of a
-// multi-database server.
-func (c *Client) PullSessionDB(addr, db string, from int, dbvv vv.VV) (*core.Propagation, error) {
-	return c.PullSessionMetered(nil, addr, db, from, dbvv)
-}
-
-// PullSessionMetered is PullSessionDB with the exchange's measured wire
-// cost charged to r's counters (skipped when r is nil). Callers that drive
-// sessions themselves (durable replicas) use it to keep byte accounting.
+// PullSessionMetered runs just the first round of a propagation session:
+// it fetches the source's reply for a recipient whose DBVV is dbvv, without
+// applying it, and charges the measured wire cost to r's counters (skipped
+// when r is nil). A nil message means the recipient is current;
+// ErrNeedsReconcile means the source pruned past dbvv. db is unused: it is
+// kept only because bench/ladder.go passes "".
 func (c *Client) PullSessionMetered(r *core.Replica, addr, db string, from int, dbvv vv.VV) (*core.Propagation, error) {
-	var resp Response
-	err := c.do(r, addr, newPullRequest(db, from, dbvv), &resp)
-	if err != nil {
+	var resp wire.Response
+	if err := c.do(r, addr, newPullRequest(from, dbvv), &resp); err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("transport: remote error: %s", resp.Err)
 	}
 	if resp.Reconcile {
 		return nil, ErrNeedsReconcile
@@ -355,56 +358,39 @@ func (c *Client) PullSessionMetered(r *core.Replica, addr, db string, from int, 
 	return resp.Prop, nil
 }
 
-// FetchItems fetches full copies of the named items from the server at
-// addr — the second round of a delta-mode session.
-func (c *Client) FetchItems(addr string, from int, keys []string) ([]core.ItemPayload, error) {
-	return c.FetchItemsDB(addr, "", from, keys)
-}
-
-// FetchItemsDB is FetchItems against a named database of a multi-database
-// server.
-func (c *Client) FetchItemsDB(addr, db string, from int, keys []string) ([]core.ItemPayload, error) {
-	return c.FetchItemsMetered(nil, addr, db, from, keys)
-}
-
-// FetchItemsMetered is FetchItemsDB with the exchange's measured wire cost
-// charged to r's counters (skipped when r is nil).
-func (c *Client) FetchItemsMetered(r *core.Replica, addr, db string, from int, keys []string) ([]core.ItemPayload, error) {
-	var resp Response
-	if err := c.do(r, addr, &Request{Kind: KindFetch, DB: db, From: from, Keys: keys}, &resp); err != nil {
+// fetchItems fetches full copies of the named items from the server at
+// addr, charging the exchange to r.
+func (c *Client) fetchItems(r *core.Replica, addr string, keys []string) ([]core.ItemPayload, error) {
+	var resp wire.Response
+	if err := c.do(r, addr, &wire.Request{Kind: wire.KindFetch, From: r.ID(), Keys: keys}, &resp); err != nil {
 		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("transport: remote error: %s", resp.Err)
 	}
 	return resp.Items, nil
 }
 
-// Pull performs one update-propagation session: recipient pulls from the
+// Pull performs one update-propagation session: the sink pulls from the
 // server at addr. It returns true when data was shipped, false when the
-// recipient was already current. Measured wire bytes and connection-reuse
-// outcomes are charged to the recipient's counters.
-func (c *Client) Pull(recipient *core.Replica, addr string) (bool, error) {
+// sink was already current. Measured wire bytes and connection-reuse
+// outcomes are charged to the sink's replica.
+func (c *Client) Pull(s Sink, addr string) (bool, error) {
+	r := s.Core()
 	shipped := false
 	for attempt := 0; ; attempt++ {
-		// Announce the monolithic-response ceiling: above it the source
-		// replies Stream instead of materializing the payload, and the pull
-		// restarts as a chunked session.
-		req := &Request{
-			Kind:     KindPropagation,
-			From:     recipient.ID(),
-			DBVV:     recipient.PropagationRequest(),
-			MaxBytes: DefaultMonolithicCap,
+		// An in-memory sink announces the monolithic-response ceiling: above
+		// it the source replies Stream instead of materializing the payload,
+		// and the pull restarts as a chunked session.
+		req := &wire.Request{
+			Kind:     wire.KindPropagation,
+			From:     r.ID(),
+			DBVV:     r.PropagationRequest(),
+			MaxBytes: monolithicCap(s),
 		}
-		var resp Response
-		err := c.do(recipient, addr, req, &resp)
-		if err != nil {
+		var resp wire.Response
+		if err := c.do(r, addr, req, &resp); err != nil {
 			return shipped, err
 		}
-		if resp.Err != "" {
-			return shipped, fmt.Errorf("transport: remote error: %s", resp.Err)
-		}
-		if resp.Reconcile {
+		switch {
+		case resp.Reconcile:
 			// The source pruned past our DBVV: no log-based session can
 			// serve us. Reconcile, then re-pull once — afterwards our DBVV
 			// reflects every adopted copy, so a second diversion (conflicts
@@ -413,101 +399,78 @@ func (c *Client) Pull(recipient *core.Replica, addr string) (bool, error) {
 			if attempt > 0 {
 				return shipped, nil
 			}
-			adopted, err := c.reconcileWith(recipient, addr, "", 0)
+			adopted, err := c.reconcileWith(s, addr, 0)
 			if err != nil {
 				return shipped, err
 			}
 			shipped = shipped || adopted > 0
-			continue
-		}
-		if resp.Current {
+		case resp.Current:
 			return shipped, nil
-		}
-		if resp.Stream {
-			ok, err := c.PullStreamDB(recipient, addr, "")
+		case resp.Stream && req.MaxBytes > 0:
+			ok, err := c.pullStream(r, addr)
 			return shipped || ok, err
-		}
-		if resp.Prop == nil {
+		case resp.Prop == nil:
 			return shipped, errors.New("transport: malformed propagation response")
+		default:
+			return true, c.applySession(s, addr, resp.Prop)
 		}
-		if err := c.applySession(recipient, addr, "", resp.Prop); err != nil {
-			return shipped, err
-		}
-		return true, nil
 	}
 }
 
-// applySession commits one monolithic propagation payload to the recipient,
+// applySession commits one monolithic propagation payload to the sink,
 // running the delta-mode second round when the payload referenced base
-// versions the recipient lacks: fetch the full copies, re-probing a bounded
-// number of times in case concurrent sessions moved items underneath.
-func (c *Client) applySession(recipient *core.Replica, addr, db string, prop *core.Propagation) error {
+// versions the sink lacks: fetch the full copies, re-probing a bounded
+// number of times in case concurrent sessions moved items underneath. An
+// in-memory sink tries the single-sweep apply first; any other sink learns
+// what it lacks up front, so it logs and commits the session once.
+func (c *Client) applySession(s Sink, addr string, prop *core.Propagation) error {
+	r := s.Core()
 	// The payload's non-empty tails end at the source's own DBVV
 	// components — a safe floor of the source's state for the recipient's
 	// acked table (prune.go).
-	defer recipient.NoteSessionAck(prop.Source, prop)
-	need := recipient.ApplyPropagation(prop)
-	if len(need) == 0 {
-		return nil
+	defer r.NoteSessionAck(prop.Source, prop)
+	var need []string
+	if m, ok := s.(memSink); ok {
+		if need = m.r.ApplyPropagation(prop); len(need) == 0 {
+			return nil
+		}
+	} else {
+		need = r.NeedFull(prop)
 	}
 	have := make(map[string]bool)
 	var items []core.ItemPayload
 	for attempt := 0; attempt < 3 && len(need) > 0; attempt++ {
-		var fetchResp Response
-		if err := c.do(recipient, addr, &Request{Kind: KindFetch, DB: db, From: recipient.ID(), Keys: need}, &fetchResp); err != nil {
+		fetched, err := c.fetchItems(r, addr, need)
+		if err != nil {
 			return err
 		}
-		if fetchResp.Err != "" {
-			return fmt.Errorf("transport: remote error: %s", fetchResp.Err)
-		}
-		fetched := fetchResp.Items
 		items = append(items, fetched...)
 		for _, it := range fetched {
 			have[it.Key] = true
 		}
 		need = need[:0]
-		for _, key := range recipient.NeedFull(prop) {
+		for _, key := range r.NeedFull(prop) {
 			if !have[key] {
 				need = append(need, key)
 			}
 		}
 	}
-	recipient.ApplyPropagationWithItems(prop, items)
-	return nil
+	return s.ApplyPropagationWithItems(prop, items)
 }
 
-// RequestOOB fetches an out-of-bound reply for key from the server at addr
-// without applying it.
-func (c *Client) RequestOOB(addr string, from int, key string) (core.OOBReply, error) {
-	var resp Response
-	err := c.do(nil, addr, &Request{Kind: KindOOB, From: from, Key: key}, &resp)
-	if err != nil {
-		return core.OOBReply{}, err
-	}
-	if resp.Err != "" {
-		return core.OOBReply{}, fmt.Errorf("transport: remote error: %s", resp.Err)
-	}
-	if resp.OOB == nil {
-		return core.OOBReply{}, errors.New("transport: malformed OOB response")
-	}
-	return *resp.OOB, nil
-}
-
-// FetchOOB performs one out-of-bound copy of key from the server at addr,
-// returning whether a newer copy was adopted.
-func (c *Client) FetchOOB(recipient *core.Replica, addr, key string) (bool, error) {
-	var resp Response
-	err := c.do(recipient, addr, &Request{Kind: KindOOB, From: recipient.ID(), Key: key}, &resp)
-	if err != nil {
+// FetchOOB performs one out-of-bound copy of key from the server at addr
+// into the sink, returning whether a newer copy was adopted. The exchange
+// is charged to the sink's replica.
+func (c *Client) FetchOOB(s Sink, addr, key string) (bool, error) {
+	r := s.Core()
+	var resp wire.Response
+	if err := c.do(r, addr, &wire.Request{Kind: wire.KindOOB, From: r.ID(), Key: key}, &resp); err != nil {
 		return false, err
-	}
-	if resp.Err != "" {
-		return false, fmt.Errorf("transport: remote error: %s", resp.Err)
 	}
 	if resp.OOB == nil {
 		return false, errors.New("transport: malformed OOB response")
 	}
 	// Source id is not authenticated on the wire; attribute to -1. The
 	// conflict report's source field is advisory only.
-	return recipient.ApplyOOB(*resp.OOB, -1), nil
+	return s.ApplyOOB(*resp.OOB, -1)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // Regression test for an aliasing hazard flagged by epilint's vvalias
@@ -13,13 +14,13 @@ import (
 // hold its own copy.
 func TestPullRequestDoesNotAliasCallerVV(t *testing.T) {
 	dbvv := vv.VV{1, 2, 3}
-	req := newPullRequest("crm", 4, dbvv)
+	req := newPullRequest(4, dbvv)
 
 	dbvv.Inc(0)
 	if got := req.DBVV[0]; got != 1 {
 		t.Fatalf("request DBVV aliases the caller's vector: component 0 = %d after caller Inc, want 1", got)
 	}
-	if req.Kind != KindPropagation || req.DB != "crm" || req.From != 4 {
+	if req.Kind != wire.KindPropagation || req.From != 4 {
 		t.Fatalf("unexpected request fields: %+v", req)
 	}
 	if !req.DBVV.Equal(vv.VV{1, 2, 3}) {

@@ -22,7 +22,7 @@ func TestPoolReusesConnections(t *testing.T) {
 	defer c.Close()
 	b := core.NewReplica(1, 2)
 	for i := 0; i < 10; i++ {
-		if _, err := c.Pull(b, srv.Addr()); err != nil {
+		if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
 			t.Fatalf("pull %d: %v", i, err)
 		}
 	}
@@ -62,7 +62,7 @@ func TestPoolConcurrentSessions(t *testing.T) {
 		go func(r *core.Replica) {
 			defer wg.Done()
 			for j := 0; j < rounds; j++ {
-				if _, err := c.Pull(r, srv.Addr()); err != nil {
+				if _, err := c.Pull(InMemory(r), srv.Addr()); err != nil {
 					errs <- err
 					return
 				}
@@ -98,7 +98,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 	defer c.Close()
 	b := core.NewReplica(1, 2)
 	a.Update("x", op.NewSet([]byte("v1")))
-	if _, err := c.Pull(b, addr); err != nil {
+	if _, err := c.Pull(InMemory(b), addr); err != nil {
 		t.Fatal(err)
 	}
 	// Restart the server on the same address: the pooled connection is now
@@ -112,7 +112,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if _, err := c.Pull(b, addr); err != nil {
+	if _, err := c.Pull(InMemory(b), addr); err != nil {
 		t.Fatalf("pull after restart: %v", err)
 	}
 	if v, _ := b.Read("x"); string(v) != "v2" {
@@ -143,7 +143,7 @@ func TestPoolRedialsAfterPeerClosedPooledConnection(t *testing.T) {
 				if wire.ReadPreamble(br) != nil {
 					return
 				}
-				current := wire.AppendResponse(nil, &Response{Current: true})
+				current := wire.AppendResponse(nil, &wire.Response{Current: true})
 				for {
 					if _, err := wire.ReadFrame(br, wire.FrameRequest, nil); err != nil {
 						return
@@ -165,11 +165,11 @@ func TestPoolRedialsAfterPeerClosedPooledConnection(t *testing.T) {
 	c := NewClient(Options{})
 	defer c.Close()
 	b := core.NewReplica(1, 2)
-	if _, err := c.Pull(b, ln.Addr().String()); err != nil {
+	if _, err := c.Pull(InMemory(b), ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
 	<-closed
-	if _, err := c.Pull(b, ln.Addr().String()); err != nil {
+	if _, err := c.Pull(InMemory(b), ln.Addr().String()); err != nil {
 		t.Fatalf("pull after the peer closed its pooled connection: %v", err)
 	}
 	if st := c.PoolStats(); st.Dials != 2 {
@@ -183,11 +183,11 @@ func TestPoolIdleTimeout(t *testing.T) {
 	c := NewClient(Options{Pool: PoolOptions{IdleTimeout: 10 * time.Millisecond}})
 	defer c.Close()
 	b := core.NewReplica(1, 2)
-	if _, err := c.Pull(b, srv.Addr()); err != nil {
+	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if _, err := c.Pull(b, srv.Addr()); err != nil {
+	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	st := c.PoolStats()
@@ -204,7 +204,7 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 	// connection turns to garbage, must be hung up on without a reply — not
 	// crash the server, not hang it.
 	var gobReq bytes.Buffer
-	if err := gob.NewEncoder(&gobReq).Encode(&Request{Kind: KindPropagation, From: 1}); err != nil {
+	if err := gob.NewEncoder(&gobReq).Encode(&wire.Request{Kind: wire.KindPropagation, From: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -245,7 +245,7 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 			// And the server keeps serving well-formed sessions afterwards.
 			a.Update("x", op.NewSet([]byte("v")))
 			b := core.NewReplica(1, 2)
-			if _, err := Pull(b, srv.Addr()); err != nil {
+			if _, err := pull(b, srv.Addr()); err != nil {
 				t.Fatalf("pull after the refused connection: %v", err)
 			}
 			if v, _ := b.Read("x"); string(v) != "v" {
@@ -282,7 +282,7 @@ func TestServerCountsWireBytes(t *testing.T) {
 	b := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	if _, err := c.Pull(b, srv.Addr()); err != nil {
+	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	bm := b.Metrics()

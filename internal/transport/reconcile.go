@@ -15,50 +15,45 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // ErrNeedsReconcile reports that the source has pruned its log past the
 // requester's DBVV: no log-based propagation session can serve it, and the
-// caller must run a reconciliation session (ReconcileSession plus a fetch
-// loop, or a full Pull which handles the diversion itself) before pulling
-// again.
+// caller must reconcile before pulling again (a full Pull handles the
+// diversion itself).
 var ErrNeedsReconcile = errors.New("transport: source pruned past requester's DBVV; reconciliation required")
 
-// ReconcileSession drives the fingerprint phase of one reconciliation
+// reconcileSession drives the fingerprint phase of one reconciliation
 // session against the server at addr (partition part on a partitioned
 // server; 0 otherwise) and returns the keys whose copies differ — the
-// session's computed difference set. The caller fetches them as full items
-// and commits with core's ApplyReconcileItems; callers that must interpose
-// on the commit (durable replicas logging the session) use this directly,
-// others use the diversion handling built into Pull and PullStream.
-func (c *Client) ReconcileSession(r *core.Replica, addr, db string, part int) ([]string, error) {
+// session's computed difference set.
+func (c *Client) reconcileSession(r *core.Replica, addr string, part int) ([]string, error) {
 	rc := r.StartReconcile()
 	for {
 		ranges := rc.Next()
 		if ranges == nil {
 			return rc.NeedKeys(), nil
 		}
-		req := &Request{Kind: KindReconcile, DB: db, From: r.ID(), Part: part, Ranges: ranges}
-		var resp Response
+		req := &wire.Request{Kind: wire.KindReconcile, From: r.ID(), Part: part, Ranges: ranges}
+		var resp wire.Response
 		if err := c.do(r, addr, req, &resp); err != nil {
 			return nil, err
-		}
-		if resp.Err != "" {
-			return nil, fmt.Errorf("transport: remote error: %s", resp.Err)
 		}
 		rc.Handle(ranges, resp.Recon)
 	}
 }
 
-// reconcileWith runs one complete reconciliation session against addr with
-// recipient as the sink: fingerprint rounds, then the difference fetched in
-// bounded batches and committed under the ordinary acceptance rules.
+// reconcileWith runs one complete reconciliation session against addr into
+// the sink: fingerprint rounds, then the difference fetched in bounded
+// batches, each committed through the sink (a durable sink logs every batch
+// before it commits, so a crash mid-session replays the committed prefix).
 // Returns the number of items adopted.
-func (c *Client) reconcileWith(recipient *core.Replica, addr, db string, part int) (int, error) {
-	keys, err := c.ReconcileSession(recipient, addr, db, part)
+func (c *Client) reconcileWith(s Sink, addr string, part int) (int, error) {
+	r := s.Core()
+	keys, err := c.reconcileSession(r, addr, part)
 	if err != nil {
 		return 0, err
 	}
@@ -69,13 +64,17 @@ func (c *Client) reconcileWith(recipient *core.Replica, addr, db string, part in
 			batch = batch[:core.ReconcileFetchBatch]
 		}
 		keys = keys[len(batch):]
-		items, err := c.FetchItemsMetered(recipient, addr, db, recipient.ID(), batch)
+		items, err := c.fetchItems(r, addr, batch)
 		if err != nil {
 			return adopted, err
 		}
 		// Source id is not authenticated on the wire; attribute conflicts
 		// to -1 like the OOB path.
-		adopted += recipient.ApplyReconcileItems(items, -1)
+		n, err := s.ApplyReconcileItems(items, -1)
+		adopted += n
+		if err != nil {
+			return adopted, err
+		}
 	}
 	return adopted, nil
 }

@@ -39,10 +39,10 @@ func catchUpSetup(t *testing.T, base, diff, valueSize int) (a, b *core.Replica, 
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Pull(b, srv.Addr()); err != nil {
+	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Pull(b, srv.Addr()); err != nil { // teach a the full ack
+	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil { // teach a the full ack
 		t.Fatal(err)
 	}
 	for i := 0; i < diff; i++ {
@@ -62,7 +62,7 @@ func TestPullDivertsToReconcileAndConverges(t *testing.T) {
 	a, b, srv, c, diffBytes := catchUpSetup(t, base, diff, valueSize)
 
 	before := b.Metrics()
-	shipped, err := c.Pull(b, srv.Addr())
+	shipped, err := c.Pull(InMemory(b), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPullStreamDivertsToReconcile(t *testing.T) {
 	const base, diff, valueSize = 300, 8, 128
 	a, b, srv, c, _ := catchUpSetup(t, base, diff, valueSize)
 
-	shipped, err := c.PullStream(b, srv.Addr())
+	shipped, err := c.PullStream(InMemory(b), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPullSessionMeteredSurfacesErrNeedsReconcile(t *testing.T) {
 
 func TestReconcileSessionComputesDifference(t *testing.T) {
 	_, b, srv, c, _ := catchUpSetup(t, 60, 6, 32)
-	keys, err := c.ReconcileSession(b, srv.Addr(), "", 0)
+	keys, err := c.reconcileSession(b, srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +150,10 @@ func TestPartPullDivertsToReconcile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.PullPartDB(pb, srv.Addr(), ""); err != nil {
+	if _, err := c.PullPart(pb, memSinks(pb), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.PullPartDB(pb, srv.Addr(), ""); err != nil { // acks
+	if _, err := c.PullPart(pb, memSinks(pb), srv.Addr()); err != nil { // acks
 		t.Fatal(err)
 	}
 	// New writes, then cap-force every owned partition past pb's acks.
@@ -177,7 +177,7 @@ func TestPartPullDivertsToReconcile(t *testing.T) {
 		t.Fatal("setup: no partition pruned past the peer")
 	}
 
-	shipped, err := c.PullPartDB(pb, srv.Addr(), "")
+	shipped, err := c.PullPart(pb, memSinks(pb), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

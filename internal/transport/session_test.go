@@ -7,16 +7,11 @@ import (
 	"repro/internal/op"
 )
 
-// resolverFunc adapts a function to the Resolver interface.
-type resolverFunc func(name string) *core.Replica
-
-func (f resolverFunc) Database(name string) *core.Replica { return f(name) }
-
 func TestPullSessionLowLevel(t *testing.T) {
 	a, b, srv := startPair(t)
 	a.Update("x", op.NewSet([]byte("v")))
 
-	p, err := PullSession(srv.Addr(), b.ID(), b.PropagationRequest())
+	p, err := testClient.PullSessionMetered(nil, srv.Addr(), "", b.ID(), b.PropagationRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,89 +23,18 @@ func TestPullSessionLowLevel(t *testing.T) {
 		t.Fatalf("not converged: %s", why)
 	}
 	// Current now: nil message.
-	p, err = PullSession(srv.Addr(), b.ID(), b.PropagationRequest())
+	p, err = testClient.PullSessionMetered(nil, srv.Addr(), "", b.ID(), b.PropagationRequest())
 	if err != nil || p != nil {
-		t.Fatalf("current PullSession = %v/%v", p, err)
+		t.Fatalf("current PullSessionMetered = %v/%v", p, err)
 	}
 }
 
 func TestPullSessionDeadAddress(t *testing.T) {
 	b := core.NewReplica(1, 2)
-	if _, err := PullSession("127.0.0.1:1", 1, b.PropagationRequest()); err == nil {
+	if _, err := testClient.PullSessionMetered(b, "127.0.0.1:1", "", 1, b.PropagationRequest()); err == nil {
 		t.Error("dead address succeeded")
 	}
-	if _, err := FetchItems("127.0.0.1:1", 1, []string{"x"}); err == nil {
-		t.Error("dead address FetchItems succeeded")
-	}
-}
-
-func TestListenMultiRoutesByName(t *testing.T) {
-	crm := core.NewReplica(0, 2)
-	wiki := core.NewReplica(0, 2)
-	crm.Update("lead", op.NewSet([]byte("alice")))
-	wiki.Update("page", op.NewSet([]byte("text")))
-
-	srv, err := ListenMulti(resolverFunc(func(name string) *core.Replica {
-		switch name {
-		case "crm":
-			return crm
-		case "wiki":
-			return wiki
-		}
-		return nil
-	}), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	bCRM := core.NewReplica(1, 2)
-	p, err := PullSessionDB(srv.Addr(), "crm", 1, bCRM.PropagationRequest())
-	if err != nil || p == nil {
-		t.Fatalf("PullSessionDB crm = %v/%v", p, err)
-	}
-	bCRM.ApplyPropagation(p)
-	if v, _ := bCRM.Read("lead"); string(v) != "alice" {
-		t.Errorf("crm lead = %q", v)
-	}
-	if _, ok := bCRM.Read("page"); ok {
-		t.Error("crm pull leaked wiki data")
-	}
-
-	// Unknown database name rejected.
-	if _, err := PullSessionDB(srv.Addr(), "ghost", 1, bCRM.PropagationRequest()); err == nil {
-		t.Error("unknown database accepted")
-	}
-	// Unnamed request to a multi server rejected.
-	if _, err := PullSession(srv.Addr(), 1, bCRM.PropagationRequest()); err == nil {
-		t.Error("unnamed request accepted by multi server")
-	}
-	// Fetch with a DB name works through the same server.
-	items, err := FetchItemsDB(srv.Addr(), "wiki", 1, []string{"page"})
-	if err != nil || len(items) != 1 || string(items[0].Value) != "text" {
-		t.Fatalf("FetchItemsDB = %v/%v", items, err)
-	}
-}
-
-func TestOOBThroughMultiServer(t *testing.T) {
-	db := core.NewReplica(0, 2)
-	db.Update("hot", op.NewSet([]byte("fresh")))
-	srv, err := ListenMulti(resolverFunc(func(name string) *core.Replica {
-		if name == "db" {
-			return db
-		}
-		return nil
-	}), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	var resp Response
-	if err := roundTrip(srv.Addr(), Request{Kind: KindOOB, DB: "db", Key: "hot"}, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OOB == nil || string(resp.OOB.Value) != "fresh" {
-		t.Fatalf("OOB through multi server = %+v", resp)
+	if _, err := testClient.fetchItems(b, "127.0.0.1:1", []string{"x"}); err == nil {
+		t.Error("dead address fetchItems succeeded")
 	}
 }

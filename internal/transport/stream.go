@@ -50,7 +50,7 @@ func (s *Server) chunkBudget() uint64 {
 // being built. Any write error aborts the session (the client observes a
 // truncated stream and the connection is closed); the builder is unblocked
 // via stop and the already-shipped prefix remains fully applied downstream.
-func (s *Server) serveStream(bw flushWriter, replica *core.Replica, errmsg string, req *Request, scratch *[]byte) error {
+func (s *Server) serveStream(bw flushWriter, replica *core.Replica, errmsg string, req *wire.Request, scratch *[]byte) error {
 	if replica == nil {
 		begin := wire.SessionBegin{Source: -1, Err: errmsg}
 		*scratch = wire.AppendSessionBegin((*scratch)[:0], &begin)
@@ -148,20 +148,24 @@ type flushWriter interface {
 	Flush() error
 }
 
-// PullStream performs one streaming propagation session: recipient pulls
+// PullStream performs one streaming propagation session: the sink pulls
 // from the server at addr chunk by chunk, committing each chunk as it
-// arrives. It returns true when data was shipped, false when the recipient
-// was already current.
-func (c *Client) PullStream(recipient *core.Replica, addr string) (bool, error) {
-	return c.PullStreamDB(recipient, addr, "")
+// arrives. It returns true when data was shipped, false when the sink was
+// already current. Streamed chunks apply straight to the replica, so only
+// an in-memory sink streams; any other sink runs an ordinary Pull, whose
+// inline payload it can log before applying.
+func (c *Client) PullStream(s Sink, addr string) (bool, error) {
+	m, ok := s.(memSink)
+	if !ok {
+		return c.Pull(s, addr)
+	}
+	return c.pullStream(m.r, addr)
 }
 
-// PullStreamDB is PullStream against a named database of a multi-database
-// server.
-func (c *Client) PullStreamDB(recipient *core.Replica, addr, db string) (bool, error) {
+func (c *Client) pullStream(recipient *core.Replica, addr string) (bool, error) {
 	shipped := false
 	for attempt := 0; ; attempt++ {
-		req := &Request{Kind: KindStream, DB: db, From: recipient.ID(), DBVV: recipient.PropagationRequest()}
+		req := &wire.Request{Kind: wire.KindStream, From: recipient.ID(), DBVV: recipient.PropagationRequest()}
 		ok, reconcile, err := c.runStream(recipient, addr, req)
 		shipped = shipped || ok
 		if err != nil || !reconcile || attempt > 0 {
@@ -169,7 +173,7 @@ func (c *Client) PullStreamDB(recipient *core.Replica, addr, db string) (bool, e
 			// than looping; the next scheduled pull tries again.
 			return shipped, err
 		}
-		adopted, err := c.reconcileWith(recipient, addr, db, 0)
+		adopted, err := c.reconcileWith(memSink{recipient}, addr, 0)
 		if err != nil {
 			return shipped, err
 		}
@@ -183,7 +187,7 @@ func (c *Client) PullStreamDB(recipient *core.Replica, addr, db string) (bool, e
 // out stale before yielding a single frame. Requires the framed transport.
 // reconcile reports a reconcile-diverted session: the source pruned past
 // the request's DBVV and shipped nothing.
-func (c *Client) runStream(recipient *core.Replica, addr string, req *Request) (shipped, reconcile bool, err error) {
+func (c *Client) runStream(recipient *core.Replica, addr string, req *wire.Request) (shipped, reconcile bool, err error) {
 	start := time.Now()
 
 	pc, reused, err := c.pool.get(addr)
@@ -197,7 +201,7 @@ func (c *Client) runStream(recipient *core.Replica, addr string, req *Request) (
 		sent0, recv0 := pc.cw.n, pc.cr.n
 		shipped, reconcile, started, err := streamOn(pc, recipient, req, start)
 		st.sent, st.recv = pc.cw.n-sent0, pc.cr.n-recv0
-		chargeTrip(recipient, st)
+		st.charge(recipient)
 		if err == nil {
 			c.pool.put(addr, pc)
 			return shipped, reconcile, nil
@@ -219,27 +223,12 @@ func (c *Client) runStream(recipient *core.Replica, addr string, req *Request) (
 	}
 }
 
-// chargeTrip charges one exchange's measured wire cost to the replica.
-func chargeTrip(r *core.Replica, st tripStats) {
-	if r == nil {
-		return
-	}
-	var dials, reuses uint64
-	if st.dialed {
-		dials = 1
-	}
-	if st.reused {
-		reuses = 1
-	}
-	r.AddWireStats(st.sent, st.recv, dials, reuses)
-}
-
 // streamOn runs one streaming session on the connection: send the request,
 // then apply the chunk stream. started reports whether any session frame
 // was received (a session that started must not be retried on another
 // connection — its applied prefix belongs to this request's DBVV);
 // reconcile reports a reconcile-diverted session header.
-func streamOn(pc *poolConn, recipient *core.Replica, req *Request, start time.Time) (shipped, reconcile, started bool, err error) {
+func streamOn(pc *poolConn, recipient *core.Replica, req *wire.Request, start time.Time) (shipped, reconcile, started bool, err error) {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	*buf = wire.AppendRequest((*buf)[:0], req)
@@ -311,10 +300,4 @@ func streamOn(pc *poolConn, recipient *core.Replica, req *Request, start time.Ti
 			return shipped, reconcile, started, nil
 		}
 	}
-}
-
-// PullStreamAddr is the package-level convenience: one streaming session
-// through the default client.
-func PullStreamAddr(recipient *core.Replica, addr string) (bool, error) {
-	return DefaultClient.PullStream(recipient, addr)
 }

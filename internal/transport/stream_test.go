@@ -35,7 +35,7 @@ func TestPullStreamEndToEnd(t *testing.T) {
 	rec := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	shipped, err := c.PullStream(rec, srv.Addr())
+	shipped, err := c.PullStream(InMemory(rec), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestPullStreamEndToEnd(t *testing.T) {
 
 	// Second pull: current — and the connection must be reusable after a
 	// completed session (frame alternation restored).
-	shipped, err = c.PullStream(rec, srv.Addr())
+	shipped, err = c.PullStream(InMemory(rec), srv.Addr())
 	if err != nil || shipped {
 		t.Fatalf("second pull = (%v, %v), want (false, nil)", shipped, err)
 	}
-	if _, err := c.Pull(rec, srv.Addr()); err != nil {
+	if _, err := c.Pull(InMemory(rec), srv.Addr()); err != nil {
 		t.Fatalf("ordinary pull after streamed session: %v", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestPullAutoFallsBackToStreaming(t *testing.T) {
 	rec := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	shipped, err := c.Pull(rec, srv.Addr())
+	shipped, err := c.Pull(InMemory(rec), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPullSmallStaysMonolithic(t *testing.T) {
 	rec := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	if _, err := c.Pull(rec, srv.Addr()); err != nil {
+	if _, err := c.Pull(InMemory(rec), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Metrics().ChunksApplied; got != 0 {
@@ -124,8 +124,7 @@ func TestPullSmallStaysMonolithic(t *testing.T) {
 }
 
 func TestPullStreamRemoteError(t *testing.T) {
-	src := core.NewReplica(0, 2)
-	srv, err := Listen(src, "127.0.0.1:0")
+	srv, err := ListenPart(core.NewPartitioned(0, 2, 4, 2), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +133,8 @@ func TestPullStreamRemoteError(t *testing.T) {
 	rec := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	if _, err := c.PullStreamDB(rec, srv.Addr(), "no-such-db"); err == nil {
-		t.Fatal("error for unknown database not surfaced")
+	if _, err := c.PullStream(InMemory(rec), srv.Addr()); err == nil {
+		t.Fatal("error for a plain stream against a partitioned server not surfaced")
 	}
 }
 
@@ -156,7 +155,7 @@ func TestStreamingPeakPayloadRatio(t *testing.T) {
 	defer c.Close()
 
 	mono := core.NewReplica(1, 2)
-	p, err := c.PullSession(srv.Addr(), 1, mono.DBVV())
+	p, err := c.PullSessionMetered(nil, srv.Addr(), "", 1, mono.DBVV())
 	if err != nil || p == nil {
 		t.Fatalf("monolithic pull: %v", err)
 	}
@@ -164,7 +163,7 @@ func TestStreamingPeakPayloadRatio(t *testing.T) {
 	monoPeak := mono.Metrics().PeakPayloadBytes
 
 	streamed := core.NewReplica(1, 2)
-	if _, err := c.PullStream(streamed, srv.Addr()); err != nil {
+	if _, err := c.PullStream(InMemory(streamed), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	streamPeak := streamed.Metrics().PeakPayloadBytes
@@ -216,7 +215,7 @@ func BenchmarkE17StreamingCatchup(b *testing.B) {
 			runtime.GC() // previous iteration's dead replica: collect it outside the timed region
 			b.StartTimer()
 			start := time.Now()
-			p, err := c.PullSession(srv.Addr(), 1, rec.DBVV())
+			p, err := c.PullSessionMetered(nil, srv.Addr(), "", 1, rec.DBVV())
 			if err != nil || p == nil {
 				b.Fatalf("pull: %v", err)
 			}
@@ -242,7 +241,7 @@ func BenchmarkE17StreamingCatchup(b *testing.B) {
 			rec := core.NewReplica(1, 2)
 			runtime.GC() // as in the monolithic loop above
 			b.StartTimer()
-			shipped, err := c.PullStream(rec, srv.Addr())
+			shipped, err := c.PullStream(InMemory(rec), srv.Addr())
 			if err != nil || !shipped {
 				b.Fatalf("stream pull = (%v, %v)", shipped, err)
 			}

@@ -30,59 +30,16 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/vv"
 	"repro/internal/wire"
 )
 
-// Request is the recipient-to-source message opening an exchange. It is an
-// alias of the wire package's type: the codec and the transport share one
-// message vocabulary.
-type Request = wire.Request
-
-// Response is the source-to-recipient reply.
-type Response = wire.Response
-
-// Kind selects the exchange a Request opens.
-type Kind = wire.Kind
-
-// Exchange kinds, re-exported from the wire codec.
-const (
-	// KindPropagation opens an update-propagation session (§5.1).
-	KindPropagation = wire.KindPropagation
-	// KindOOB requests an out-of-bound copy of one item (§5.2).
-	KindOOB = wire.KindOOB
-	// KindFetch requests full copies of named items — the second round of
-	// a delta-mode propagation session.
-	KindFetch = wire.KindFetch
-	// KindStream opens a streaming (chunked) propagation session on a
-	// framed connection; see stream.go.
-	KindStream = wire.KindStream
-	// KindPartPropagation opens a partitioned propagation session against a
-	// partitioned server; see part.go.
-	KindPartPropagation = wire.KindPartPropagation
-	// KindPartStream opens a streaming session for one keyspace partition.
-	KindPartStream = wire.KindPartStream
-	// KindReconcile drives one round of range-based set reconciliation —
-	// the catch-up path for recipients whose DBVV predates the source's
-	// pruned-log watermark; see reconcile.go.
-	KindReconcile = wire.KindReconcile
-)
-
-// Resolver maps database names to replicas — the surface a multi-database
-// host (internal/multidb) exposes to the transport.
-type Resolver interface {
-	Database(name string) *core.Replica
-}
-
-// Server serves propagation and out-of-bound requests for one replica, or
-// for many databases when a Resolver is attached.
+// Server serves propagation and out-of-bound requests for one replica.
 type Server struct {
-	replica  *core.Replica //epi:immutable
-	resolver Resolver      //epi:immutable
+	replica *core.Replica //epi:immutable
 	// parted, when non-nil, makes this a partitioned server: partitioned
 	// sessions negotiate against it, and single-key exchanges (OOB, fetch)
 	// are routed to the owning partition's replica via its ring. replica
-	// and resolver are nil on a partitioned server.
+	// is nil on a partitioned server.
 	parted *core.Partitioned //epi:immutable
 	ln     net.Listener      //epi:immutable
 
@@ -96,33 +53,22 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// NewServer starts serving the replica on the listener. It returns
-// immediately; connections are handled on background goroutines until
-// Close.
-func NewServer(replica *core.Replica, ln net.Listener) *Server {
-	s := &Server{replica: replica, ln: ln}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s
-}
-
-// Listen is a convenience: listen on addr (e.g. "127.0.0.1:0") and serve.
+// Listen listens on addr (e.g. "127.0.0.1:0") and serves the replica. It
+// returns immediately; connections are handled on background goroutines
+// until Close.
 func Listen(replica *core.Replica, addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	return NewServer(replica, ln), nil
+	return listen(&Server{replica: replica}, addr)
 }
 
-// ListenMulti serves every database of a multi-database host: requests
-// carry a DB name which the resolver maps to a replica.
-func ListenMulti(resolver Resolver, addr string) (*Server, error) {
+// listen binds addr and starts s serving on it.
+//
+//epi:init construction: s is published only on return
+func listen(s *Server, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &Server{resolver: resolver, ln: ln}
+	s.ln = ln
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -254,11 +200,11 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		*frameBuf = payload
-		var req Request
+		var req wire.Request
 		if err := wire.DecodeRequest(payload, &req); err != nil {
 			return
 		}
-		if req.Kind == KindStream || req.Kind == KindPartStream {
+		if req.Kind == wire.KindStream || req.Kind == wire.KindPartStream {
 			replica, errmsg := s.streamTarget(&req)
 			if err := s.serveStream(bw, replica, errmsg, &req, scratch); err != nil {
 				return
@@ -280,11 +226,12 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// streamTarget resolves the replica a streaming request drains: the routed
-// database replica for KindStream, the named partition's replica for
-// KindPartStream on a partitioned server.
-func (s *Server) streamTarget(req *Request) (*core.Replica, string) {
-	if req.Kind == KindPartStream {
+// streamTarget resolves the replica a streaming request drains: the
+// server's replica for KindStream, the named partition's replica for
+// KindPartStream on a partitioned server. The replica is nil when the
+// request cannot be served, with the error text as the second result.
+func (s *Server) streamTarget(req *wire.Request) (*core.Replica, string) {
+	if req.Kind == wire.KindPartStream {
 		if s.parted == nil {
 			return nil, "server is not partitioned"
 		}
@@ -297,7 +244,7 @@ func (s *Server) streamTarget(req *Request) (*core.Replica, string) {
 	if s.parted != nil {
 		return nil, "server is partitioned; open a partitioned session"
 	}
-	return s.route(req)
+	return s.replica, ""
 }
 
 // chargeServed charges one served exchange's measured wire bytes: to the
@@ -313,42 +260,17 @@ func (s *Server) chargeServed(replica *core.Replica, sent, recv uint64) {
 	}
 }
 
-// route resolves the replica a request addresses, shared by the one-shot
-// dispatch and the streaming session handler. The replica is nil when the
-// request could not be routed, with the error text as the second result.
-func (s *Server) route(req *Request) (*core.Replica, string) {
-	replica := s.replica
-	if req.DB != "" {
-		if s.resolver == nil {
-			return nil, "server hosts a single database"
-		}
-		replica = s.resolver.Database(req.DB)
-	} else if replica == nil && s.resolver != nil {
-		return nil, "request must name a database"
-	}
-	if replica == nil {
-		return nil, fmt.Sprintf("unknown database %q", req.DB)
-	}
-	return replica, ""
-}
-
-// dispatch routes one decoded non-streaming request to the owning replica
-// and runs the exchange. The returned replica is nil when the request could
-// not be routed.
-func (s *Server) dispatch(req *Request) (*core.Replica, *Response) {
+// dispatch runs one decoded non-streaming request against the owning
+// replica. The returned replica is nil on a partitioned server, which
+// charges the node instead.
+func (s *Server) dispatch(req *wire.Request) (*core.Replica, *wire.Response) {
 	if s.parted != nil {
 		return nil, s.dispatchParted(req)
 	}
-	if req.Kind == KindPartPropagation {
-		return nil, &Response{Err: "server is not partitioned"}
-	}
-	replica, errmsg := s.route(req)
-	if replica == nil {
-		return nil, &Response{Err: errmsg}
-	}
-	var resp Response
+	replica := s.replica
+	var resp wire.Response
 	switch req.Kind {
-	case KindPropagation:
+	case wire.KindPropagation:
 		// The request's DBVV is the requester's claim of what it reflects —
 		// a safe lower bound on its state, recorded for acked-peer pruning.
 		replica.NoteAck(req.From, req.DBVV)
@@ -383,69 +305,17 @@ func (s *Server) dispatch(req *Request) (*core.Replica, *Response) {
 		} else {
 			resp.Prop = p
 		}
-	case KindOOB:
+	case wire.KindOOB:
 		reply := replica.ServeOOB(req.Key)
 		resp.OOB = &reply
-	case KindFetch:
+	case wire.KindFetch:
 		resp.Items = replica.BuildItems(req.Keys)
-	case KindReconcile:
+	case wire.KindReconcile:
 		resp.Recon = replica.ServeReconcile(req.Ranges)
+	case wire.KindPartPropagation:
+		resp.Err = "server is not partitioned"
 	default:
 		resp.Err = fmt.Sprintf("unknown request kind %d", req.Kind)
 	}
 	return replica, &resp
-}
-
-// PullSession fetches the propagation message from the server at addr for
-// a recipient whose DBVV is dbvv. A nil message means the recipient is
-// current. Lower-level than Pull: callers that must interpose on the apply
-// step (e.g. durable replicas logging the session) drive the rounds
-// themselves with this and FetchItems.
-func PullSession(addr string, from int, dbvv vv.VV) (*core.Propagation, error) {
-	return DefaultClient.PullSession(addr, from, dbvv)
-}
-
-// PullSessionDB is PullSession against a named database of a
-// multi-database server.
-func PullSessionDB(addr, db string, from int, dbvv vv.VV) (*core.Propagation, error) {
-	return DefaultClient.PullSessionDB(addr, db, from, dbvv)
-}
-
-// FetchItems fetches full copies of the named items from the server at addr
-// — the second round of a delta-mode session.
-func FetchItems(addr string, from int, keys []string) ([]core.ItemPayload, error) {
-	return DefaultClient.FetchItems(addr, from, keys)
-}
-
-// FetchItemsDB is FetchItems against a named database of a multi-database
-// server.
-func FetchItemsDB(addr, db string, from int, keys []string) ([]core.ItemPayload, error) {
-	return DefaultClient.FetchItemsDB(addr, db, from, keys)
-}
-
-// Pull performs one update-propagation session: recipient pulls from the
-// server at addr. It returns true when data was shipped, false when the
-// recipient was already current.
-func Pull(recipient *core.Replica, addr string) (bool, error) {
-	return DefaultClient.Pull(recipient, addr)
-}
-
-// RequestOOB fetches an out-of-bound reply for key from the server at addr
-// without applying it. Callers that must interpose on the apply step use
-// this; others use FetchOOB.
-func RequestOOB(addr string, from int, key string) (core.OOBReply, error) {
-	return DefaultClient.RequestOOB(addr, from, key)
-}
-
-// FetchOOB performs one out-of-bound copy of key from the server at addr,
-// returning whether a newer copy was adopted.
-func FetchOOB(recipient *core.Replica, addr, key string) (bool, error) {
-	return DefaultClient.FetchOOB(recipient, addr, key)
-}
-
-// roundTrip performs one exchange through the default client. Kept as the
-// package's internal seam so tests can drive raw requests.
-func roundTrip(addr string, req Request, resp *Response) error {
-	_, err := DefaultClient.pool.roundTrip(addr, &req, resp)
-	return err
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/op"
+	"repro/internal/wire"
 )
 
 func startPair(t *testing.T) (a, b *core.Replica, srvA *Server) {
@@ -26,7 +27,7 @@ func TestPullOverTCP(t *testing.T) {
 	if err := a.Update("x", op.NewSet([]byte("net-value"))); err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := Pull(b, srv.Addr())
+	shipped, err := pull(b, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +46,10 @@ func TestPullOverTCP(t *testing.T) {
 func TestPullCurrentOverTCP(t *testing.T) {
 	a, b, srv := startPair(t)
 	a.Update("x", op.NewSet([]byte("v")))
-	if _, err := Pull(b, srv.Addr()); err != nil {
+	if _, err := pull(b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := Pull(b, srv.Addr())
+	shipped, err := pull(b, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestPullCurrentOverTCP(t *testing.T) {
 func TestFetchOOBOverTCP(t *testing.T) {
 	a, b, srv := startPair(t)
 	a.Update("hot", op.NewSet([]byte("fresh")))
-	adopted, err := FetchOOB(b, srv.Addr(), "hot")
+	adopted, err := fetchOOB(b, srv.Addr(), "hot")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestFetchOOBOverTCP(t *testing.T) {
 
 func TestFetchOOBMissingItem(t *testing.T) {
 	_, b, srv := startPair(t)
-	adopted, err := FetchOOB(b, srv.Addr(), "ghost")
+	adopted, err := fetchOOB(b, srv.Addr(), "ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +89,10 @@ func TestFetchOOBMissingItem(t *testing.T) {
 
 func TestPullDialError(t *testing.T) {
 	b := core.NewReplica(1, 2)
-	if _, err := Pull(b, "127.0.0.1:1"); err == nil {
+	if _, err := pull(b, "127.0.0.1:1"); err == nil {
 		t.Error("Pull to dead address succeeded")
 	}
-	if _, err := FetchOOB(b, "127.0.0.1:1", "x"); err == nil {
+	if _, err := fetchOOB(b, "127.0.0.1:1", "x"); err == nil {
 		t.Error("FetchOOB to dead address succeeded")
 	}
 }
@@ -103,8 +104,8 @@ func TestUnknownRequestKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	var resp Response
-	if err := roundTrip(srv.Addr(), Request{Kind: Kind(99)}, &resp); err != nil {
+	var resp wire.Response
+	if err := roundTrip(srv.Addr(), wire.Request{Kind: wire.Kind(99)}, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.Err == "" {
@@ -130,7 +131,7 @@ func TestConcurrentPulls(t *testing.T) {
 		wg.Add(1)
 		go func(r *core.Replica) {
 			defer wg.Done()
-			if _, err := Pull(r, srv.Addr()); err != nil {
+			if _, err := pull(r, srv.Addr()); err != nil {
 				errs <- err
 			}
 		}(r)
@@ -177,7 +178,7 @@ func TestMalformedRequestIgnored(t *testing.T) {
 	// Server must survive; a real session afterwards still works.
 	b := core.NewReplica(1, 2)
 	a.Update("x", op.NewSet([]byte("v")))
-	if _, err := Pull(b, srv.Addr()); err != nil {
+	if _, err := pull(b, srv.Addr()); err != nil {
 		t.Fatalf("Pull after garbage: %v", err)
 	}
 }
@@ -187,7 +188,7 @@ func TestRoundTripPreservesVectorsExactly(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Update("x", op.NewAppend([]byte{byte(i)}))
 	}
-	Pull(b, srv.Addr())
+	pull(b, srv.Addr())
 	av, _ := a.ReadIVV("x")
 	bv, _ := b.ReadIVV("x")
 	if !av.Equal(bv) {

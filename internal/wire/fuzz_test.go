@@ -37,8 +37,8 @@ func FuzzDecodeVV(f *testing.F) {
 
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(AppendRequest(nil, &Request{Kind: KindPropagation, From: 1, DBVV: vv.VV{3, 1}}))
-	f.Add(AppendRequest(nil, &Request{Kind: KindOOB, From: 2, DB: "db", Key: "k"}))
-	f.Add(AppendRequest(nil, &Request{Kind: KindFetch, DB: "db", Keys: []string{"a", "b"}}))
+	f.Add(AppendRequest(nil, &Request{Kind: KindOOB, From: 2, Key: "k"}))
+	f.Add(AppendRequest(nil, &Request{Kind: KindFetch, Keys: []string{"a", "b"}}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindStream, From: 1, DBVV: vv.VV{2, 0, 5}, MaxBytes: 1 << 18}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindPartPropagation, From: 2,
 		Parts: []core.PartState{{Pid: 0, DBVV: vv.VV{1}}, {Pid: 7, DBVV: vv.VV{0, 4}}}}))
@@ -55,7 +55,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err := DecodeRequest(re, &req2); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if req2.Kind != req.Kind || req2.From != req.From || req2.DB != req.DB ||
+		if req2.Kind != req.Kind || req2.From != req.From ||
 			req2.Key != req.Key || !req2.DBVV.Equal(req.DBVV) || len(req2.Keys) != len(req.Keys) ||
 			len(req2.Parts) != len(req.Parts) || req2.Part != req.Part {
 			t.Fatalf("round trip mismatch: %+v vs %+v", req, req2)

@@ -12,7 +12,6 @@ func TestPartPropagationRequestRoundTrip(t *testing.T) {
 	req := Request{
 		Kind: KindPartPropagation,
 		From: 3,
-		DB:   "inventory",
 		Parts: []core.PartState{
 			{Pid: 0, DBVV: vv.VV{1, 2, 3}},
 			{Pid: 5, DBVV: vv.VV{}},
@@ -21,7 +20,7 @@ func TestPartPropagationRequestRoundTrip(t *testing.T) {
 		MaxBytes: 1 << 20,
 	}
 	got := roundTripRequest(t, req)
-	if got.Kind != req.Kind || got.From != req.From || got.DB != req.DB || got.MaxBytes != req.MaxBytes {
+	if got.Kind != req.Kind || got.From != req.From || got.MaxBytes != req.MaxBytes {
 		t.Fatalf("header mangled: %+v -> %+v", req, got)
 	}
 	if len(got.Parts) != len(req.Parts) {
@@ -47,7 +46,7 @@ func TestPartStreamRequestRoundTrip(t *testing.T) {
 // old peers and old captures keep decoding unchanged.
 func TestOldKindsEncodeByteIdentical(t *testing.T) {
 	for _, kind := range []Kind{KindPropagation, KindOOB, KindFetch, KindStream} {
-		base := Request{Kind: kind, From: 2, DB: "db", DBVV: vv.VV{7}, Key: "k", Keys: []string{"a"}, MaxBytes: 9}
+		base := Request{Kind: kind, From: 2, DBVV: vv.VV{7}, Key: "k", Keys: []string{"a"}, MaxBytes: 9}
 		dirty := base
 		dirty.Parts = []core.PartState{{Pid: 3, DBVV: vv.VV{1}}}
 		dirty.Part = 42

@@ -48,7 +48,7 @@ func repliesEqual(a, b []core.ReconcileReply) bool {
 
 func TestReconcileRequestRoundTrip(t *testing.T) {
 	for _, req := range []*Request{
-		{Kind: KindReconcile, DB: "db", From: 2, Ranges: sampleRanges()},
+		{Kind: KindReconcile, From: 2, Ranges: sampleRanges()},
 		{Kind: KindReconcile, From: 0, Ranges: nil},
 		{Kind: KindReconcile, From: 1, Part: 7, Ranges: sampleRanges()[:1]},
 	} {
@@ -57,7 +57,7 @@ func TestReconcileRequestRoundTrip(t *testing.T) {
 		if err := DecodeRequest(buf, &got); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if got.Kind != req.Kind || got.DB != req.DB || got.From != req.From ||
+		if got.Kind != req.Kind || got.From != req.From ||
 			got.Part != req.Part || !rangesEqual(got.Ranges, req.Ranges) {
 			t.Fatalf("round trip: %+v vs %+v", req, got)
 		}

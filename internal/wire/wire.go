@@ -13,7 +13,7 @@
 //
 // A client opening a framed connection first sends two bytes:
 //
-//	[Magic 0xEB] [Version 0x01]
+//	[Magic 0xEB] [Version 0x02]
 //
 // The magic byte is a sanity check that the peer speaks this codec at all;
 // the version byte names the codec below. A wrong magic or an unknown
@@ -59,8 +59,10 @@ const (
 	// Magic is the first byte of a framed connection: a sanity check that
 	// the peer speaks this codec, rejected by closing when it differs.
 	Magic = 0xEB
-	// Version is the codec version this package speaks.
-	Version = 1
+	// Version is the codec version this package speaks. Version 2 dropped
+	// the request's database name; a version-1 peer is closed at the
+	// preamble instead of being misparsed.
+	Version = 2
 	// FrameRequest marks a client-to-server frame.
 	FrameRequest = 0x01
 	// FrameResponse marks a server-to-client frame.
@@ -71,7 +73,7 @@ const (
 )
 
 // Kind selects the exchange a Request opens. It mirrors the protocol kinds
-// of §5; internal/transport aliases it so the public API is unchanged.
+// of §5.
 type Kind uint8
 
 // Exchange kinds.
@@ -113,9 +115,6 @@ type Request struct {
 	Kind Kind
 	// From is the requesting server's id (for conflict attribution).
 	From int
-	// DB names the target database on a multi-database server; empty
-	// addresses the server's default replica.
-	DB string
 	// DBVV is the recipient's database version vector (propagation only).
 	DBVV vv.VV
 	// Key is the requested item (out-of-bound only).
@@ -298,7 +297,6 @@ func ReadFrame(r *bufio.Reader, wantType byte, buf []byte) ([]byte, error) {
 func AppendRequest(buf []byte, req *Request) []byte {
 	buf = append(buf, byte(req.Kind))
 	buf = binary.AppendVarint(buf, int64(req.From))
-	buf = appendString(buf, req.DB)
 	buf = req.DBVV.AppendBinary(buf)
 	buf = appendString(buf, req.Key)
 	buf = binary.AppendUvarint(buf, uint64(len(req.Keys)))
@@ -336,7 +334,6 @@ func DecodeRequest(buf []byte, req *Request) error {
 	d := decoder{buf: buf}
 	req.Kind = Kind(d.byte())
 	req.From = int(d.varint())
-	req.DB = d.string()
 	req.DBVV = d.vv()
 	req.Key = d.string()
 	n := d.count()
@@ -376,8 +373,7 @@ func DecodeRequest(buf []byte, req *Request) error {
 //
 //epi:hotpath
 func RequestWireSize(req *Request) uint64 {
-	size := 1 + varintSize(int64(req.From)) + stringSize(len(req.DB)) +
-		uint64(req.DBVV.BinarySize()) + stringSize(len(req.Key)) +
+	size := 1 + varintSize(int64(req.From)) + uint64(req.DBVV.BinarySize()) + stringSize(len(req.Key)) +
 		uvarintSize(uint64(len(req.Keys)))
 	for _, k := range req.Keys {
 		size += stringSize(len(k))

@@ -27,12 +27,12 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Kind: KindPropagation, From: 3, DBVV: vv.VV{1, 2, 3}},
 		{Kind: KindOOB, From: 0, Key: "hot-item"},
 		{Kind: KindFetch, From: 7, Keys: []string{"a", "b", "longer-key-name"}},
-		{Kind: KindPropagation, From: 2, DB: "inventory", DBVV: vv.VV{0, 0, 9}},
+		{Kind: KindPropagation, From: 2, DBVV: vv.VV{0, 0, 9}},
 		{Kind: KindFetch, Keys: []string{""}},
 	}
 	for _, req := range reqs {
 		got := roundTripRequest(t, req)
-		if got.Kind != req.Kind || got.From != req.From || got.DB != req.DB || got.Key != req.Key {
+		if got.Kind != req.Kind || got.From != req.From || got.Key != req.Key {
 			t.Errorf("round trip mangled %+v -> %+v", req, got)
 		}
 		if !got.DBVV.Equal(req.DBVV) {
@@ -157,7 +157,7 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 
 func TestDecodeCorruptCounts(t *testing.T) {
 	// A fetch request claiming 2^40 keys must fail fast, not allocate.
-	buf := []byte{byte(KindFetch), 0 /* from */, 0 /* db */, 0 /* dbvv */, 0 /* key */}
+	buf := []byte{byte(KindFetch), 0 /* from */, 0 /* dbvv */, 0 /* key */}
 	buf = append(buf, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40) // uvarint 2^40-ish
 	var got Request
 	if err := DecodeRequest(buf, &got); err == nil {
@@ -203,10 +203,14 @@ func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	}
 }
 
+// Version 1 carried a database name in every request; a version-1 peer
+// must be closed at the preamble, not misparsed.
 func TestPreambleRejectsBadVersion(t *testing.T) {
-	br := bufio.NewReader(bytes.NewReader([]byte{Magic, 99}))
-	if err := ReadPreamble(br); err == nil {
-		t.Fatal("unknown version accepted")
+	for _, v := range []byte{1, 99} {
+		br := bufio.NewReader(bytes.NewReader([]byte{Magic, v}))
+		if err := ReadPreamble(br); err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
 	}
 }
 

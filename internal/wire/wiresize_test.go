@@ -97,8 +97,8 @@ func TestPlanPropagationThresholdTracksEncoding(t *testing.T) {
 func TestRequestWireSizeExactAcrossKinds(t *testing.T) {
 	reqs := []*Request{
 		{Kind: KindPropagation, From: 1, DBVV: vv.VV{3, 1}},
-		{Kind: KindOOB, From: 2, DB: "db", Key: "some/key"},
-		{Kind: KindFetch, DB: "db", Keys: []string{"a", "a-much-longer-key-name"}},
+		{Kind: KindOOB, From: 2, Key: "some/key"},
+		{Kind: KindFetch, Keys: []string{"a", "a-much-longer-key-name"}},
 		{Kind: KindStream, From: 128, DBVV: vv.VV{1 << 40, 0, 7}, MaxBytes: 1 << 20},
 		{Kind: KindPartPropagation, From: 2,
 			Parts: []core.PartState{{Pid: 0, DBVV: vv.VV{1}}, {Pid: 300, DBVV: vv.VV{0, 4}}}},
