@@ -54,8 +54,9 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## fuzz-wire: short fuzz pass over the wire codec decoders. The session
-## and reconcile targets start from the committed seed corpora under
+## fuzz-wire: short fuzz pass over the wire codec decoders, and over
+## ServeReconcile fed decoded stamped and sketched ranges. The session and
+## reconcile targets start from the committed seed corpora under
 ## internal/wire/testdata/fuzz/; new crashers land beside them and CI
 ## uploads them as artifacts.
 fuzz-wire:
@@ -65,5 +66,6 @@ fuzz-wire:
 	$(GO) test -run=NONE -fuzz=FuzzDecodePropagation -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzSessionFrames -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeReconcileFrames -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz=FuzzServeReconcile -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzRecovery -fuzztime=10s ./internal/wal

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/logvec"
@@ -125,5 +126,36 @@ func BenchmarkAntiEntropyNoop(b *testing.B) {
 		if AntiEntropy(dst, src) {
 			b.Fatal("unexpected data shipped")
 		}
+	}
+}
+
+// BenchmarkReconcileSession times one reconciliation's fingerprint phase,
+// both sides in process, over views already built: n items, d of them
+// rewritten at scattered keys on the source. At d = n/20 the session takes
+// the sketch; at d = n/2 the range split.
+func BenchmarkReconcileSession(b *testing.B) {
+	for _, tc := range []struct{ n, d int }{{5000, 250}, {5000, 2500}, {20000, 1000}} {
+		b.Run(fmt.Sprintf("n%d_d%d", tc.n, tc.d), func(b *testing.B) {
+			src, dst := NewReplica(0, 2), NewReplica(1, 2)
+			for i := 0; i < tc.n; i++ {
+				src.Update(fmt.Sprintf("item-%06d", i), op.NewSet([]byte{'a'}))
+			}
+			AntiEntropy(dst, src)
+			for _, i := range rand.New(rand.NewSource(1)).Perm(tc.n)[:tc.d] {
+				src.Update(fmt.Sprintf("item-%06d", i), op.NewSet([]byte{'b'}))
+			}
+			src.reconcileView()
+			dst.reconcileView()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rc := dst.StartReconcile()
+				for ranges := rc.Next(); ranges != nil; ranges = rc.Next() {
+					rc.Handle(ranges, src.ServeReconcile(ranges))
+				}
+				if len(rc.NeedKeys()) != tc.d {
+					b.Fatalf("NeedKeys has %d keys, want %d", len(rc.NeedKeys()), tc.d)
+				}
+			}
+		})
 	}
 }

@@ -27,6 +27,16 @@ package core
 //	                              <----   per range: match | splits | key digests
 //	  (recurse on mismatches)     ---->
 //	  ...
+//
+// or, when the DBVVs bound the difference tightly enough:
+//
+//	  root fp/count + view stamp  ---->
+//	                              <----   "send an m-cell sketch"
+//	  root + m-cell sketch        ---->
+//	                              <----   key digests only the server holds
+//
+// and then, either way:
+//
 //	  fetch differing keys        ---->   full items (BuildItems)
 //	  ApplyReconcileItems
 //
@@ -38,6 +48,21 @@ package core
 // adopted, concurrent ones declared in conflict), so reconciliation obeys
 // the same correctness rules as AcceptPropagation.
 //
+// The recursion pays a (key, digest) pair per item of every mismatching
+// leaf, and when the differences are scattered nearly every leaf
+// mismatches. The root round therefore carries the client's view stamp —
+// its DBVV when the view was built — and the paper's DBVV bounds the
+// difference in advance: two replicas that each reflect a prefix of every
+// origin's updates (§4.1) differ in at most D = Σ_k |V_s[k] − V_c[k]|
+// items. When a sketch of about 2.8D + c cells costs less than listing
+// the root's digests, the server asks for one instead of splitting, and
+// the second round is a subtraction of invertible Bloom lookup tables
+// (Goodrich–Mitzenmacher; Eppstein et al., "What's the Difference?"): the
+// server peels the server-only digests out and answers with their keys, a
+// leaf reply like any other. D only sizes the sketch. A sketch that does not
+// peel, or a D too large for one to pay, falls back to the split, so the
+// bound never decides what the session finds.
+//
 // Adopted items advance the DBVV without appending log records (there are
 // no records to ship — that is why we are reconciling). The recipient's
 // log therefore no longer covers its DBVV, and serving a log-based session
@@ -48,6 +73,9 @@ package core
 // only records that are still intact.
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -70,6 +98,24 @@ const (
 	// ReconcileFetchBatch is the number of differing keys fetched per
 	// BuildItems round by the reconciliation drivers.
 	ReconcileFetchBatch = 256
+
+	// sketchHashes is the number of cells each digest is added to: the
+	// sketch is cut into this many equal subtables, one cell in each. With
+	// three, two elements that share all their cells stop the peel about
+	// once in 40–55 sessions at 10–100 differing items; with four, a sketch
+	// of about the same size fails under once in 800 at every size measured.
+	sketchHashes = 4
+	// sketchSlackCells pads every subtable, so that small differences
+	// still peel.
+	sketchSlackCells = 10
+	// sketchCellBytes and reconcilePairBytes are the wire costs the choice
+	// between sketch and split compares: a cell is an 8-byte digest sum, a
+	// 4-byte check sum and a one-byte count; a listed item is its 8-byte
+	// digest and a short key.
+	sketchCellBytes    = 13
+	reconcilePairBytes = 16
+	// sketchCheckSeed keys the check hash apart from the cell indices.
+	sketchCheckSeed = 0x9e3779b97f4a7c15
 )
 
 // ReconcileRange is one key range [Lo, Hi) under comparison, summarized by
@@ -77,13 +123,32 @@ const (
 // unbounded upper end (the range runs to the end of the key space); the
 // initial request is the single range ["", +inf).
 //
+// The root range also carries the client's view stamp, from which the
+// server bounds the difference, and in the second round the client's
+// sketch of the range when the server asked for one.
+//
 //epi:notshared wire message value exchanged by one reconciliation session
 type ReconcileRange struct {
-	Lo    string
-	Hi    string
-	HiInf bool
-	Fp    uint64
-	Count uint64
+	Lo     string
+	Hi     string
+	HiInf  bool
+	Fp     uint64
+	Count  uint64
+	Stamp  vv.VV
+	Sketch []SketchCell
+}
+
+// SketchCell is one cell of an invertible Bloom lookup table over item
+// digests: the XOR of the digests added to it, the XOR of their check
+// hashes, and their number. Subtracting one replica's table from another's
+// cancels every digest both hold; the rest peel out of the cells left
+// holding exactly one.
+//
+//epi:notshared wire message value exchanged by one reconciliation session
+type SketchCell struct {
+	Sum   uint64
+	Check uint32
+	Count int64
 }
 
 // KeyDigest identifies one item version: the key plus the digest of its
@@ -97,42 +162,58 @@ type KeyDigest struct {
 }
 
 // ReconcileReply answers one requested range, in request order. Exactly
-// one of the three forms applies: Match (fingerprints agree — the whole
+// one of the four forms applies: Match (fingerprints agree — the whole
 // range is settled), Splits (sub-ranges with the server's fingerprints,
-// for the client to recurse on), or Keys (a leaf: the server's per-key
-// digests over the range, possibly empty).
+// for the client to recurse on), Keys (a leaf: the server's per-key
+// digests over the range, possibly empty, or the ones a sketch showed only
+// the server holds), or SketchCells (send the range again with a sketch of
+// that many cells).
 //
 //epi:notshared wire message value exchanged by one reconciliation session
 type ReconcileReply struct {
-	Match  bool
-	Splits []ReconcileRange
-	Keys   []KeyDigest
-	IsLeaf bool
+	Match       bool
+	Splits      []ReconcileRange
+	Keys        []KeyDigest
+	IsLeaf      bool
+	SketchCells uint64
 }
 
-// wireSize returns the protocol-shape byte estimate for one range, term
-// for term with the wire codec's encoding.
-func (rr ReconcileRange) wireSize() uint64 {
-	return 1 + stringWireSize(len(rr.Lo)) + stringWireSize(len(rr.Hi)) +
+// WireSize returns the exact encoded size of one range, term for term
+// with the wire codec's encoding.
+func (rr *ReconcileRange) WireSize() uint64 {
+	size := 1 + stringWireSize(len(rr.Lo)) + stringWireSize(len(rr.Hi)) +
 		8 + uvarintSize(rr.Count)
+	if len(rr.Stamp) > 0 {
+		size += uint64(rr.Stamp.BinarySize())
+	}
+	if len(rr.Sketch) > 0 {
+		size += uvarintSize(uint64(len(rr.Sketch)))
+		for _, c := range rr.Sketch {
+			size += 8 + 4 + varintSize(c.Count)
+		}
+	}
+	return size
 }
 
 // wireSize returns the protocol-shape byte estimate for one reply.
 func (rp ReconcileReply) wireSize() uint64 {
 	size := uint64(1) + uvarintSize(uint64(len(rp.Splits))) + uvarintSize(uint64(len(rp.Keys)))
-	for _, s := range rp.Splits {
-		size += s.wireSize()
+	for i := range rp.Splits {
+		size += rp.Splits[i].WireSize()
 	}
 	for _, kd := range rp.Keys {
 		size += stringWireSize(len(kd.Key)) + 8
+	}
+	if rp.SketchCells > 0 {
+		size += uvarintSize(rp.SketchCells)
 	}
 	return size
 }
 
 func reconcileRangesWireSize(ranges []ReconcileRange) uint64 {
 	size := uvarintSize(uint64(len(ranges)))
-	for _, rr := range ranges {
-		size += rr.wireSize()
+	for i := range ranges {
+		size += ranges[i].WireSize()
 	}
 	return size
 }
@@ -357,13 +438,180 @@ func (v *digestView) summarize(lo, hi int) (fp uint64, count uint64) {
 	return fp, uint64(hi - lo)
 }
 
+// stampDistance is D = Σ_k |a[k] − b[k]|, saturating: the most items two
+// replicas stamped a and b can differ in, when each reflects a prefix of
+// every origin's updates.
+func stampDistance(a, b vv.VV) uint64 {
+	var d uint64
+	for k := 0; k < max(len(a), len(b)); k++ {
+		x, y := a.Get(k), b.Get(k)
+		if x < y {
+			x, y = y, x
+		}
+		if d += x - y; d < x-y {
+			return math.MaxUint64
+		}
+	}
+	return d
+}
+
+// sketchCells is the sketch length for a difference of at most d items:
+// each differing item is at most two elements (the server's copy and the
+// client's), and a four-hash table peels at 1.4 cells per element, 0.7
+// cells per subtable per item.
+func sketchCells(d uint64) uint64 {
+	return sketchHashes * ((7*d+9)/10 + sketchSlackCells)
+}
+
+// sketchSize returns the sketch length to ask for on a range of count
+// items whose replicas differ in at most d items, or 0 when a sketch would
+// not cost less than listing the range's digests.
+func sketchSize(d, count uint64) uint64 {
+	if d >= count {
+		return 0
+	}
+	if m := sketchCells(d); m*sketchCellBytes < count*reconcilePairBytes {
+		return m
+	}
+	return 0
+}
+
+// sketchFits reports whether an m-cell sketch is well formed and no longer
+// than a difference of d items needs: the cap each side puts on a sketch
+// the other side asked for or sent.
+func sketchFits(m, d uint64) bool {
+	return m > 0 && m%sketchHashes == 0 && m <= sketchCells(d)
+}
+
+// sketchCheck is a digest's check hash: a cell holds exactly one digest
+// when its count is ±1 and its check sum is that digest's check hash.
+func sketchCheck(g uint64) uint32 {
+	return uint32(ring.Mix64(g ^ sketchCheckSeed))
+}
+
+// sketchIndex returns the digest's cell in subtable i of s cells. Digests
+// are finalized hashes, so the top bits of four rotations of one digest
+// place it independently in each subtable.
+func sketchIndex(g uint64, i, s int) int {
+	hi, _ := bits.Mul64(bits.RotateLeft64(g, 16*i), uint64(s))
+	return i*s + int(hi)
+}
+
+// toggle adds (n = 1) or removes (n = −1) digest g, with check hash chk, in
+// each of its cells.
+func toggle(cells []SketchCell, g uint64, chk uint32, n int64) {
+	s := len(cells) / sketchHashes
+	for i := 0; i < sketchHashes; i++ {
+		c := &cells[sketchIndex(g, i, s)]
+		c.Sum ^= g
+		c.Check ^= chk
+		c.Count += n
+	}
+}
+
+func (c *SketchCell) pure() bool {
+	return (c.Count == 1 || c.Count == -1) && c.Check == sketchCheck(c.Sum)
+}
+
+// sketch returns an m-cell sketch of the digests over [lo, hi).
+func (v *digestView) sketch(lo, hi, m int) []SketchCell {
+	cells := make([]SketchCell, m)
+	for _, g := range v.fps[lo:hi] {
+		toggle(cells, g, sketchCheck(g), 1)
+	}
+	return cells
+}
+
+// peel decodes a difference sketch (this side's cells minus the peer's) in
+// place and returns the digests only this side holds. It fails when the
+// cells do not peel to empty, and stops after 3m extractions whatever the
+// peer sent.
+func peel(cells []SketchCell) ([]uint64, bool) {
+	queue := make([]int, 0, len(cells))
+	for j := range cells {
+		if cells[j].pure() {
+			queue = append(queue, j)
+		}
+	}
+	var ours []uint64
+	for steps := 0; len(queue) > 0; {
+		c := cells[queue[len(queue)-1]]
+		queue = queue[:len(queue)-1]
+		if !c.pure() {
+			continue
+		}
+		if steps++; steps > 3*len(cells) {
+			return nil, false
+		}
+		if c.Count == 1 {
+			ours = append(ours, c.Sum)
+		}
+		toggle(cells, c.Sum, c.Check, -c.Count)
+		s := len(cells) / sketchHashes
+		for i := 0; i < sketchHashes; i++ {
+			if j := sketchIndex(c.Sum, i, s); cells[j].pure() {
+				queue = append(queue, j)
+			}
+		}
+	}
+	for _, c := range cells {
+		if c != (SketchCell{}) {
+			return nil, false
+		}
+	}
+	return ours, true
+}
+
+// sketchKeys subtracts the peer's sketch of [lo, hi) from this view's,
+// peels it, and returns the keys and digests only this view holds: the
+// leaf reply the split recursion would have narrowed down to. ok is false
+// when the sketch does not decode or names a digest the view lacks.
+func (v *digestView) sketchKeys(lo, hi int, theirs []SketchCell) (keys []KeyDigest, ok bool) {
+	cells := v.sketch(lo, hi, len(theirs))
+	for j, t := range theirs {
+		cells[j].Sum ^= t.Sum
+		cells[j].Check ^= t.Check
+		cells[j].Count -= t.Count
+	}
+	ours, ok := peel(cells)
+	if !ok {
+		return nil, false
+	}
+	// Find the decoded digests in one pass over the range. A bitmap of at
+	// least 16 bits per digest, indexed by the digest's top bits, turns
+	// away all but a sixteenth of the range's other digests before the
+	// binary search.
+	slices.Sort(ours)
+	shift := 64 - max(6, bits.Len(uint(16*len(ours))))
+	filter := make([]uint64, 1<<(64-shift)/64)
+	for _, g := range ours {
+		filter[g>>shift/64] |= 1 << (g >> shift % 64)
+	}
+	keys = make([]KeyDigest, 0, len(ours))
+	for j := lo; j < hi && len(keys) < len(ours); j++ {
+		g := v.fps[j]
+		if filter[g>>shift/64]&(1<<(g>>shift%64)) == 0 {
+			continue
+		}
+		if _, found := slices.BinarySearch(ours, g); found {
+			keys = append(keys, KeyDigest{Key: v.keys[j], Fp: g})
+		}
+	}
+	// A digest the view lacks, or one decoded twice, leaves keys short.
+	return keys, len(keys) == len(ours)
+}
+
 // ServeReconcile answers one round of a reconciliation session: for each
 // requested range, either confirm the fingerprint matches, split it into
 // sub-ranges with this replica's fingerprints, or — at leaf size — return
-// the per-key digests. Stateless: each call answers from a consistent view
-// of the current item set (reconcileView), so rounds interleave safely with
-// updates and other sessions (a mutation between rounds at worst re-opens a
-// range that the next round settles).
+// the per-key digests. A stamped range whose difference the two stamps
+// bound tightly enough is answered with the size of the sketch to send
+// instead, and a sketched range with the keys the sketch shows only this
+// replica holds, or with the split when it does not decode. Stateless:
+// each call answers from a consistent view of the current item set
+// (reconcileView), so rounds interleave safely with updates and other
+// sessions (a mutation between rounds at worst re-opens a range that the
+// next round settles).
 func (r *Replica) ServeReconcile(ranges []ReconcileRange) []ReconcileReply {
 	view := r.reconcileView()
 	replies := make([]ReconcileReply, len(ranges))
@@ -373,6 +621,25 @@ func (r *Replica) ServeReconcile(ranges []ReconcileRange) []ReconcileReply {
 		if fp == rr.Fp && count == rr.Count {
 			replies[i] = ReconcileReply{Match: true}
 			continue
+		}
+		// The stamp is recomputed into D every round: the server keeps no
+		// session state. In the second round D and the own item count cap
+		// the sketch it will build; a writer between the rounds only makes
+		// D larger than the sketch was sized for, and the peel decides.
+		d := uint64(math.MaxUint64)
+		if len(rr.Stamp) > 0 {
+			d = stampDistance(view.stamp, rr.Stamp)
+		}
+		if len(rr.Sketch) > 0 && sketchFits(uint64(len(rr.Sketch)), min(d, count)) {
+			if keys, ok := view.sketchKeys(lo, hi, rr.Sketch); ok {
+				replies[i] = ReconcileReply{Keys: keys, IsLeaf: true}
+				continue
+			}
+		} else if len(rr.Sketch) == 0 && hi-lo > reconcileLeafItems {
+			if m := sketchSize(d, count); m > 0 {
+				replies[i] = ReconcileReply{SketchCells: m}
+				continue
+			}
 		}
 		if hi-lo <= reconcileLeafItems {
 			keys := make([]KeyDigest, 0, hi-lo)
@@ -414,9 +681,10 @@ func (r *Replica) ServeReconcile(ranges []ReconcileRange) []ReconcileReply {
 // Reconciler drives the client (recipient) side of one reconciliation
 // session. Obtain one with StartReconcile, then loop: Next gives the
 // ranges to send, Handle ingests the matching replies; when Next returns
-// nil the fingerprint phase is over and NeedKeys lists the keys whose
-// copies differ, to be fetched as full items and committed with
-// ApplyReconcileItems. Not safe for concurrent use.
+// nil the fingerprint phase is over. If Err is then nil, NeedKeys lists
+// the keys whose copies differ, to be fetched as full items and committed
+// with ApplyReconcileItems; otherwise the session stopped short and its
+// difference is incomplete. Not safe for concurrent use.
 //
 //epi:notshared session cursor documented not safe for concurrent use; driven by one goroutine
 type Reconciler struct {
@@ -424,24 +692,32 @@ type Reconciler struct {
 	pending  []ReconcileRange
 	needKeys []string
 	rounds   int
+	err      error
 }
 
 // StartReconcile opens a reconciliation session (this replica is the
-// recipient). Charges one ReconcileSessions.
+// recipient). The root range carries the view's stamp, so the source can
+// bound the difference. Charges one ReconcileSessions.
 func (r *Replica) StartReconcile() *Reconciler {
 	view := r.reconcileView()
 	fp, count := view.summarize(0, len(view.keys))
 	r.met.ReconcileSessions.Add(1)
 	return &Reconciler{
 		r:       r,
-		pending: []ReconcileRange{{HiInf: true, Fp: fp, Count: count}},
+		pending: []ReconcileRange{{HiInf: true, Fp: fp, Count: count, Stamp: view.stamp}},
 	}
 }
 
 // Next returns the ranges to send this round (nil when the fingerprint
-// phase is complete) and charges the round's request traffic.
+// phase is complete) and charges the round's request traffic. A session
+// that reaches reconcileMaxRounds with ranges still pending stops with an
+// error (Err).
 func (rc *Reconciler) Next() []ReconcileRange {
-	if len(rc.pending) == 0 || rc.rounds >= reconcileMaxRounds {
+	if len(rc.pending) == 0 || rc.err != nil {
+		return nil
+	}
+	if rc.rounds >= reconcileMaxRounds {
+		rc.err = fmt.Errorf("core: reconciliation stopped after %d rounds with %d ranges pending", rc.rounds, len(rc.pending))
 		return nil
 	}
 	rc.rounds++
@@ -456,13 +732,18 @@ func (rc *Reconciler) Next() []ReconcileRange {
 // Handle ingests one round of replies (aligned by index with the ranges
 // Next returned). Mismatching splits become next round's ranges with this
 // replica's own fingerprints; leaf digests are compared against the local
-// copies and genuinely differing keys accumulate into NeedKeys.
-func (rc *Reconciler) Handle(sent []ReconcileRange, replies []ReconcileReply) {
-	if len(replies) > len(sent) {
-		replies = replies[:len(sent)]
+// copies and genuinely differing keys accumulate into NeedKeys; a sketch
+// request re-sends its range with this replica's sketch. A reply count
+// that differs from the ranges sent ends the session with an error, which
+// Err reports from then on.
+func (rc *Reconciler) Handle(sent []ReconcileRange, replies []ReconcileReply) error {
+	if len(replies) != len(sent) {
+		rc.err = fmt.Errorf("core: reconcile round answered %d of %d ranges", len(replies), len(sent))
+		rc.pending = nil
+		return rc.err
 	}
 	view := rc.r.reconcileView()
-	for _, rp := range replies {
+	for i, rp := range replies {
 		switch {
 		case rp.Match:
 			// Settled.
@@ -471,12 +752,33 @@ func (rc *Reconciler) Handle(sent []ReconcileRange, replies []ReconcileReply) {
 			// local digest is absent or different. Keys only we hold need
 			// nothing — reconciliation, like propagation, moves data from
 			// source to recipient only.
+			if len(sent[i].Sketch) > 0 {
+				// Decoded from our sketch: each digest is one we did not
+				// hold when we built it, so every key differs.
+				for _, kd := range rp.Keys {
+					rc.needKeys = append(rc.needKeys, kd.Key)
+				}
+				continue
+			}
 			for _, kd := range rp.Keys {
 				j, found := slices.BinarySearch(view.keys, kd.Key)
 				if !found || view.fps[j] != kd.Fp {
 					rc.needKeys = append(rc.needKeys, kd.Key)
 				}
 			}
+		case rp.SketchCells > 0:
+			// The source bounded the difference: send the range again with
+			// a sketch of the size it asked for. A size this replica's own
+			// items cannot justify is refused by dropping the stamp, which
+			// asks for the split instead.
+			sub := ReconcileRange{Lo: sent[i].Lo, Hi: sent[i].Hi, HiInf: sent[i].HiInf}
+			lo, hi := view.bounds(sub)
+			sub.Fp, sub.Count = view.summarize(lo, hi)
+			if sketchFits(rp.SketchCells, sub.Count) {
+				sub.Stamp = view.stamp
+				sub.Sketch = view.sketch(lo, hi, int(rp.SketchCells))
+			}
+			rc.pending = append(rc.pending, sub)
 		default:
 			for _, sub := range rp.Splits {
 				lo, hi := view.bounds(sub)
@@ -489,10 +791,16 @@ func (rc *Reconciler) Handle(sent []ReconcileRange, replies []ReconcileReply) {
 			}
 		}
 	}
+	return nil
 }
 
 // Rounds returns the number of fingerprint round trips driven so far.
 func (rc *Reconciler) Rounds() int { return rc.rounds }
+
+// Err reports why the session stopped short: a round answered with the
+// wrong number of replies, or the round cap reached with ranges pending.
+// A session with an error must not fetch or commit its partial NeedKeys.
+func (rc *Reconciler) Err() error { return rc.err }
 
 // NeedKeys returns the keys whose copies differ from the source's —
 // the session's computed difference set, to be fetched as full items.
@@ -563,8 +871,9 @@ func (r *Replica) ApplyReconcileItems(items []ItemPayload, source int) int {
 // ReconcileAntiEntropy performs one complete in-process reconciliation
 // session: recipient computes the difference against source via range
 // fingerprints, fetches the differing items, and commits them. Returns the
-// number of items adopted. The two replicas' locks are taken one at a
-// time, never together, like every other session driver.
+// number of items adopted; a session that stops short (Reconciler.Err)
+// adopts nothing. The two replicas' locks are taken one at a time, never
+// together, like every other session driver.
 func ReconcileAntiEntropy(recipient, source *Replica) int {
 	rc := recipient.StartReconcile()
 	for {
@@ -573,6 +882,9 @@ func ReconcileAntiEntropy(recipient, source *Replica) int {
 			break
 		}
 		rc.Handle(ranges, source.ServeReconcile(ranges))
+	}
+	if rc.Err() != nil {
+		return 0
 	}
 	adopted := 0
 	keys := rc.NeedKeys()

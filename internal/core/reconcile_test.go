@@ -321,7 +321,7 @@ func TestReconcileViewFollowsEveryMutation(t *testing.T) {
 	for _, step := range steps {
 		step.do()
 		want := reconcileRoot(r)
-		if moved := want != prev; moved != step.moves {
+		if moved := want.Fp != prev.Fp || want.Count != prev.Count; moved != step.moves {
 			t.Fatalf("%s: root summary moved=%v, want %v", step.name, moved, step.moves)
 		}
 		prev = want
@@ -365,7 +365,7 @@ func TestReconcileViewBuiltOncePerSidePerSession(t *testing.T) {
 		rc.Handle(ranges, src.ServeReconcile(ranges))
 		rounds++
 	}
-	if rounds < 3 {
+	if rounds < 2 {
 		t.Fatalf("session took %d rounds; the test needs several to show reuse", rounds)
 	}
 	if got := src.viewBuilds.Load() - srcBuilds; got != 1 {
@@ -705,5 +705,174 @@ func TestItemDigestInsensitiveToVectorLength(t *testing.T) {
 	}
 	if itemDigest("k", vv.VV{3}) == itemDigest("l", vv.VV{3}) {
 		t.Error("key not covered by digest")
+	}
+}
+
+// TestReconcileCounts is the reconciliation cost table: one N = 5000
+// replica pair per row, differing as the row says. Each row asserts that
+// NeedKeys is exactly the brute-force difference, which path the session
+// took, its exact round trips, a ceiling on the control bytes both sides
+// charged, and that each side built its view once.
+func TestReconcileCounts(t *testing.T) {
+	const n = 5000
+	key := func(i int) string { return fmt.Sprintf("item-%06d", i) }
+	scattered := func(seed int64, k int) []int {
+		return rand.New(rand.NewSource(seed)).Perm(n)[:k]
+	}
+	contiguous := func(from, k int) []int {
+		idx := make([]int, k)
+		for i := range idx {
+			idx[i] = from + i
+		}
+		return idx
+	}
+	const (
+		match    = "match"    // the root fingerprints agree
+		sketch   = "sketch"   // the sketch peeled
+		split    = "split"    // the range recursion, no sketch asked for
+		fallback = "fallback" // a sketch sent, then the recursion
+	)
+	for _, row := range []struct {
+		name     string
+		empty    bool  // the recipient starts with nothing
+		rewrite  []int // keys the source rewrites before the session
+		racing   []int // keys the source rewrites between rounds 1 and 2
+		path     string
+		trips    uint64
+		maxBytes uint64
+	}{
+		{name: "d=0", path: match, trips: 1, maxBytes: 64},
+		{name: "1 rewrite", rewrite: []int{2500}, path: sketch, trips: 2, maxBytes: 750},
+		{name: "40 contiguous", rewrite: contiguous(1000, 40), path: sketch, trips: 2, maxBytes: 3200},
+		{name: "250 scattered", rewrite: scattered(1, 250), path: sketch, trips: 2, maxBytes: 16_000},
+		{name: "2500 scattered", rewrite: scattered(2, 2500), path: split, trips: 3, maxBytes: 125_000},
+		{name: "empty recipient", empty: true, path: split, trips: 3, maxBytes: 125_000},
+		{name: "D under-counts", rewrite: scattered(3, 250), racing: scattered(4, 250), path: fallback, trips: 4, maxBytes: 125_000},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			src, dst := NewReplica(0, 2), NewReplica(1, 2)
+			for i := 0; i < n; i++ {
+				if err := src.Update(key(i), op.NewSet([]byte{'a'})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !row.empty {
+				AntiEntropy(dst, src)
+			}
+			rewrite := func(idx []int, tag byte) {
+				for _, i := range idx {
+					if err := src.Update(key(i), op.NewSet([]byte{tag})); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			rewrite(row.rewrite, 'b')
+
+			srcBefore, dstBefore := src.Metrics(), dst.Metrics()
+			srcBuilds, dstBuilds := src.viewBuilds.Load(), dst.viewBuilds.Load()
+			// sketches counts the sketched ranges sent, peeled the ones
+			// answered with a decoded leaf; the rest fell back to the split.
+			sketches, peeled := 0, 0
+			rc := dst.StartReconcile()
+			for ranges := rc.Next(); ranges != nil; ranges = rc.Next() {
+				if rc.Rounds() == 2 {
+					rewrite(row.racing, 'c')
+				}
+				replies := src.ServeReconcile(ranges)
+				for i, rr := range ranges {
+					if len(rr.Sketch) > 0 {
+						sketches++
+						if replies[i].IsLeaf {
+							peeled++
+						}
+					}
+				}
+				if err := rc.Handle(ranges, replies); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := rc.Err(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Brute force: every source key whose digest the recipient
+			// lacks.
+			var want []string
+			dkeys, dfps := scratchView(dst)
+			skeys, sfps := scratchView(src)
+			for i, k := range skeys {
+				if j, found := slices.BinarySearch(dkeys, k); !found || dfps[j] != sfps[i] {
+					want = append(want, k)
+				}
+			}
+			got := slices.Clone(rc.NeedKeys())
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("NeedKeys has %d keys, brute force %d", len(got), len(want))
+			}
+
+			path := match
+			switch {
+			case sketches == 1 && peeled == 1:
+				path = sketch
+			case sketches == 1:
+				path = fallback
+			case rc.Rounds() > 1:
+				path = split
+			}
+			trips := dst.Metrics().Diff(dstBefore).ReconcileRoundTrips
+			bytes := dst.Metrics().Diff(dstBefore).ReconcileBytes + src.Metrics().Diff(srcBefore).ReconcileBytes
+			t.Logf("%d differing keys: %s path, %d round trips, %d B", len(want), path, trips, bytes)
+			if path != row.path || trips != row.trips {
+				t.Errorf("path %s in %d round trips, want %s in %d", path, trips, row.path, row.trips)
+			}
+			if bytes > row.maxBytes {
+				t.Errorf("control traffic %d B, ceiling %d B", bytes, row.maxBytes)
+			}
+			wantSrcBuilds := uint64(1)
+			if row.racing != nil {
+				wantSrcBuilds = 2 // the racing writes move the source's view
+			}
+			if got := src.viewBuilds.Load() - srcBuilds; got != wantSrcBuilds {
+				t.Errorf("source built its view %d times, want %d", got, wantSrcBuilds)
+			}
+			if got := dst.viewBuilds.Load() - dstBuilds; got != 1 {
+				t.Errorf("recipient built its view %d times, want 1", got)
+			}
+		})
+	}
+}
+
+// TestReconcileStopsShortWithAnError covers both ways a session can stop
+// with ranges unsettled: a round answered with too few replies, and a
+// server whose splits never converge until the round cap.
+func TestReconcileStopsShortWithAnError(t *testing.T) {
+	src, dst := NewReplica(0, 2), NewReplica(1, 2)
+	reconcileFill(t, src, 100, 'a')
+
+	rc := dst.StartReconcile()
+	ranges := rc.Next()
+	if err := rc.Handle(ranges, nil); err == nil {
+		t.Fatal("a round with no replies was accepted")
+	}
+	if rc.Next() != nil || rc.Err() == nil {
+		t.Fatal("session went on after a short round")
+	}
+
+	rc = dst.StartReconcile()
+	for ranges := rc.Next(); ranges != nil; ranges = rc.Next() {
+		replies := make([]ReconcileReply, len(ranges))
+		for i := range replies {
+			replies[i] = ReconcileReply{Splits: []ReconcileRange{{HiInf: true, Fp: 1, Count: 1}}}
+		}
+		if err := rc.Handle(ranges, replies); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rc.Err() == nil || rc.Rounds() != reconcileMaxRounds {
+		t.Fatalf("after %d rounds err = %v, want the round-cap error", rc.Rounds(), rc.Err())
+	}
+	if got := ReconcileAntiEntropy(dst, src); got != 100 {
+		t.Fatalf("a complete session adopted %d items, want 100", got)
 	}
 }

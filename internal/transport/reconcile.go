@@ -29,12 +29,19 @@ var ErrNeedsReconcile = errors.New("transport: source pruned past requester's DB
 // reconcileSession drives the fingerprint phase of one reconciliation
 // session against the server at addr (partition part on a partitioned
 // server; 0 otherwise) and returns the keys whose copies differ — the
-// session's computed difference set.
+// session's computed difference set. A session that stops short (a round
+// answered with the wrong number of replies, or the round cap reached with
+// ranges pending) returns an error and no keys: a partial difference must
+// not be fetched, since committing it would raise the recipient's pruned
+// watermark past items it never received.
 func (c *Client) reconcileSession(r *core.Replica, addr string, part int) ([]string, error) {
 	rc := r.StartReconcile()
 	for {
 		ranges := rc.Next()
 		if ranges == nil {
+			if err := rc.Err(); err != nil {
+				return nil, err
+			}
 			return rc.NeedKeys(), nil
 		}
 		req := &wire.Request{Kind: wire.KindReconcile, From: r.ID(), Part: part, Ranges: ranges}
@@ -42,7 +49,9 @@ func (c *Client) reconcileSession(r *core.Replica, addr string, part int) ([]str
 		if err := c.do(r, addr, req, &resp); err != nil {
 			return nil, err
 		}
-		rc.Handle(ranges, resp.Recon)
+		if err := rc.Handle(ranges, resp.Recon); err != nil {
+			return nil, err
+		}
 	}
 }
 

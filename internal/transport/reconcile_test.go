@@ -1,12 +1,17 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/op"
+	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // pruneAwayFrom sets a tight log cap on src and prunes until peer's DBVV
@@ -196,5 +201,79 @@ func TestPartPullDivertsToReconcile(t *testing.T) {
 	}
 	if reconciles == 0 {
 		t.Error("no partition used a reconcile session")
+	}
+}
+
+// TestReconcileShortRoundFetchesNothing runs a session against a server
+// that answers every multi-range round with its last reply missing. The
+// session must fail without fetching: a partial difference committed
+// would raise the recipient's pruned watermark past items it never got.
+func TestReconcileShortRoundFetchesNothing(t *testing.T) {
+	src := core.NewReplica(0, 2)
+	for i := 0; i < 400; i++ {
+		if err := src.Update(fmt.Sprintf("item/%05d", i), op.NewSet([]byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var fetches atomic.Int64
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(conn net.Conn) {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				if wire.ReadPreamble(br) != nil {
+					return
+				}
+				for {
+					frame, err := wire.ReadFrame(br, wire.FrameRequest, nil)
+					if err != nil {
+						return
+					}
+					var req wire.Request
+					if err := wire.DecodeRequest(frame, &req); err != nil {
+						return
+					}
+					var resp wire.Response
+					switch req.Kind {
+					case wire.KindReconcile:
+						resp.Recon = src.ServeReconcile(req.Ranges)
+						if len(resp.Recon) > 1 {
+							resp.Recon = resp.Recon[:len(resp.Recon)-1]
+						}
+					case wire.KindFetch:
+						fetches.Add(1)
+						resp.Items = src.BuildItems(req.Keys)
+					default:
+						resp.Err = "unexpected request"
+					}
+					if err := wire.WriteFrame(conn, wire.FrameResponse, wire.AppendResponse(nil, &resp)); err != nil {
+						return
+					}
+				}
+			}(conn)
+		}
+	}()
+
+	c := NewClient(Options{})
+	defer c.Close()
+	dst := core.NewReplica(1, 2)
+	adopted, err := c.reconcileWith(InMemory(dst), ln.Addr().String(), 0)
+	if err == nil {
+		t.Fatalf("session with a missing reply succeeded, adopting %d items", adopted)
+	}
+	if n := fetches.Load(); n != 0 || adopted != 0 {
+		t.Fatalf("short session fetched %d batches and adopted %d items, want none", n, adopted)
+	}
+	if dst.NeedsReconcile(vv.VV{}) {
+		t.Fatal("short session raised the recipient's pruned watermark")
 	}
 }

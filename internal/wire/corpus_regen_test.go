@@ -10,10 +10,10 @@ import (
 	"repro/internal/core"
 )
 
-// Seed corpora for the session-frame and reconcile-frame fuzz drivers are
-// committed under testdata/fuzz/ so the CI fuzz smoke (and every plain
-// `go test` run, which executes corpus entries as seed cases) always
-// exercises real frames instead of starting from an empty corpus. The
+// Seed corpora for the session-frame, reconcile-frame and reconcile-serve
+// fuzz drivers are committed under testdata/fuzz/ so the CI fuzz smoke (and
+// every plain `go test` run, which executes corpus entries as seed cases)
+// always exercises real frames instead of starting from an empty corpus. The
 // corpus duplicates the drivers' f.Add seeds on purpose: the drivers keep
 // their inline seeds so wirecheck's fuzz leg sees the kind constants, and
 // the files below survive for crasher triage and CI artifact upload.
@@ -40,12 +40,13 @@ func TestRegenerateSeedCorpora(t *testing.T) {
 	}
 	write("FuzzSessionFrames", sessionFrameSeeds())
 	write("FuzzDecodeReconcileFrames", reconcileFrameSeeds())
+	write("FuzzServeReconcile", serveReconcileSeeds(t))
 }
 
 // TestSeedCorporaPresent keeps the committed corpus from silently
-// disappearing: both drivers must have at least one on-disk seed.
+// disappearing: every driver must have at least one on-disk seed.
 func TestSeedCorporaPresent(t *testing.T) {
-	for _, fuzzName := range []string{"FuzzSessionFrames", "FuzzDecodeReconcileFrames"} {
+	for _, fuzzName := range []string{"FuzzSessionFrames", "FuzzDecodeReconcileFrames", "FuzzServeReconcile"} {
 		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", fuzzName))
 		if err != nil || len(entries) == 0 {
 			t.Errorf("no committed seed corpus for %s (err %v); run WIRE_REGEN_CORPUS=1 go test -run TestRegenerateSeedCorpora ./internal/wire", fuzzName, err)
@@ -89,5 +90,8 @@ func reconcileFrameSeeds() [][]byte {
 		}}),
 		AppendResponse(nil, &Response{Parts: []PartReply{{Pid: 1, Reconcile: true}}}),
 		{0xEB, 0x01, byte(KindReconcile)},
+		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[:1]}),
+		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[1:]}),
+		AppendResponse(nil, &Response{Recon: []core.ReconcileReply{{SketchCells: 780}}}),
 	}
 }

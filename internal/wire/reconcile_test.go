@@ -2,9 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/op"
 	"repro/internal/vv"
 )
 
@@ -16,12 +20,27 @@ func sampleRanges() []core.ReconcileRange {
 	}
 }
 
+// sketchRanges are the second-round shapes: a stamped root, and a
+// stamped root with a sketch whose cells cover every field's range.
+func sketchRanges() []core.ReconcileRange {
+	return []core.ReconcileRange{
+		{HiInf: true, Fp: 3, Count: 5000, Stamp: vv.VV{4000, 0, 1 << 33}},
+		{HiInf: true, Fp: 3, Count: 5000, Stamp: vv.VV{7}, Sketch: []core.SketchCell{
+			{Sum: 1 << 63, Check: 1 << 31, Count: -1},
+			{},
+			{Sum: 9, Check: 7, Count: 1 << 40},
+		}},
+	}
+}
+
 func rangesEqual(a, b []core.ReconcileRange) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		x, y := a[i], b[i]
+		if x.Lo != y.Lo || x.Hi != y.Hi || x.HiInf != y.HiInf || x.Fp != y.Fp || x.Count != y.Count ||
+			len(x.Stamp) != len(y.Stamp) || !x.Stamp.Equal(y.Stamp) || !slices.Equal(x.Sketch, y.Sketch) {
 			return false
 		}
 	}
@@ -33,7 +52,7 @@ func repliesEqual(a, b []core.ReconcileReply) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Match != b[i].Match || a[i].IsLeaf != b[i].IsLeaf ||
+		if a[i].Match != b[i].Match || a[i].IsLeaf != b[i].IsLeaf || a[i].SketchCells != b[i].SketchCells ||
 			!rangesEqual(a[i].Splits, b[i].Splits) || len(a[i].Keys) != len(b[i].Keys) {
 			return false
 		}
@@ -51,6 +70,7 @@ func TestReconcileRequestRoundTrip(t *testing.T) {
 		{Kind: KindReconcile, From: 2, Ranges: sampleRanges()},
 		{Kind: KindReconcile, From: 0, Ranges: nil},
 		{Kind: KindReconcile, From: 1, Part: 7, Ranges: sampleRanges()[:1]},
+		{Kind: KindReconcile, From: 1, Part: 3, Ranges: sketchRanges()},
 	} {
 		buf := AppendRequest(nil, req)
 		var got Request
@@ -72,7 +92,9 @@ func TestReconcileResponseRoundTrip(t *testing.T) {
 		{Match: true},
 		{Splits: sampleRanges()},
 		{IsLeaf: true, Keys: []core.KeyDigest{{Key: "a", Fp: 1}, {Key: "zz", Fp: 1 << 60}}},
-		{IsLeaf: true}, // empty leaf: server has nothing in the range
+		{IsLeaf: true},     // empty leaf: server has nothing in the range
+		{SketchCells: 780}, // send the range again with a sketch
+		{SketchCells: 1 << 40},
 	}
 	for _, resp := range []*Response{
 		{Reconcile: true},                 // divert marker on a propagation response
@@ -174,6 +196,9 @@ func FuzzDecodeReconcileFrames(f *testing.F) {
 		{Splits: sampleRanges()},
 	}}))
 	f.Add(AppendResponse(nil, &Response{Parts: []PartReply{{Pid: 1, Reconcile: true}}}))
+	f.Add(AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[:1]}))
+	f.Add(AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[1:]}))
+	f.Add(AppendResponse(nil, &Response{Recon: []core.ReconcileReply{{SketchCells: 780}}}))
 	f.Add([]byte{0xEB, 0x01, byte(KindReconcile)})
 	f.Add([]byte{0xFF, 0x00, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -198,6 +223,116 @@ func FuzzDecodeReconcileFrames(f *testing.F) {
 			if resp2.Reconcile != resp.Reconcile || !repliesEqual(resp2.Recon, resp.Recon) {
 				t.Fatalf("response round trip mismatch: %+v vs %+v", resp, resp2)
 			}
+		}
+	})
+}
+
+// A sketch or stamp flag must be followed by a non-empty body, and a
+// sketch's cell count must fit the bytes present, so that a corrupt count
+// cannot make the decoder allocate for cells that are not there.
+func TestReconcileDecodeRejectsMalformedSketch(t *testing.T) {
+	// A request with one empty range: kind, from, DBVV, key, keys,
+	// max-bytes, one range (flags, lo, hi, fp), then the range's tail and
+	// the partition.
+	request := func(flags byte, tail ...byte) []byte {
+		buf := []byte{byte(KindReconcile), 0, 0, 0, 0, 0, 1, flags, 0, 0}
+		return append(append(buf, make([]byte, 8)...), tail...)
+	}
+	if err := DecodeRequest(request(0, 0, 0), new(Request)); err != nil {
+		t.Fatalf("well-formed plain range rejected: %v", err)
+	}
+	for name, req := range map[string][]byte{
+		"zero-cell sketch": request(rangeSketch, 0, 0, 0),
+		"oversized count":  request(rangeSketch, 0, 0xFF, 0xFF, 0x03, 1, 2, 3),
+		"truncated cell":   request(rangeSketch, 0, 1, 1, 2, 3),
+		"empty stamp":      request(rangeStamp, 0, 0, 0),
+	} {
+		if err := DecodeRequest(req, new(Request)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	resp := AppendResponse(nil, &Response{Recon: []core.ReconcileReply{{SketchCells: 1}}})
+	resp[len(resp)-1] = 0 // the sketch flag set, with a zero cell count
+	if err := DecodeResponse(resp, new(Response)); err == nil {
+		t.Error("zero-cell sketch request decoded")
+	}
+}
+
+// reconcileFuzzPair is the fuzz fixture: a 64-item source and a recipient
+// that lacks four of its rewrites, plus the two requests a real session
+// between them sends — the stamped root, then the sketched root.
+func reconcileFuzzPair(tb testing.TB) (src *core.Replica, root, sketched *Request) {
+	src, dst := core.NewReplica(0, 2), core.NewReplica(1, 2)
+	for i := 0; i < 64; i++ {
+		if err := src.Update(fmt.Sprintf("k%03d", i), op.NewSet([]byte{byte(i)})); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	core.AntiEntropy(dst, src)
+	for i := 0; i < 64; i += 16 {
+		if err := src.Update(fmt.Sprintf("k%03d", i), op.NewSet([]byte("new"))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rc := dst.StartReconcile()
+	root = &Request{Kind: KindReconcile, From: 1, Ranges: rc.Next()}
+	replies := src.ServeReconcile(root.Ranges)
+	if len(replies) != 1 || replies[0].SketchCells == 0 {
+		tb.Fatalf("fixture: root reply %+v, want a sketch request", replies)
+	}
+	if err := rc.Handle(root.Ranges, replies); err != nil {
+		tb.Fatal(err)
+	}
+	sketched = &Request{Kind: KindReconcile, From: 1, Ranges: rc.Next()}
+	return src, root, sketched
+}
+
+func serveReconcileSeeds(tb testing.TB) [][]byte {
+	_, root, sketched := reconcileFuzzPair(tb)
+	garbage := *sketched
+	garbage.Ranges = slices.Clone(sketched.Ranges)
+	garbage.Ranges[0].Sketch = []core.SketchCell{{Sum: 1, Check: 2, Count: 1}, {Count: -1}, {Sum: 3}}
+	return [][]byte{
+		AppendRequest(nil, root),
+		AppendRequest(nil, sketched),
+		AppendRequest(nil, &garbage),
+		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()}),
+		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sampleRanges()}),
+	}
+}
+
+// FuzzServeReconcile feeds arbitrary reconcile requests — stamped,
+// sketched, both or neither — to ServeReconcile on a small fixed replica.
+// It must not panic, must answer every range within the replica's own
+// bounds, and must allocate in proportion to the ranges it was sent, never
+// to the sizes or counts they claim.
+func FuzzServeReconcile(f *testing.F) {
+	src, _, _ := reconcileFuzzPair(f)
+	for _, seed := range serveReconcileSeeds(f) {
+		f.Add(seed)
+	}
+	const items = 64
+	src.ServeReconcile(nil) // build the view outside the measurement
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req Request
+		if err := DecodeRequest(data, &req); err != nil || req.Kind != KindReconcile {
+			return
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		replies := src.ServeReconcile(req.Ranges)
+		runtime.ReadMemStats(&after)
+		if len(replies) != len(req.Ranges) {
+			t.Fatalf("%d replies to %d ranges", len(replies), len(req.Ranges))
+		}
+		for _, rp := range replies {
+			if len(rp.Keys) > items || len(rp.Splits) > 16 || rp.SketchCells > 3*items {
+				t.Fatalf("reply beyond the replica's bounds: %d keys, %d splits, %d sketch cells",
+					len(rp.Keys), len(rp.Splits), rp.SketchCells)
+			}
+		}
+		if alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(64<<10)*uint64(len(req.Ranges)+1); alloc > budget {
+			t.Fatalf("serving %d ranges allocated %d B, budget %d B", len(req.Ranges), alloc, budget)
 		}
 	})
 }

@@ -13,7 +13,7 @@
 //
 // A client opening a framed connection first sends two bytes:
 //
-//	[Magic 0xEB] [Version 0x02]
+//	[Magic 0xEB] [Version 0x03]
 //
 // The magic byte is a sanity check that the peer speaks this codec at all;
 // the version byte names the codec below. A wrong magic or an unknown
@@ -60,9 +60,10 @@ const (
 	// the peer speaks this codec, rejected by closing when it differs.
 	Magic = 0xEB
 	// Version is the codec version this package speaks. Version 2 dropped
-	// the request's database name; a version-1 peer is closed at the
-	// preamble instead of being misparsed.
-	Version = 2
+	// the request's database name; version 3 added the reconcile range's
+	// view stamp and sketch and the reply's sketch size. An older peer is
+	// closed at the preamble instead of being misparsed.
+	Version = 3
 	// FrameRequest marks a client-to-server frame.
 	FrameRequest = 0x01
 	// FrameResponse marks a server-to-client frame.
@@ -391,8 +392,7 @@ func RequestWireSize(req *Request) uint64 {
 	if req.Kind == KindReconcile {
 		size += uvarintSize(uint64(len(req.Ranges)))
 		for i := range req.Ranges {
-			rr := &req.Ranges[i]
-			size += 1 + stringSize(len(rr.Lo)) + stringSize(len(rr.Hi)) + 8 + uvarintSize(rr.Count)
+			size += req.Ranges[i].WireSize()
 		}
 		size += uvarintSize(uint64(req.Part))
 	}
@@ -792,16 +792,23 @@ func (d *decoder) oob() core.OOBReply {
 
 // ---- Reconciliation ----
 
-// ReconcileRange flag bits.
+// ReconcileRange flag bits. A stamp or sketch follows the count only when
+// its bit is set, so a plain range encodes as it did before either existed.
 const (
 	rangeHiInf = 1 << iota
+	rangeStamp
+	rangeSketch
 )
 
 // ReconcileReply flag bits.
 const (
 	replyMatch = 1 << iota
 	replyIsLeaf
+	replySketch
 )
+
+// sketchCellMin is the fewest bytes one encoded sketch cell occupies.
+const sketchCellMin = 8 + 4 + 1
 
 //epi:hotpath
 func appendReconcileRange(buf []byte, rr *core.ReconcileRange) []byte {
@@ -809,23 +816,68 @@ func appendReconcileRange(buf []byte, rr *core.ReconcileRange) []byte {
 	if rr.HiInf {
 		flags |= rangeHiInf
 	}
+	if len(rr.Stamp) > 0 {
+		flags |= rangeStamp
+	}
+	if len(rr.Sketch) > 0 {
+		flags |= rangeSketch
+	}
 	buf = append(buf, flags)
 	buf = appendString(buf, rr.Lo)
 	buf = appendString(buf, rr.Hi)
 	buf = binary.LittleEndian.AppendUint64(buf, rr.Fp)
-	return binary.AppendUvarint(buf, rr.Count)
+	buf = binary.AppendUvarint(buf, rr.Count)
+	if len(rr.Stamp) > 0 {
+		buf = rr.Stamp.AppendBinary(buf)
+	}
+	if len(rr.Sketch) > 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(rr.Sketch)))
+		for _, c := range rr.Sketch {
+			buf = binary.LittleEndian.AppendUint64(buf, c.Sum)
+			buf = binary.LittleEndian.AppendUint32(buf, c.Check)
+			buf = binary.AppendVarint(buf, c.Count)
+		}
+	}
+	return buf
 }
 
 //epi:hotpath
 func (d *decoder) reconcileRange() core.ReconcileRange {
 	flags := d.byte()
-	return core.ReconcileRange{
+	rr := core.ReconcileRange{
 		HiInf: flags&rangeHiInf != 0,
 		Lo:    d.string(),
 		Hi:    d.string(),
 		Fp:    d.u64(),
 		Count: d.uvarint(),
 	}
+	if flags&rangeStamp != 0 {
+		if rr.Stamp = d.vv(); d.err == nil && len(rr.Stamp) == 0 {
+			d.fail("empty reconcile stamp")
+		}
+	}
+	if flags&rangeSketch != 0 {
+		rr.Sketch = d.sketch()
+	}
+	return rr
+}
+
+// sketch decodes a non-empty run of sketch cells. The cell count is checked
+// against the bytes present at the smallest cell size, so a corrupt count
+// cannot force a large allocation.
+func (d *decoder) sketch() []core.SketchCell {
+	n := d.uvarint()
+	if d.err == nil && (n == 0 || n > uint64(len(d.buf)-d.pos)/sketchCellMin) {
+		d.fail("sketch of %d cells in %d remaining bytes", n, len(d.buf)-d.pos)
+	}
+	if d.err != nil {
+		return nil
+	}
+	cells := make([]core.SketchCell, n)
+	for i := range cells {
+		cells[i] = core.SketchCell{Sum: d.u64(), Check: d.u32(), Count: d.varint()}
+	}
+	return cells
 }
 
 //epi:hotpath
@@ -837,6 +889,9 @@ func appendReconcileReply(buf []byte, rp *core.ReconcileReply) []byte {
 	if rp.IsLeaf {
 		flags |= replyIsLeaf
 	}
+	if rp.SketchCells > 0 {
+		flags |= replySketch
+	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(rp.Splits)))
 	for i := range rp.Splits {
@@ -846,6 +901,9 @@ func appendReconcileReply(buf []byte, rp *core.ReconcileReply) []byte {
 	for i := range rp.Keys {
 		buf = appendString(buf, rp.Keys[i].Key)
 		buf = binary.LittleEndian.AppendUint64(buf, rp.Keys[i].Fp)
+	}
+	if rp.SketchCells > 0 {
+		buf = binary.AppendUvarint(buf, rp.SketchCells)
 	}
 	return buf
 }
@@ -864,6 +922,11 @@ func (d *decoder) reconcileReply() core.ReconcileReply {
 	nkeys := d.count()
 	for i := uint64(0); i < nkeys && d.err == nil; i++ {
 		rp.Keys = append(rp.Keys, core.KeyDigest{Key: d.string(), Fp: d.u64()})
+	}
+	if flags&replySketch != 0 {
+		if rp.SketchCells = d.uvarint(); d.err == nil && rp.SketchCells == 0 {
+			d.fail("zero-cell sketch request")
+		}
 	}
 	return rp
 }
@@ -942,6 +1005,19 @@ func (d *decoder) u64() uint64 {
 	}
 	v := binary.LittleEndian.Uint64(d.buf[d.pos:])
 	d.pos += 8
+	return v
+}
+
+func (d *decoder) u32() uint32 {
+	if d.err != nil {
+		return 0
+	}
+	if len(d.buf)-d.pos < 4 {
+		d.fail("truncated message")
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(d.buf[d.pos:])
+	d.pos += 4
 	return v
 }
 

@@ -203,10 +203,11 @@ func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	}
 }
 
-// Version 1 carried a database name in every request; a version-1 peer
-// must be closed at the preamble, not misparsed.
+// Version 1 carried a database name in every request, and version 2
+// reconcile ranges had no stamp or sketch; an older peer must be closed at
+// the preamble, not misparsed.
 func TestPreambleRejectsBadVersion(t *testing.T) {
-	for _, v := range []byte{1, 99} {
+	for _, v := range []byte{1, 2, 99} {
 		br := bufio.NewReader(bytes.NewReader([]byte{Magic, v}))
 		if err := ReadPreamble(br); err == nil {
 			t.Fatalf("version %d accepted", v)

@@ -104,6 +104,7 @@ func TestRequestWireSizeExactAcrossKinds(t *testing.T) {
 			Parts: []core.PartState{{Pid: 0, DBVV: vv.VV{1}}, {Pid: 300, DBVV: vv.VV{0, 4}}}},
 		{Kind: KindPartStream, From: 1, Part: 9, DBVV: vv.VV{2, 2}},
 		{Kind: KindReconcile, From: 3, Part: 2, Ranges: sampleRanges()},
+		{Kind: KindReconcile, From: 1, Ranges: sketchRanges()},
 	}
 	for _, req := range reqs {
 		encoded := uint64(len(AppendRequest(nil, req)))

@@ -18,7 +18,6 @@ import (
 // its package gets wired in or deleted; the test fails on a stale entry.
 var unreachedAllowed = map[string]string{
 	"internal/history": "the §2.1 oracle; M(1) wires it in",
-	"internal/session": "only examples/sessions; P(2)",
 }
 
 // forbiddenImports pins layering the package graph must keep: durable
