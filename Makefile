@@ -6,9 +6,11 @@ GO ?= go
 .PHONY: check vet build test race test-all bench bench-check fuzz-wire lint
 
 ## check: the documented tier-1 + race gate (vet, build, race on the
-## concurrent packages, the full test suite, then the static-analysis
-## gate).
-check: vet build race test-all lint
+## concurrent packages, the full test suite, the static-analysis gate,
+## then the benchmark module, which compiles against the system's
+## internal APIs, so that an API change breaks it here and not only in
+## CI's separate step).
+check: vet build race test-all lint bench-check
 
 ## vet: the toolchain's standard passes. unusedwrite is not among them —
 ## it lives in golang.org/x/tools, which the hermetic build cannot

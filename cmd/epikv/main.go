@@ -41,11 +41,7 @@ func main() {
 	defer cluster.CloseAll(ns)
 
 	for i, n := range ns {
-		if pr := n.Parted(); pr != nil {
-			fmt.Printf("node %d listening on %s, owns partitions %v\n", i, n.Addr(), pr.Owned())
-		} else {
-			fmt.Printf("node %d listening on %s\n", i, n.Addr())
-		}
+		fmt.Printf("node %d listening on %s, owns partitions %v\n", i, n.Addr(), n.Parted().Owned())
 	}
 	fmt.Println(`type "help" for commands, ctrl-D to exit`)
 

@@ -50,11 +50,7 @@ func main() {
 	defer cluster.CloseAll(ns)
 
 	for i, n := range ns {
-		if pr := n.Parted(); pr != nil {
-			fmt.Printf("node %d listening on %s, owns partitions %v\n", i, n.Addr(), pr.Owned())
-		} else {
-			fmt.Printf("node %d listening on %s\n", i, n.Addr())
-		}
+		fmt.Printf("node %d listening on %s, owns partitions %v\n", i, n.Addr(), n.Parted().Owned())
 	}
 
 	g := workload.New(workload.Config{Items: *items, ValueSize: *valSize, Seed: 7})
@@ -62,13 +58,12 @@ func main() {
 	for u := 0; u < *updates; u++ {
 		idx := g.NextIndex()
 		key := workload.Key(idx)
-		node := idx % *nodes // single-writer ownership: no conflicts
-		if pr := ns[0].Parted(); pr != nil {
-			// Partial replication: only an owner may accept the write, and
-			// keeping one writer per partition preserves the no-conflict
-			// property.
-			node = pr.Ring().Owners(pr.Ring().PartitionOf(key))[0]
-		}
+		// Only an owner may accept the write. Choosing the owner by item
+		// index keeps one writer per item (no conflicts) and spreads the
+		// writes over the owners — every node when fully replicated.
+		rg := ns[0].Parted().Ring()
+		owners := rg.Owners(rg.PartitionOf(key))
+		node := owners[idx%len(owners)]
 		if err := ns[node].Update(key, op.NewSet(g.Value())); err != nil {
 			log.Fatal(err)
 		}
@@ -135,18 +130,10 @@ func printStats(ns []*cluster.Node) {
 		// not a single cut across fields, which monitoring tolerates.
 		m := n.Metrics()
 		ps := n.PoolStats()
-		var items, logRecords int
-		var check func() error
-		if pr := n.Parted(); pr != nil {
-			items = pr.Items()
-			for _, snap := range pr.Snapshot() {
-				logRecords += snap.LogRecords
-			}
-			check = pr.CheckInvariants
-		} else {
-			r := n.Replica()
-			items, logRecords = r.Items(), r.LogRecords()
-			check = r.CheckInvariants
+		pr := n.Parted()
+		items, logRecords := pr.Items(), 0
+		for _, snap := range pr.Snapshot() {
+			logRecords += snap.LogRecords
 		}
 		fmt.Printf("node %d: items=%d log-records=%d sessions=%d noops=%d streamed=%d chunks-out=%d chunks-in=%d est-bytes=%d wire-sent=%d wire-recv=%d dials=%d reused=%d\n",
 			i, items, logRecords, m.Propagations, m.PropagationNoops,
@@ -158,7 +145,7 @@ func printStats(ns []*cluster.Node) {
 			fmt.Printf("node %d: wal fsyncs=%d batches=%d batched-records=%d waiters=%d max-batch=%d hist=%s\n",
 				i, st.Fsyncs, st.Batches, st.BatchedRecords, st.Waiters, st.MaxBatch, histString(st.BatchHist))
 		}
-		if err := check(); err != nil {
+		if err := pr.CheckInvariants(); err != nil {
 			log.Fatalf("node %d invariants: %v", i, err)
 		}
 	}

@@ -8,7 +8,6 @@ package repro_test
 import (
 	"fmt"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"repro"
@@ -157,100 +156,6 @@ func TestEndToEndLifecycle(t *testing.T) {
 	d := nodes[0].Replica().Metrics().Diff(before)
 	if d.DBVVComparisons != 1 || d.ItemsExamined != 0 {
 		t.Fatalf("stage 6: steady-state session did per-item work: %v", d)
-	}
-}
-
-// TestStreamSessionStress hammers the chunked anti-entropy path under
-// concurrency: a source node with a tiny chunk budget (so every session
-// fans out into many frames, each decoded into a recycled chunk shell)
-// serves overlapping streamed pulls from three sinks while its own data
-// plane keeps mutating. Under -race this covers the shell hand-off
-// between the reader goroutine and the applier — the surface poolsafe
-// checks statically — and the final ring sync proves the concurrent
-// sessions left every replica on a consistent applied prefix.
-func TestStreamSessionStress(t *testing.T) {
-	const servers = 4
-	nodes := make([]*cluster.Node, servers)
-	for i := range nodes {
-		n, err := cluster.Start(cluster.Config{ID: i, Servers: servers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		nodes[i] = n
-	}
-	src := nodes[0]
-	// ~64-byte payload budget: a 400-key corpus streams as hundreds of
-	// chunks per session, so shells recycle many times per pull.
-	src.SetChunkBytes(64)
-
-	for i := 0; i < 400; i++ {
-		if err := src.Update(fmt.Sprintf("stress/%03d", i), repro.Set([]byte("v0"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	stop := make(chan struct{})
-	errs := make(chan error, servers)
-	var writer, sinks sync.WaitGroup
-	// Writer: keep the source moving so concurrent sessions observe the
-	// log mid-growth.
-	writer.Add(1)
-	go func() {
-		defer writer.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := src.Update(fmt.Sprintf("stress/%03d", i%400), repro.Set([]byte(fmt.Sprintf("v%d", i)))); err != nil {
-				errs <- fmt.Errorf("writer: %w", err)
-				return
-			}
-		}
-	}()
-	// Sinks: overlapping streamed pulls against the same source.
-	for _, sink := range nodes[1:] {
-		sinks.Add(1)
-		go func(sink *cluster.Node) {
-			defer sinks.Done()
-			for pull := 0; pull < 12; pull++ {
-				if _, err := sink.PullStreamFrom(src.Addr()); err != nil {
-					errs <- fmt.Errorf("pull %d: %w", pull, err)
-					return
-				}
-			}
-		}(sink)
-	}
-	// Let the sinks finish their pulls, then quiesce the writer.
-	sinks.Wait()
-	close(stop)
-	writer.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-
-	// Quiesced catch-up: streamed ring pulls until convergence.
-	for round := 0; round < 8; round++ {
-		for i, n := range nodes {
-			if _, err := n.PullStreamFrom(nodes[(i+1)%len(nodes)].Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if ok, _ := cluster.Converged(nodes); ok {
-			break
-		}
-	}
-	if ok, why := cluster.Converged(nodes); !ok {
-		t.Fatalf("after stress: %s", why)
-	}
-	for i, n := range nodes {
-		if err := n.Replica().CheckInvariants(); err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
 	}
 }
 

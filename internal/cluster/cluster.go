@@ -1,8 +1,10 @@
-// Package cluster runs live replica nodes: each node is a core.Replica
+// Package cluster runs live replica nodes: each node is a core.Partitioned
 // served over TCP (internal/transport) plus a background anti-entropy loop
 // that periodically pulls from a randomly chosen peer — the deployment
 // shape the paper assumes (§1: "update propagation can be done at a
-// convenient time").
+// convenient time"). Every node has this one shape: a fully replicated
+// node is the one-partition case, whose single partition carries the
+// paper's one DBVV for the whole database.
 //
 // Nodes are independent OS processes in a real deployment; here they share
 // a process but communicate exclusively through TCP, so the same code runs
@@ -47,15 +49,17 @@ type Config struct {
 	// Transport tunes the node's pooled transport client. The zero value
 	// uses default pool limits.
 	Transport transport.Options
-	// Partitions > 1 splits the keyspace into that many token-ring
-	// partitions, each with its own DBVV and log vector, and the node
-	// replicates only the partitions the ring places on it. Zero or one
-	// keeps the unpartitioned node — the seed protocol byte-for-byte.
+	// Partitions splits the keyspace into that many token-ring partitions,
+	// each with its own DBVV and log vector, and the node replicates only
+	// the partitions the ring places on it. Zero or one is a single
+	// partition on every server: full replication, the paper's one DBVV
+	// per replica.
 	Partitions int
 	// Placement is the number of owners per keyspace partition when
 	// Partitions > 1. Zero defaults to Servers (full placement: every node
 	// replicates every partition, but sessions still negotiate and skip
-	// per partition).
+	// per partition). It is ignored at one partition, which every server
+	// owns.
 	Placement int
 	// PruneInterval is the period of the background log-pruning pass
 	// (core.Replica.Prune): records acknowledged by every peer are dropped
@@ -70,20 +74,17 @@ type Config struct {
 	LogCap int
 }
 
-// Node is one live server: a replica, its TCP server and its anti-entropy
-// scheduler.
+// Node is one live server: its partitioned replica, its TCP server and its
+// anti-entropy scheduler.
 type Node struct {
-	cfg     Config               //epi:immutable
-	replica *core.Replica        //epi:immutable nil on partitioned nodes
-	parted  *core.Partitioned    //epi:immutable non-nil when Partitions > 1
-	dur     *durable.Replica     //epi:immutable non-nil when DataDir is set, unpartitioned
-	dpart   *durable.Partitioned //epi:immutable non-nil when DataDir is set with Partitions > 1
-	server  *transport.Server    //epi:immutable
-	client  *transport.Client    //epi:immutable pooled: sessions reuse warm peer connections
-	// sink is what an unpartitioned pull commits into, and sinks[pid] what
-	// partition pid's does (nil where the node does not replicate it): the
-	// durable replicas on a durable node, in-memory adapters otherwise.
-	sink  transport.Sink   //epi:immutable
+	cfg    Config               //epi:immutable
+	parted *core.Partitioned    //epi:immutable
+	dpart  *durable.Partitioned //epi:immutable non-nil when DataDir is set
+	server *transport.Server    //epi:immutable
+	client *transport.Client    //epi:immutable pooled: sessions reuse warm peer connections
+	// sinks[pid] is what a pull commits partition pid into (nil where the
+	// node does not replicate it): the durable replicas on a durable node,
+	// in-memory adapters otherwise.
 	sinks []transport.Sink //epi:immutable
 
 	mu    sync.Mutex
@@ -94,8 +95,8 @@ type Node struct {
 	rng  *rand.Rand    //epi:guard mu peer selection happens under the peers lock
 }
 
-// Start creates the replica, begins serving, and (when configured with an
-// interval) starts the anti-entropy loop.
+// Start creates the node's replicas, begins serving, and (when configured
+// with an interval) starts the anti-entropy loop.
 func Start(cfg Config) (*Node, error) {
 	if cfg.Servers <= 0 || cfg.ID < 0 || cfg.ID >= cfg.Servers {
 		return nil, fmt.Errorf("cluster: invalid id %d of %d", cfg.ID, cfg.Servers)
@@ -114,71 +115,40 @@ func Start(cfg Config) (*Node, error) {
 		done:   make(chan struct{}),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
-	switch {
-	case cfg.Partitions > 1:
-		placement := cfg.Placement
-		if placement == 0 {
-			placement = cfg.Servers
+	partitions, placement := max(1, cfg.Partitions), cfg.Placement
+	if placement == 0 || partitions == 1 {
+		placement = cfg.Servers
+	}
+	if cfg.DataDir != "" {
+		// One WAL + snapshot chain per owned partition under
+		// DataDir/part-NNNN/, all sharing one group committer so concurrent
+		// partitions amortize into shared fsyncs.
+		dp, err := durable.OpenPartitioned(cfg.DataDir, cfg.ID, cfg.Servers, partitions, placement, cfg.DurableOptions)
+		if err != nil {
+			return nil, err
 		}
-		if cfg.DataDir != "" {
-			// Durable partitioned node: one WAL + snapshot chain per owned
-			// partition under DataDir/part-NNNN/, all sharing one group
-			// committer so concurrent partitions amortize into shared fsyncs.
-			dp, err := durable.OpenPartitioned(cfg.DataDir, cfg.ID, cfg.Servers, cfg.Partitions, placement, cfg.DurableOptions)
-			if err != nil {
-				return nil, err
-			}
-			n.dpart = dp
-			n.parted = dp.Parted()
+		n.dpart = dp
+		n.parted = dp.Parted()
+	} else {
+		n.parted = core.NewPartitioned(cfg.ID, cfg.Servers, partitions, placement)
+	}
+	n.sinks = make([]transport.Sink, partitions)
+	for _, pid := range n.parted.Owned() {
+		if n.dpart != nil {
+			n.sinks[pid] = n.dpart.Partition(pid)
 		} else {
-			n.parted = core.NewPartitioned(cfg.ID, cfg.Servers, cfg.Partitions, placement)
-		}
-		n.sinks = make([]transport.Sink, cfg.Partitions)
-		for _, pid := range n.parted.Owned() {
-			if n.dpart != nil {
-				n.sinks[pid] = n.dpart.Partition(pid)
-			} else {
-				n.sinks[pid] = transport.InMemory(n.parted.Partition(pid))
-			}
-		}
-		// Each partition's pruning is gated by its own ring owners — the
-		// only peers whose sessions can ever need its records.
-		n.parted.ConfigurePruning(cfg.LogCap)
-		srv, err := transport.ListenPart(n.parted, cfg.Addr)
-		if err != nil {
-			if n.dpart != nil {
-				n.dpart.Close()
-			}
-			return nil, err
-		}
-		n.server = srv
-		go n.loop()
-		return n, nil
-	case cfg.DataDir != "":
-		d, err := durable.Open(cfg.DataDir, cfg.ID, cfg.Servers, cfg.DurableOptions)
-		if err != nil {
-			return nil, err
-		}
-		n.dur = d
-		n.replica = d.Core()
-		n.sink = d
-	default:
-		n.replica = core.NewReplica(cfg.ID, cfg.Servers)
-		n.sink = transport.InMemory(n.replica)
-	}
-	// Pruning is gated by every other server in the cluster: a record may
-	// be dropped only once all of them have acknowledged it (or the log cap
-	// forces it past a laggard, who then reconciles).
-	peers := make([]int, 0, cfg.Servers-1)
-	for j := 0; j < cfg.Servers; j++ {
-		if j != cfg.ID {
-			peers = append(peers, j)
+			n.sinks[pid] = transport.InMemory(n.parted.Partition(pid))
 		}
 	}
-	n.replica.ConfigurePruning(peers)
-	n.replica.SetLogCap(cfg.LogCap)
-	srv, err := transport.Listen(n.replica, cfg.Addr)
+	// Each partition's pruning is gated by its own ring owners — the only
+	// peers whose sessions can ever need its records; at one partition,
+	// every other server.
+	n.parted.ConfigurePruning(cfg.LogCap)
+	srv, err := transport.ListenPart(n.parted, cfg.Addr)
 	if err != nil {
+		if n.dpart != nil {
+			n.dpart.Close()
+		}
 		return nil, err
 	}
 	n.server = srv
@@ -186,27 +156,26 @@ func Start(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Replica exposes the node's replica for local operations. It is nil on a
-// partitioned node, whose state lives in per-partition replicas — use
-// Parted (or Partition) there.
-func (n *Node) Replica() *core.Replica { return n.replica }
+// Replica exposes the replica of a fully replicated node (one partition)
+// for local operations. It is nil on a node with more partitions, whose
+// state lives in per-partition replicas — use Parted there.
+func (n *Node) Replica() *core.Replica {
+	if n.parted.Ring().Partitions() != 1 {
+		return nil
+	}
+	return n.parted.Partition(0)
+}
 
-// Parted exposes the node's partitioned control plane; nil when the node is
-// unpartitioned.
+// Parted exposes the node's partitioned control plane.
 func (n *Node) Parted() *core.Partitioned { return n.parted }
 
-// Metrics returns the node's protocol counters — the replica's, or the
-// aggregate across partitions on a partitioned node. On a durable node the
+// Metrics returns the node's protocol counters: the aggregate across its
+// partitions plus the node-level wire accounting. On a durable node the
 // WAL* and GroupCommitWaiters fields are filled from the group committer's
 // accounting at call time; the hot durable write path never charges a
 // Counters value itself.
 func (n *Node) Metrics() metrics.Counters {
-	var m metrics.Counters
-	if n.parted != nil {
-		m = n.parted.Metrics()
-	} else {
-		m = n.replica.Metrics()
-	}
+	m := n.parted.Metrics()
 	if st, ok := n.WALStats(); ok {
 		m.WALFsyncs = st.Fsyncs
 		m.WALBatchedRecords = st.BatchedRecords
@@ -231,23 +200,12 @@ func (n *Node) Update(key string, o op.Op) error {
 	if n.dpart != nil {
 		return n.dpart.Update(key, o)
 	}
-	if n.parted != nil {
-		return n.parted.Update(key, o)
-	}
-	if n.dur != nil {
-		return n.dur.Update(key, o)
-	}
-	return n.replica.Update(key, o)
+	return n.parted.Update(key, o)
 }
 
-// Read returns the node's current value for key. On a partitioned node a
-// key outside the node's owned partitions reads as absent.
-func (n *Node) Read(key string) ([]byte, bool) {
-	if n.parted != nil {
-		return n.parted.Read(key)
-	}
-	return n.replica.Read(key)
-}
+// Read returns the node's current value for key. A key outside the node's
+// owned partitions reads as absent.
+func (n *Node) Read(key string) ([]byte, bool) { return n.parted.Read(key) }
 
 // PullOnce performs one anti-entropy session against a random peer,
 // returning the peer pulled from ("" when no peers are configured).
@@ -263,31 +221,16 @@ func (n *Node) PullOnce() (string, error) {
 	return peer, err
 }
 
-// PullFrom performs one anti-entropy session against a specific address.
-// Sessions go through the node's pooled client, so repeat pulls from the
-// same peer ride one warm framed connection, and concurrent sessions to
-// distinct peers proceed in parallel over their own connections.
+// PullFrom performs one anti-entropy session against a specific address:
+// one exchange negotiates every partition the node replicates, and a
+// partition whose payload exceeds the monolithic cap drains through its own
+// chunked session. Sessions go through the node's pooled client, so repeat
+// pulls from the same peer ride one warm framed connection, and concurrent
+// sessions to distinct peers proceed in parallel over their own
+// connections.
 func (n *Node) PullFrom(addr string) (bool, error) {
-	if n.parted != nil {
-		shipped, err := n.client.PullPart(n.parted, n.sinks, addr)
-		return shipped > 0, err
-	}
-	return n.client.Pull(n.sink, addr)
-}
-
-// PullStreamFrom performs one streaming anti-entropy session against a
-// specific address: the payload arrives in bounded chunks that apply as
-// they arrive, so a connection drop mid-session leaves a consistent
-// applied prefix behind and the next pull resumes from it for free (it
-// re-ships nothing already applied). Durable nodes fall back to the
-// ordinary pull, whose commit the write-ahead log captures atomically.
-func (n *Node) PullStreamFrom(addr string) (bool, error) {
-	if n.parted != nil {
-		// Partitioned sessions already stream each oversized partition
-		// through its own chunked session.
-		return n.PullFrom(addr)
-	}
-	return n.client.PullStream(n.sink, addr)
+	shipped, err := n.client.PullPart(n.parted, n.sinks, addr)
+	return shipped > 0, err
 }
 
 // SetChunkBytes overrides the node's server-side chunk payload budget for
@@ -297,11 +240,9 @@ func (n *Node) SetChunkBytes(b uint64) { n.server.SetChunkBytes(b) }
 
 // FetchOOB copies one item out-of-bound from a specific peer.
 func (n *Node) FetchOOB(addr, key string) (bool, error) {
-	sink := n.sink
-	if n.parted != nil {
-		if sink = n.sinks[n.parted.PartitionOf(key)]; sink == nil {
-			return false, fmt.Errorf("cluster: %w", core.ErrNotOwner)
-		}
+	sink := n.sinks[n.parted.PartitionOf(key)]
+	if sink == nil {
+		return false, fmt.Errorf("cluster: %w", core.ErrNotOwner)
 	}
 	return n.client.FetchOOB(sink, addr, key)
 }
@@ -310,17 +251,14 @@ func (n *Node) FetchOOB(addr, key string) (bool, error) {
 func (n *Node) PoolStats() transport.PoolStats { return n.client.PoolStats() }
 
 // WALStats returns the durable layer's group-commit accounting (fsyncs,
-// batches, batch-size histogram); ok is false on a non-durable node. On a
-// durable partitioned node the counters cover the shared committer, i.e.
-// the whole node across partitions.
+// batches, batch-size histogram); ok is false on a non-durable node. The
+// counters cover the shared committer, i.e. the whole node across
+// partitions.
 func (n *Node) WALStats() (st wal.CommitterStats, ok bool) {
-	if n.dpart != nil {
-		return n.dpart.WALStats(), true
+	if n.dpart == nil {
+		return wal.CommitterStats{}, false
 	}
-	if n.dur != nil {
-		return n.dur.WALStats(), true
-	}
-	return wal.CommitterStats{}, false
+	return n.dpart.WALStats(), true
 }
 
 // Close stops the anti-entropy loop, the pooled client and the server,
@@ -330,11 +268,6 @@ func (n *Node) Close() error {
 	<-n.done
 	n.client.Close()
 	err := n.server.Close()
-	if n.dur != nil {
-		if derr := n.dur.Close(); derr != nil && err == nil {
-			err = derr
-		}
-	}
 	if n.dpart != nil {
 		if derr := n.dpart.Close(); derr != nil && err == nil {
 			err = derr
@@ -343,9 +276,9 @@ func (n *Node) Close() error {
 	return err
 }
 
-// PruneOnce runs one log-pruning pass (every owned partition on a
-// partitioned node), returning the number of records dropped. Durable nodes
-// write-ahead log the pass so the watermark survives restarts.
+// PruneOnce runs one log-pruning pass over every owned partition,
+// returning the number of records dropped. Durable nodes write-ahead log
+// the pass so the watermark survives restarts.
 func (n *Node) PruneOnce() int {
 	if n.dpart != nil {
 		// A WAL append failure leaves that partition's pass unrun; the next
@@ -353,15 +286,7 @@ func (n *Node) PruneOnce() int {
 		dropped, _ := n.dpart.Prune()
 		return dropped
 	}
-	if n.parted != nil {
-		return n.parted.Prune()
-	}
-	if n.dur != nil {
-		// A WAL append failure leaves the pass unrun; the next tick retries.
-		dropped, _ := n.dur.Prune()
-		return dropped
-	}
-	return n.replica.Prune()
+	return n.parted.Prune()
 }
 
 func (n *Node) loop() {
@@ -391,42 +316,18 @@ func (n *Node) loop() {
 	}
 }
 
-// StartCluster starts n nodes on loopback with full-mesh peering. Intervals
-// of zero leave scheduling to the caller.
+// StartCluster starts n fully replicated nodes on loopback with full-mesh
+// peering. Intervals of zero leave scheduling to the caller.
 func StartCluster(n int, interval time.Duration) ([]*Node, error) {
-	nodes := make([]*Node, n)
-	for i := 0; i < n; i++ {
-		node, err := Start(Config{ID: i, Servers: n, Interval: interval})
-		if err != nil {
-			for _, prev := range nodes[:i] {
-				prev.Close()
-			}
-			return nil, err
-		}
-		nodes[i] = node
-	}
-	for i, node := range nodes {
-		var peers []string
-		for j, other := range nodes {
-			if j != i {
-				peers = append(peers, other.Addr())
-			}
-		}
-		node.SetPeers(peers)
-	}
-	return nodes, nil
+	return StartPartCluster(n, 1, 0, interval)
 }
 
-// Bootstrap brings a (re)joining partitioned node up to date by pulling
-// from every configured peer once. Because a partitioned session offers
-// only the partitions this node replicates, the join traffic is bounded by
-// the node's own share of the keyspace — peers never ship partitions the
-// ring does not place here. It returns the number of partitions that
-// received data.
+// Bootstrap brings a (re)joining node up to date by pulling from every
+// configured peer once. Because a session offers only the partitions this
+// node replicates, the join traffic is bounded by the node's own share of
+// the keyspace — peers never ship partitions the ring does not place here.
+// It returns the number of partitions that received data.
 func (n *Node) Bootstrap() (int, error) {
-	if n.parted == nil {
-		return 0, fmt.Errorf("cluster: Bootstrap requires a partitioned node")
-	}
 	n.mu.Lock()
 	peers := append([]string(nil), n.peers...)
 	n.mu.Unlock()
@@ -441,9 +342,9 @@ func (n *Node) Bootstrap() (int, error) {
 	return total, nil
 }
 
-// StartPartCluster starts n partitioned nodes on loopback with full-mesh
-// peering: the keyspace splits into the given number of partitions, each
-// placed on `placement` nodes (0 = every node).
+// StartPartCluster starts n nodes on loopback with full-mesh peering: the
+// keyspace splits into the given number of partitions, each placed on
+// `placement` nodes (0 = every node).
 func StartPartCluster(n, partitions, placement int, interval time.Duration) ([]*Node, error) {
 	nodes := make([]*Node, n)
 	for i := 0; i < n; i++ {
@@ -479,23 +380,12 @@ func CloseAll(nodes []*Node) error {
 	return first
 }
 
-// Converged reports whether all nodes agree: identical replicas on an
-// unpartitioned cluster, identical per-partition replicas across each
-// partition's owners on a partitioned one.
+// Converged reports whether all nodes agree: identical per-partition
+// replicas across each partition's owners.
 func Converged(nodes []*Node) (bool, string) {
-	if len(nodes) > 0 && nodes[0].parted != nil {
-		parts := make([]*core.Partitioned, len(nodes))
-		for i, n := range nodes {
-			if n.parted == nil {
-				return false, fmt.Sprintf("node %d is unpartitioned in a partitioned cluster", n.cfg.ID)
-			}
-			parts[i] = n.parted
-		}
-		return core.PartConverged(parts...)
-	}
-	replicas := make([]*core.Replica, len(nodes))
+	parts := make([]*core.Partitioned, len(nodes))
 	for i, n := range nodes {
-		replicas[i] = n.Replica()
+		parts[i] = n.parted
 	}
-	return core.Converged(replicas...)
+	return core.PartConverged(parts...)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -273,37 +274,47 @@ func TestMixedDurableVolatileCluster(t *testing.T) {
 	}
 }
 
-// TestFetchOOBMetersEveryNodeShape runs one out-of-bound copy into each
-// node shape that can hold the key and checks the exchange's bytes reach
-// the node's Metrics: an OOB copy into a durable node is the same metered
-// call as into a volatile one.
-func TestFetchOOBMetersEveryNodeShape(t *testing.T) {
-	const parts = 4
+// TestNodeShapes runs every node shape — {volatile, durable} × {one
+// partition, four} — through the node's whole surface: Replica, an
+// out-of-bound copy whose bytes reach the node's Metrics, Bootstrap, a
+// pruning pass, WALStats, and (durable) recovery after a clean close.
+func TestNodeShapes(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name    string
+		durable bool
+		parts   int
 	}{
-		{"volatile", Config{}},
-		{"durable", Config{DataDir: t.TempDir()}},
-		{"durable-partitioned", Config{DataDir: t.TempDir(), Partitions: parts}},
+		{"volatile", false, 1},
+		{"durable", true, 1},
+		{"volatile-partitioned", false, 4},
+		{"durable-partitioned", true, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			src, err := Start(Config{ID: 0, Servers: 2, Partitions: tc.cfg.Partitions})
+			src, err := Start(Config{ID: 0, Servers: 2, Partitions: tc.parts})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer src.Close()
-			if err := src.Update("hot", op.NewSet([]byte("fresh"))); err != nil {
-				t.Fatal(err)
+			for _, key := range []string{"hot", "warm"} {
+				if err := src.Update(key, op.NewSet([]byte("fresh"))); err != nil {
+					t.Fatal(err)
+				}
 			}
-			cfg := tc.cfg
-			cfg.ID, cfg.Servers = 1, 2
-			cfg.DurableOptions = durable.Options{NoSync: true}
+			cfg := Config{ID: 1, Servers: 2, Partitions: tc.parts, DurableOptions: durable.Options{NoSync: true}}
+			if tc.durable {
+				cfg.DataDir = t.TempDir()
+			}
 			node, err := Start(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer node.Close()
+			defer func() { node.Close() }()
+
+			// Replica is partition 0 of a fully replicated node, nil otherwise.
+			if got := node.Replica(); tc.parts == 1 && (got == nil || got != node.Parted().Partition(0)) ||
+				tc.parts > 1 && got != nil {
+				t.Errorf("Replica() = %p at %d partitions", got, tc.parts)
+			}
 
 			before := node.Metrics().WireBytesRecv
 			adopted, err := node.FetchOOB(src.Addr(), "hot")
@@ -313,6 +324,73 @@ func TestFetchOOBMetersEveryNodeShape(t *testing.T) {
 			if got := node.Metrics().WireBytesRecv; got <= before {
 				t.Errorf("received wire bytes %d -> %d: the OOB copy was not metered", before, got)
 			}
+
+			node.SetPeers([]string{src.Addr()})
+			if shipped, err := node.Bootstrap(); err != nil || shipped == 0 {
+				t.Fatalf("Bootstrap = %d/%v", shipped, err)
+			}
+			if v, _ := node.Read("warm"); string(v) != "fresh" {
+				t.Fatalf("warm = %q after Bootstrap", v)
+			}
+
+			// Two pulls by the source teach the node its acknowledgement of
+			// everything the node holds; then the node's log empties.
+			for i := 0; i < 2; i++ {
+				if _, err := src.PullFrom(node.Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if dropped := node.PruneOnce(); dropped == 0 {
+				t.Error("PruneOnce dropped nothing after the source acknowledged every record")
+			}
+
+			st, ok := node.WALStats()
+			if ok != tc.durable || tc.durable && st.BatchedRecords == 0 {
+				t.Errorf("WALStats = %+v/%v on a durable=%v node", st, ok, tc.durable)
+			}
+			if !tc.durable {
+				return
+			}
+			want := node.Parted().Snapshot()
+			if err := node.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if node, err = Start(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if got := node.Parted().Snapshot(); !reflect.DeepEqual(got, want) {
+				t.Fatal("node restarted with different state")
+			}
+			if ok, why := Converged([]*Node{src, node}); !ok {
+				t.Fatalf("not converged after restart: %s", why)
+			}
 		})
+	}
+}
+
+// A data directory written by an unpartitioned durable replica (root-level
+// wal/ and snapshot) must be refused, not reopened empty: a node that
+// starts empty re-issues (origin, seq) pairs its peers already hold.
+func TestStartRefusesUnpartitionedDataDir(t *testing.T) {
+	dir := t.TempDir()
+	d, err := durable.Open(dir, 1, 2, durable.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Update("k", op.NewSet([]byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if p, err := durable.OpenPartitioned(dir, 1, 2, 1, 0, durable.Options{NoSync: true}); err == nil {
+		p.Close()
+		t.Fatal("OpenPartitioned reopened an unpartitioned data directory")
+	} else if !strings.Contains(err.Error(), dir) {
+		t.Errorf("error %q does not name the directory", err)
+	}
+	if n, err := Start(Config{ID: 1, Servers: 2, DataDir: dir}); err == nil {
+		n.Close()
+		t.Fatal("Start reopened an unpartitioned data directory")
 	}
 }

@@ -332,12 +332,16 @@ func (pr *Partitioned) CheckInvariants() error {
 	return nil
 }
 
-// sameRing panics unless two nodes were built against the same cluster
-// shape — a mixed-configuration session would silently misroute partitions.
+// sameRing panics unless two nodes were built against compatible cluster
+// shapes — a mixed-configuration session would silently misroute
+// partitions. The partition counts must agree, and above one partition so
+// must the servers and placement. A one-partition ring places its partition
+// on every server whatever their number, so nodes on either side of a Grow
+// stay compatible.
 func sameRing(a, b *Partitioned) {
-	if a.ring.Servers() != b.ring.Servers() ||
-		a.ring.Partitions() != b.ring.Partitions() ||
-		a.ring.Placement() != b.ring.Placement() {
+	if a.ring.Partitions() != b.ring.Partitions() ||
+		a.ring.Partitions() > 1 && (a.ring.Servers() != b.ring.Servers() ||
+			a.ring.Placement() != b.ring.Placement()) {
 		panic(fmt.Sprintf("core: ring mismatch between nodes %d (%d/%d/%d) and %d (%d/%d/%d)",
 			a.id, a.ring.Servers(), a.ring.Partitions(), a.ring.Placement(),
 			b.id, b.ring.Servers(), b.ring.Partitions(), b.ring.Placement()))
@@ -354,8 +358,8 @@ func sameRing(a, b *Partitioned) {
 func PartAntiEntropy(recipient, source *Partitioned) int {
 	sameRing(recipient, source)
 	shipped := 0
-	for _, pid := range recipient.ring.Shared(recipient.id, source.id) {
-		if AntiEntropy(recipient.parts[pid], source.parts[pid]) {
+	for _, pid := range recipient.Owned() {
+		if source.parts[pid] != nil && AntiEntropy(recipient.parts[pid], source.parts[pid]) {
 			shipped++
 		}
 	}
@@ -369,8 +373,8 @@ func PartAntiEntropy(recipient, source *Partitioned) int {
 func StreamPartAntiEntropy(recipient, source *Partitioned, maxBytes uint64) int {
 	sameRing(recipient, source)
 	shipped := 0
-	for _, pid := range recipient.ring.Shared(recipient.id, source.id) {
-		if StreamAntiEntropy(recipient.parts[pid], source.parts[pid], maxBytes) {
+	for _, pid := range recipient.Owned() {
+		if source.parts[pid] != nil && StreamAntiEntropy(recipient.parts[pid], source.parts[pid], maxBytes) {
 			shipped++
 		}
 	}

@@ -300,12 +300,25 @@ func TestPartRequestCoversOwnedAscending(t *testing.T) {
 }
 
 func TestPartitionedRingMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on ring mismatch")
-		}
-	}()
-	a := NewPartitioned(0, 3, 8, 2)
-	b := NewPartitioned(1, 3, 16, 2)
-	PartAntiEntropy(a, b)
+	for _, tc := range []struct {
+		name      string
+		a, b      *Partitioned
+		wantPanic bool
+	}{
+		{"partition counts differ", NewPartitioned(0, 3, 8, 2), NewPartitioned(1, 3, 16, 2), true},
+		// A one-partition ring places its partition on every server, so a
+		// node grown to four servers still shares it with a three-server one.
+		{"P=1 across a grow", NewPartitioned(0, 3, 1, 3), NewPartitioned(3, 4, 1, 4), false},
+		{"P=4 across a grow", NewPartitioned(0, 3, 4, 2), NewPartitioned(3, 4, 4, 2), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if panicked := recover() != nil; panicked != tc.wantPanic {
+					t.Fatalf("panicked = %v, want %v", panicked, tc.wantPanic)
+				}
+			}()
+			PartAntiEntropy(tc.a, tc.b)
+			PartConverged(tc.a, tc.b)
+		})
+	}
 }

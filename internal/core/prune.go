@@ -310,16 +310,3 @@ func (pr *Partitioned) Prune() int {
 	}
 	return dropped
 }
-
-// PrunedBefore returns each owned partition's pruning watermark, indexed
-// like PartRequest (ascending pid).
-func (pr *Partitioned) PrunedBefore() []PartState {
-	out := make([]PartState, 0, len(pr.Owned()))
-	for pid, part := range pr.parts {
-		if part == nil {
-			continue
-		}
-		out = append(out, PartState{Pid: pid, DBVV: part.PrunedBefore()})
-	}
-	return out
-}

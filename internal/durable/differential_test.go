@@ -50,10 +50,10 @@ func diffPlain(t *testing.T, delta, reconcile bool, opts Options) {
 	d := mustOpen(t, dir, 1, 2, opts)
 	pullBoth := func() {
 		t.Helper()
-		if _, err := testClient.Pull(transport.InMemory(mem), addr); err != nil {
+		if _, err := pull(transport.InMemory(mem), addr); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := testClient.Pull(d, addr); err != nil {
+		if _, err := pull(d, addr); err != nil {
 			t.Fatal(err)
 		}
 	}

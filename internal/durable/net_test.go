@@ -26,6 +26,18 @@ func partSinks(p *Partitioned) []transport.Sink {
 	return sinks
 }
 
+// pull runs one pull into s through testClient, as the one-partition node
+// a full replica is.
+func pull(s transport.Sink, addr string) (bool, error) {
+	r := s.Core()
+	pr, err := core.RestorePartitioned(r.ID(), r.Servers(), 1, r.Servers(), map[int]*core.Replica{0: r})
+	if err != nil {
+		return false, err
+	}
+	shipped, err := testClient.PullPart(pr, []transport.Sink{s}, addr)
+	return shipped > 0, err
+}
+
 // pullPart runs one partitioned pull into p through testClient.
 func pullPart(p *Partitioned, addr string) (int, error) {
 	return testClient.PullPart(p.Parted(), partSinks(p), addr)
@@ -50,7 +62,7 @@ func TestPullFromOverTCP(t *testing.T) {
 	d := mustOpen(t, t.TempDir(), 1, 2, Options{NoSync: true})
 	defer d.Close()
 
-	shipped, err := testClient.Pull(d, addr)
+	shipped, err := pull(d, addr)
 	if err != nil || !shipped {
 		t.Fatalf("Pull = %v/%v", shipped, err)
 	}
@@ -58,7 +70,7 @@ func TestPullFromOverTCP(t *testing.T) {
 		t.Fatalf("not converged: %s", why)
 	}
 	// Current replica: second pull is a no-op.
-	shipped, err = testClient.Pull(d, addr)
+	shipped, err = pull(d, addr)
 	if err != nil || shipped {
 		t.Fatalf("second Pull = %v/%v, want no-op", shipped, err)
 	}
@@ -72,12 +84,12 @@ func TestPullFromDeltaFetchRound(t *testing.T) {
 	d := mustOpen(t, dir, 1, 2, opts)
 
 	src.Update("x", op.NewSet([]byte("v1")))
-	if _, err := testClient.Pull(d, addr); err != nil {
+	if _, err := pull(d, addr); err != nil {
 		t.Fatal(err)
 	}
 	src.Update("x", op.NewSet([]byte("v2")))
 	src.Update("x", op.NewSet([]byte("v3"))) // two behind: fetch round
-	if _, err := testClient.Pull(d, addr); err != nil {
+	if _, err := pull(d, addr); err != nil {
 		t.Fatal(err)
 	}
 	v, _ := d.Core().Read("x")
@@ -120,7 +132,7 @@ func TestFetchOOBOverTCPDurable(t *testing.T) {
 func TestPullFromDeadAddress(t *testing.T) {
 	d := mustOpen(t, t.TempDir(), 1, 2, Options{NoSync: true})
 	defer d.Close()
-	if _, err := testClient.Pull(d, "127.0.0.1:1"); err == nil {
+	if _, err := pull(d, "127.0.0.1:1"); err == nil {
 		t.Error("Pull dead address succeeded")
 	}
 	if _, err := testClient.FetchOOB(d, "127.0.0.1:1", "x"); err == nil {
@@ -176,7 +188,7 @@ func TestPullFromDivertsToReconcileThenCrash(t *testing.T) {
 	}
 	dir := t.TempDir()
 	d := mustOpen(t, dir, 1, 2, Options{NoSync: true, SnapshotEvery: 1 << 30})
-	if _, err := testClient.Pull(d, addr); err != nil {
+	if _, err := pull(d, addr); err != nil {
 		t.Fatal(err)
 	}
 	// The source moves on and prunes past our acknowledged DBVV.
@@ -191,7 +203,7 @@ func TestPullFromDivertsToReconcileThenCrash(t *testing.T) {
 		t.Fatal("setup: replica still within the source's log")
 	}
 
-	shipped, err := testClient.Pull(d, addr)
+	shipped, err := pull(d, addr)
 	if err != nil || !shipped {
 		t.Fatalf("diverted Pull = %v/%v", shipped, err)
 	}

@@ -6,7 +6,7 @@ package durable
 // directory, WAL and snapshot chain per owned partition, laid out as
 // dir/part-NNNN/ — sharing ONE group committer. Partition independence
 // keeps recovery exact (each partition replays its own log onto its own
-// snapshot, exactly the unpartitioned contract), while the shared
+// snapshot, exactly the single-replica contract of Open), while the shared
 // committer keeps durability cheap: writers landing on different
 // partitions stage into the same commit stream, so one leader round
 // flushes every dirty partition's segment and k concurrent partitions
@@ -21,7 +21,9 @@ package durable
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/op"
@@ -50,9 +52,16 @@ type Partitioned struct {
 // owned partition opens (and replays) its own durable state under
 // dir/part-NNNN/; all partitions share one group committer, either
 // opts.Committer or a fresh one driven by opts.CommitDelay.
+//
+// A directory laid out by Open — a root-level wal/ or snapshot — is
+// refused: opening it here would start every partition empty and re-issue
+// (origin, seq) pairs the node's peers already hold.
 func OpenPartitioned(dir string, id, n, partitions, placement int, opts Options) (*Partitioned, error) {
 	if placement <= 0 {
 		placement = n
+	}
+	if err := refuseReplicaLayout(dir); err != nil {
+		return nil, err
 	}
 	com := opts.Committer
 	if com == nil {
@@ -86,6 +95,25 @@ func OpenPartitioned(dir string, id, n, partitions, placement int, opts Options)
 		return nil, err
 	}
 	return &Partitioned{parted: parted, parts: parts, com: com}, nil
+}
+
+// refuseReplicaLayout fails when dir holds the single-replica layout Open
+// writes, naming the path that gives it away. A missing dir is fine.
+func refuseReplicaLayout(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return fmt.Errorf("durable: readdir: %w", err)
+	}
+	for _, e := range entries {
+		if e.Name() == walDir || strings.HasPrefix(e.Name(), snapshotPrefix) {
+			return fmt.Errorf("durable: %s belongs to an unpartitioned replica; a partitioned node keeps its state under %s/",
+				filepath.Join(dir, e.Name()), fmt.Sprintf(partDirFmt, 0))
+		}
+	}
+	return nil
 }
 
 // Parted exposes the partitioned control plane over the recovered core

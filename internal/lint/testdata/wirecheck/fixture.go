@@ -2,7 +2,9 @@
 // exactly one leg of the surface wirecheck enforces: encoder, dispatch,
 // fuzz-driver membership, and codec/size-arm symmetry for request kinds;
 // writer, reader, fuzz, and codec-pair legs for untyped frame kinds. KindGood and KindFrameGood carry every leg and
-// must stay silent.
+// must stay silent. Retired kinds invert the rule: KindRetiredGood has
+// only its fuzz leg and stays silent, while the other retired kinds each
+// keep one leg they must have dropped.
 package fixture
 
 import (
@@ -20,6 +22,16 @@ const (
 	KindNoDispatch      // want `wire kind KindNoDispatch has no dispatch leg`
 	KindNoFuzz          // want `wire kind KindNoFuzz is not exercised by any Fuzz\* driver`
 	KindNoSizeArm       // want `wire kind KindNoSizeArm: kind-gated codec arms out of sync: present in AppendRequest/DecodeRequest, missing from RequestWireSize`
+	// KindRetiredGood's number stays reserved.
+	//
+	//epi:retired old captures still decode
+	KindRetiredGood
+	//epi:retired old captures still decode
+	KindRetiredEncoded // want `retired wire kind KindRetiredEncoded is still encoded`
+	//epi:retired old captures still decode
+	KindRetiredDispatched // want `retired wire kind KindRetiredDispatched is still dispatched`
+	//epi:retired
+	KindRetiredNoReason // want `//epi:retired needs a reason`
 )
 
 // Session frame kinds: untyped, sharing the byte namespace with the
@@ -77,6 +89,7 @@ func RequestWireSize(req *Request) uint64 {
 func newGood() *Request       { return &Request{Kind: KindGood} }
 func newNoDispatch() *Request { return &Request{Kind: KindNoDispatch} }
 func newNoFuzz() *Request     { return &Request{Kind: KindNoFuzz} }
+func newRetired() *Request    { return &Request{Kind: KindRetiredEncoded} }
 func newNoSize() *Request {
 	req := &Request{}
 	req.Kind = KindNoSizeArm
@@ -95,6 +108,8 @@ func dispatch(req *Request) byte {
 		return 3
 	case KindNoSizeArm:
 		return 4
+	case KindRetiredDispatched:
+		return 5
 	default:
 		return 0
 	}
@@ -158,6 +173,7 @@ func FuzzRequestFrames(f *testing.F) {
 	f.Add([]byte{byte(KindNoEncode)})
 	f.Add([]byte{byte(KindNoDispatch)})
 	f.Add([]byte{byte(KindNoSizeArm)})
+	f.Add([]byte{byte(KindRetiredGood), byte(KindRetiredEncoded), byte(KindRetiredDispatched), byte(KindRetiredNoReason)})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
 		_ = DecodeRequest(data, &req)

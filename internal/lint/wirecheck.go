@@ -32,10 +32,16 @@ import (
 //
 //   - frame kinds (untyped constants — the session framing):
 //     a writer (`WriteFrame(…, KindX, …)`), a reader arm, a fuzz leg,
-//     and the `Append<X>`/`Decode<X>` codec pair.
+//     and the `Append<X>`/`Decode<X>` codec pair;
+//
+//   - retired request kinds (a `//epi:retired <reason>` line in the
+//     constant's doc comment): the number stays reserved so old encodings
+//     keep decoding, but nothing may ship it any more — no encoder leg, no
+//     dispatch leg, no kind-gated codec arm — while a fuzz leg is still
+//     required, since the decoders still meet it on the wire.
 //
 // A missing leg is reported at the constant's declaration, naming the
-// kind and the absent leg.
+// kind and the absent leg; so is a leg a retired kind must not have.
 
 // WireCheck is the protocol-surface exhaustiveness analyzer.
 var WireCheck = &Analyzer{
@@ -48,9 +54,11 @@ var WireCheck = &Analyzer{
 }
 
 type wireKind struct {
-	name  string
-	typed bool // carries the named Kind type → request kind
-	pos   token.Pos
+	name    string
+	typed   bool // carries the named Kind type → request kind
+	retired bool // doc comment carries //epi:retired
+	reason  string
+	pos     token.Pos
 }
 
 // wireKindUses accumulates every way one kind constant is referenced
@@ -79,6 +87,7 @@ func runWireCheck(pass *Pass) {
 	if len(kinds) == 0 {
 		return
 	}
+	markRetiredKinds(pass.Files, kinds)
 	names := map[string]bool{}
 	for _, k := range kinds {
 		names[k.name] = true
@@ -93,6 +102,10 @@ func runWireCheck(pass *Pass) {
 
 	for _, k := range kinds {
 		u := uses[k.name]
+		if k.retired {
+			checkRetiredKind(pass, k, u)
+			continue
+		}
 		if k.typed {
 			if !u.encode {
 				pass.Reportf(k.pos, "wire kind %s has no encoder leg: nothing constructs a request with Kind: %s", k.name, k.name)
@@ -135,6 +148,65 @@ func runWireCheck(pass *Pass) {
 		}
 		if len(missing) > 0 {
 			pass.Reportf(k.pos, "frame kind %s has no codec pair: missing %s", k.name, strings.Join(missing, "/"))
+		}
+	}
+}
+
+// checkRetiredKind reports every leg a retired kind still has, and a
+// missing reason or fuzz leg.
+func checkRetiredKind(pass *Pass, k wireKind, u *wireKindUses) {
+	if !k.typed {
+		pass.Reportf(k.pos, "retired wire kind %s is not a request kind: only Kind-typed constants can be retired", k.name)
+		return
+	}
+	if k.reason == "" {
+		pass.Reportf(k.pos, "//epi:retired needs a reason: say why %s keeps its number", k.name)
+	}
+	if u.encode {
+		pass.Reportf(k.pos, "retired wire kind %s is still encoded: something constructs a request with Kind: %s", k.name, k.name)
+	}
+	if u.dispatch {
+		pass.Reportf(k.pos, "retired wire kind %s is still dispatched: a case or comparison routes it outside the codec", k.name)
+	}
+	if len(u.codecArms) > 0 {
+		pass.Reportf(k.pos, "retired wire kind %s still has kind-gated codec arms", k.name)
+	}
+	if !u.fuzz {
+		pass.Reportf(k.pos, "wire kind %s is not exercised by any Fuzz* driver", k.name)
+	}
+}
+
+// markRetiredKinds flags the kinds whose declaration's doc comment carries
+// an //epi:retired directive, recording its reason.
+func markRetiredKinds(files []*ast.File, kinds []wireKind) {
+	byName := map[string]*wireKind{}
+	for i := range kinds {
+		byName[kinds[i].name] = &kinds[i]
+	}
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok || vs.Doc == nil {
+					continue
+				}
+				for _, c := range vs.Doc.List {
+					for _, d := range epiDirectives(c) {
+						if d.verb != "retired" {
+							continue
+						}
+						for _, nm := range vs.Names {
+							if k := byName[nm.Name]; k != nil {
+								k.retired, k.reason = true, d.rest
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -166,15 +166,7 @@ func (s *Shell) cmdGet(args []string) (string, error) {
 
 func (s *Shell) cmdKeys() (string, error) {
 	var keys []string
-	if pr := s.nodes[s.active].Parted(); pr != nil {
-		for _, snap := range pr.Snapshot() {
-			for _, it := range snap.Items {
-				keys = append(keys, it.Key)
-			}
-		}
-	} else {
-		snap := s.nodes[s.active].Replica().Snapshot()
-		keys = make([]string, 0, len(snap.Items))
+	for _, snap := range s.nodes[s.active].Parted().Snapshot() {
 		for _, it := range snap.Items {
 			keys = append(keys, it.Key)
 		}
@@ -256,11 +248,10 @@ func (s *Shell) cmdSync() (string, error) {
 // cmdParts renders the keyspace placement of a partitioned cluster: the
 // ring geometry and which partitions each node replicates.
 func (s *Shell) cmdParts() (string, error) {
-	pr := s.nodes[s.active].Parted()
-	if pr == nil {
+	rg := s.nodes[s.active].Parted().Ring()
+	if rg.Partitions() == 1 {
 		return "", fmt.Errorf("cluster is not partitioned (start with -partitions > 1)")
 	}
-	rg := pr.Ring()
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%d partitions, %d-way placement across %d nodes\n",
 		rg.Partitions(), rg.Placement(), rg.Servers())
@@ -274,37 +265,33 @@ func (s *Shell) cmdParts() (string, error) {
 	return strings.TrimRight(sb.String(), "\n"), nil
 }
 
-// cmdLog renders the active node's log-bounding state: per-origin log
-// lengths, the acked-DBVV lower bound held for each peer, the pruned
-// watermark and the pruning configuration.
+// cmdLog renders the active node's log-bounding state, per owned
+// partition: per-origin log lengths, the acked-DBVV lower bound held for
+// each peer, the pruned watermark and the pruning configuration.
 func (s *Shell) cmdLog() (string, error) {
 	var sb strings.Builder
-	if pr := s.nodes[s.active].Parted(); pr != nil {
-		for _, ps := range pr.PrunedBefore() {
-			part := pr.Partition(ps.Pid)
-			fmt.Fprintf(&sb, "partition %d: log-records=%d pruned-before=%v\n",
-				ps.Pid, part.LogRecords(), ps.DBVV)
+	pr := s.nodes[s.active].Parted()
+	for _, pid := range pr.Owned() {
+		r := pr.Partition(pid)
+		fmt.Fprintf(&sb, "partition %d: log-records=%d pruned-before=%v\n", pid, r.LogRecords(), r.PrunedBefore())
+		for k, l := range r.LogComponentLens() {
+			fmt.Fprintf(&sb, "  origin %d: %d record(s)\n", k, l)
 		}
-		return strings.TrimRight(sb.String(), "\n"), nil
-	}
-	r := s.nodes[s.active].Replica()
-	for k, l := range r.LogComponentLens() {
-		fmt.Fprintf(&sb, "origin %d: %d record(s)\n", k, l)
-	}
-	learned := false
-	for j, v := range r.AckTable() {
-		if v == nil {
-			continue
+		learned := false
+		for j, v := range r.AckTable() {
+			if v == nil {
+				continue
+			}
+			learned = true
+			fmt.Fprintf(&sb, "  acked by node %d: %v\n", j, v)
 		}
-		learned = true
-		fmt.Fprintf(&sb, "acked by node %d: %v\n", j, v)
+		if !learned {
+			sb.WriteString("  acked: (nothing learned yet)\n")
+		}
+		fmt.Fprintf(&sb, "  pruned-before: %v\n", r.PrunedBefore())
+		fmt.Fprintf(&sb, "  prune-peers: %v  log-cap: %d\n", r.PrunePeers(), r.LogCap())
 	}
-	if !learned {
-		sb.WriteString("acked: (nothing learned yet)\n")
-	}
-	fmt.Fprintf(&sb, "pruned-before: %v\n", r.PrunedBefore())
-	fmt.Fprintf(&sb, "prune-peers: %v  log-cap: %d", r.PrunePeers(), r.LogCap())
-	return sb.String(), nil
+	return strings.TrimRight(sb.String(), "\n"), nil
 }
 
 // cmdPrune runs one pruning pass on the active node.
@@ -325,22 +312,14 @@ func (s *Shell) cmdStatus() (string, error) {
 		if i == s.active {
 			marker = "*"
 		}
-		if pr := node.Parted(); pr != nil {
-			logRecords := 0
-			for _, snap := range pr.Snapshot() {
-				logRecords += snap.LogRecords
-			}
-			fmt.Fprintf(&sb, "%s node %d @ %s: partitions=%v items=%d log-records=%d\n",
-				marker, i, node.Addr(), pr.Owned(), pr.Items(), logRecords)
-			if err := pr.CheckInvariants(); err != nil {
-				fmt.Fprintf(&sb, "  INVARIANT VIOLATION: %v\n", err)
-			}
-			continue
+		pr := node.Parted()
+		logRecords := 0
+		for _, snap := range pr.Snapshot() {
+			logRecords += snap.LogRecords
 		}
-		r := node.Replica()
-		fmt.Fprintf(&sb, "%s node %d @ %s: items=%d log-records=%d aux=%d dbvv=%v\n",
-			marker, i, node.Addr(), r.Items(), r.LogRecords(), r.AuxCopies(), r.DBVV())
-		if err := r.CheckInvariants(); err != nil {
+		fmt.Fprintf(&sb, "%s node %d @ %s: partitions=%v items=%d log-records=%d\n",
+			marker, i, node.Addr(), pr.Owned(), pr.Items(), logRecords)
+		if err := pr.CheckInvariants(); err != nil {
 			fmt.Fprintf(&sb, "  INVARIANT VIOLATION: %v\n", err)
 		}
 	}

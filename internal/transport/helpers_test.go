@@ -8,9 +8,32 @@ import (
 // testClient runs the tests' one-off exchanges.
 var testClient = NewClient(Options{})
 
+// node wraps r as the one-partition node every full replica is served and
+// pulled as. The node, not r, is charged for the negotiation round's wire
+// bytes.
+func node(r *core.Replica) *core.Partitioned {
+	pr, err := core.RestorePartitioned(r.ID(), r.Servers(), 1, r.Servers(), map[int]*core.Replica{0: r})
+	if err != nil {
+		panic(err)
+	}
+	return pr
+}
+
+// pullWith is one in-memory pull of r, as a one-partition node, through c.
+func pullWith(c *Client, r *core.Replica, addr string) (bool, error) {
+	shipped, err := c.PullPart(node(r), []Sink{InMemory(r)}, addr)
+	return shipped > 0, err
+}
+
 // pull is one in-memory pull through testClient.
 func pull(r *core.Replica, addr string) (bool, error) {
-	return testClient.Pull(InMemory(r), addr)
+	return pullWith(testClient, r, addr)
+}
+
+// pullStream drains r's one partition over a chunked session through c,
+// whatever the payload's size.
+func pullStream(c *Client, r *core.Replica, addr string) (bool, error) {
+	return c.pullPartStream(node(r), r, addr, 0)
 }
 
 // fetchOOB is one in-memory out-of-bound copy through testClient.

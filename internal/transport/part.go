@@ -1,6 +1,8 @@
 package transport
 
-// Partitioned sessions over the framed transport.
+// Propagation sessions over the framed transport. Every session is
+// partitioned: a full replica is a one-partition node and offers just that
+// partition.
 //
 // One KindPartPropagation exchange negotiates the whole node pair: the
 // recipient offers the (partition id, DBVV) pair for every partition it
@@ -22,17 +24,10 @@ import (
 	"repro/internal/wire"
 )
 
-// ListenPart is the partitioned counterpart of Listen: listen on addr and
-// serve the partitioned node.
-func ListenPart(pr *core.Partitioned, addr string) (*Server, error) {
-	return listen(&Server{parted: pr}, addr)
-}
-
-// dispatchParted serves one non-streaming request on a partitioned server.
-// Single-key exchanges route to the owning partition's replica through the
-// ring; plain KindPropagation is rejected — a partitioned database has no
-// single DBVV for it to compare against.
-func (s *Server) dispatchParted(req *wire.Request) *wire.Response {
+// dispatch serves one non-streaming request. Single-key exchanges route to
+// the owning partition's replica through the ring. Any other kind, the
+// retired KindPropagation included, is answered with an error.
+func (s *Server) dispatch(req *wire.Request) *wire.Response {
 	pr := s.parted
 	var resp wire.Response
 	switch req.Kind {
@@ -76,8 +71,6 @@ func (s *Server) dispatchParted(req *wire.Request) *wire.Response {
 				resp.Items = append(resp.Items, part.BuildItems(groups[pid])...)
 			}
 		}
-	case wire.KindPropagation:
-		resp.Err = "server is partitioned; open a partitioned session"
 	default:
 		resp.Err = fmt.Sprintf("unknown request kind %d", req.Kind)
 	}

@@ -10,6 +10,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/op"
 	"repro/internal/ring"
+	"repro/internal/vv"
+	"repro/internal/wire"
 )
 
 // partKeysT finds count distinct keys hashing into partition pid.
@@ -412,28 +414,23 @@ func TestOOBAndFetchRouteByRing(t *testing.T) {
 	}
 }
 
-// Protocol mismatches fail loudly in both directions.
+// The retired unpartitioned request fails loudly against every node,
+// whatever its partition count: no server answers KindPropagation.
 func TestPartKindMismatches(t *testing.T) {
-	a, b, partSrv := startPartPair(t, 2, 8, 2)
-	_ = a
-
-	// Plain pull against a partitioned server.
-	plain := core.NewReplica(1, 2)
-	if _, err := pull(plain, partSrv.Addr()); err == nil || !strings.Contains(err.Error(), "partitioned") {
-		t.Errorf("plain Pull against partitioned server: err = %v", err)
-	}
-	// Plain stream against a partitioned server.
-	if _, err := testClient.PullStream(InMemory(plain), partSrv.Addr()); err == nil || !strings.Contains(err.Error(), "partitioned") {
-		t.Errorf("plain stream against partitioned server: err = %v", err)
-	}
-
-	// Partitioned pull against a plain server.
+	_, _, partSrv := startPartPair(t, 2, 8, 2)
 	plainSrv, err := Listen(core.NewReplica(0, 2), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plainSrv.Close()
-	if _, err := pullPart(b, plainSrv.Addr()); err == nil || !strings.Contains(err.Error(), "not partitioned") {
-		t.Errorf("PullPart against plain server: err = %v", err)
+	for name, addr := range map[string]string{"P=8": partSrv.Addr(), "P=1": plainSrv.Addr()} {
+		var resp wire.Response
+		req := wire.Request{Kind: wire.KindPropagation, From: 1, DBVV: vv.VV{0, 0}}
+		if err := roundTrip(addr, req, &resp); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(resp.Err, "unknown request kind") || resp.Parts != nil {
+			t.Errorf("%s: retired request answered %+v", name, resp)
+		}
 	}
 }

@@ -327,35 +327,39 @@ func remoteErr(msg string) error {
 	return fmt.Errorf("transport: remote error: %s", msg)
 }
 
-// newPullRequest builds the propagation-pull request, cloning dbvv: the
+// offerRequest builds a one-partition offer of dbvv, cloning it: the
 // request outlives this statement (the pool re-encodes it on the
 // stale-connection retry path), so it must not alias the caller's live
 // vector.
-func newPullRequest(from int, dbvv vv.VV) *wire.Request {
-	return &wire.Request{Kind: wire.KindPropagation, From: from, DBVV: dbvv.Clone()}
+func offerRequest(from int, dbvv vv.VV) *wire.Request {
+	return &wire.Request{
+		Kind:  wire.KindPartPropagation,
+		From:  from,
+		Parts: []core.PartState{{Pid: 0, DBVV: dbvv.Clone()}},
+	}
 }
 
 // PullSessionMetered runs just the first round of a propagation session:
-// it fetches the source's reply for a recipient whose DBVV is dbvv, without
-// applying it, and charges the measured wire cost to r's counters (skipped
-// when r is nil). A nil message means the recipient is current;
-// ErrNeedsReconcile means the source pruned past dbvv. db is unused: it is
-// kept only because bench/ladder.go passes "".
+// it offers dbvv as the recipient's DBVV for partition 0 of the source at
+// addr and fetches the source's reply without applying it, charging the
+// measured wire cost to r's counters (skipped when r is nil). A nil message
+// means the recipient is current; ErrNeedsReconcile means the source pruned
+// past dbvv. db is unused: it is kept only because bench/ladder.go passes "".
 func (c *Client) PullSessionMetered(r *core.Replica, addr, db string, from int, dbvv vv.VV) (*core.Propagation, error) {
 	var resp wire.Response
-	if err := c.do(r, addr, newPullRequest(from, dbvv), &resp); err != nil {
+	if err := c.do(r, addr, offerRequest(from, dbvv), &resp); err != nil {
 		return nil, err
 	}
-	if resp.Reconcile {
+	switch {
+	case len(resp.Parts) != 1 || resp.Parts[0].Pid != 0:
+	case resp.Parts[0].Reconcile:
 		return nil, ErrNeedsReconcile
-	}
-	if resp.Current {
+	case resp.Parts[0].Current:
 		return nil, nil
+	case resp.Parts[0].Prop != nil:
+		return resp.Parts[0].Prop, nil
 	}
-	if resp.Prop == nil {
-		return nil, errors.New("transport: malformed propagation response")
-	}
-	return resp.Prop, nil
+	return nil, errors.New("transport: malformed propagation response")
 }
 
 // fetchItems fetches full copies of the named items from the server at
@@ -366,55 +370,6 @@ func (c *Client) fetchItems(r *core.Replica, addr string, keys []string) ([]core
 		return nil, err
 	}
 	return resp.Items, nil
-}
-
-// Pull performs one update-propagation session: the sink pulls from the
-// server at addr. It returns true when data was shipped, false when the
-// sink was already current. Measured wire bytes and connection-reuse
-// outcomes are charged to the sink's replica.
-func (c *Client) Pull(s Sink, addr string) (bool, error) {
-	r := s.Core()
-	shipped := false
-	for attempt := 0; ; attempt++ {
-		// An in-memory sink announces the monolithic-response ceiling: above
-		// it the source replies Stream instead of materializing the payload,
-		// and the pull restarts as a chunked session.
-		req := &wire.Request{
-			Kind:     wire.KindPropagation,
-			From:     r.ID(),
-			DBVV:     r.PropagationRequest(),
-			MaxBytes: monolithicCap(s),
-		}
-		var resp wire.Response
-		if err := c.do(r, addr, req, &resp); err != nil {
-			return shipped, err
-		}
-		switch {
-		case resp.Reconcile:
-			// The source pruned past our DBVV: no log-based session can
-			// serve us. Reconcile, then re-pull once — afterwards our DBVV
-			// reflects every adopted copy, so a second diversion (conflicts
-			// suspend the guarantee, or a racing prune) ends the session
-			// rather than looping; the next scheduled pull tries again.
-			if attempt > 0 {
-				return shipped, nil
-			}
-			adopted, err := c.reconcileWith(s, addr, 0)
-			if err != nil {
-				return shipped, err
-			}
-			shipped = shipped || adopted > 0
-		case resp.Current:
-			return shipped, nil
-		case resp.Stream && req.MaxBytes > 0:
-			ok, err := c.pullStream(r, addr)
-			return shipped || ok, err
-		case resp.Prop == nil:
-			return shipped, errors.New("transport: malformed propagation response")
-		default:
-			return true, c.applySession(s, addr, resp.Prop)
-		}
-	}
 }
 
 // applySession commits one monolithic propagation payload to the sink,

@@ -14,16 +14,16 @@ import (
 // hold its own copy.
 func TestPullRequestDoesNotAliasCallerVV(t *testing.T) {
 	dbvv := vv.VV{1, 2, 3}
-	req := newPullRequest(4, dbvv)
+	req := offerRequest(4, dbvv)
 
 	dbvv.Inc(0)
-	if got := req.DBVV[0]; got != 1 {
+	if got := req.Parts[0].DBVV[0]; got != 1 {
 		t.Fatalf("request DBVV aliases the caller's vector: component 0 = %d after caller Inc, want 1", got)
 	}
-	if req.Kind != wire.KindPropagation || req.From != 4 {
+	if req.Kind != wire.KindPartPropagation || req.From != 4 || len(req.Parts) != 1 || req.Parts[0].Pid != 0 {
 		t.Fatalf("unexpected request fields: %+v", req)
 	}
-	if !req.DBVV.Equal(vv.VV{1, 2, 3}) {
-		t.Fatalf("request DBVV = %v, want [1 2 3]", req.DBVV)
+	if !req.Parts[0].DBVV.Equal(vv.VV{1, 2, 3}) {
+		t.Fatalf("request DBVV = %v, want [1 2 3]", req.Parts[0].DBVV)
 	}
 }

@@ -20,9 +20,9 @@ func TestPoolReusesConnections(t *testing.T) {
 	a.Update("x", op.NewSet([]byte("v")))
 	c := NewClient(Options{})
 	defer c.Close()
-	b := core.NewReplica(1, 2)
+	b := node(core.NewReplica(1, 2))
 	for i := 0; i < 10; i++ {
-		if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
+		if _, err := c.PullPart(b, memSinks(b), srv.Addr()); err != nil {
 			t.Fatalf("pull %d: %v", i, err)
 		}
 	}
@@ -62,7 +62,7 @@ func TestPoolConcurrentSessions(t *testing.T) {
 		go func(r *core.Replica) {
 			defer wg.Done()
 			for j := 0; j < rounds; j++ {
-				if _, err := c.Pull(InMemory(r), srv.Addr()); err != nil {
+				if _, err := pullWith(c, r, srv.Addr()); err != nil {
 					errs <- err
 					return
 				}
@@ -98,7 +98,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 	defer c.Close()
 	b := core.NewReplica(1, 2)
 	a.Update("x", op.NewSet([]byte("v1")))
-	if _, err := c.Pull(InMemory(b), addr); err != nil {
+	if _, err := pullWith(c, b, addr); err != nil {
 		t.Fatal(err)
 	}
 	// Restart the server on the same address: the pooled connection is now
@@ -112,7 +112,7 @@ func TestPoolSurvivesServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	if _, err := c.Pull(InMemory(b), addr); err != nil {
+	if _, err := pullWith(c, b, addr); err != nil {
 		t.Fatalf("pull after restart: %v", err)
 	}
 	if v, _ := b.Read("x"); string(v) != "v2" {
@@ -143,7 +143,7 @@ func TestPoolRedialsAfterPeerClosedPooledConnection(t *testing.T) {
 				if wire.ReadPreamble(br) != nil {
 					return
 				}
-				current := wire.AppendResponse(nil, &wire.Response{Current: true})
+				current := wire.AppendResponse(nil, &wire.Response{Parts: []wire.PartReply{{Pid: 0, Current: true}}})
 				for {
 					if _, err := wire.ReadFrame(br, wire.FrameRequest, nil); err != nil {
 						return
@@ -165,11 +165,11 @@ func TestPoolRedialsAfterPeerClosedPooledConnection(t *testing.T) {
 	c := NewClient(Options{})
 	defer c.Close()
 	b := core.NewReplica(1, 2)
-	if _, err := c.Pull(InMemory(b), ln.Addr().String()); err != nil {
+	if _, err := pullWith(c, b, ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
 	<-closed
-	if _, err := c.Pull(InMemory(b), ln.Addr().String()); err != nil {
+	if _, err := pullWith(c, b, ln.Addr().String()); err != nil {
 		t.Fatalf("pull after the peer closed its pooled connection: %v", err)
 	}
 	if st := c.PoolStats(); st.Dials != 2 {
@@ -183,11 +183,11 @@ func TestPoolIdleTimeout(t *testing.T) {
 	c := NewClient(Options{Pool: PoolOptions{IdleTimeout: 10 * time.Millisecond}})
 	defer c.Close()
 	b := core.NewReplica(1, 2)
-	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
+	if _, err := pullWith(c, b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
+	if _, err := pullWith(c, b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	st := c.PoolStats()
@@ -277,12 +277,17 @@ func TestUndecodableRequestPayloadClosesConnection(t *testing.T) {
 }
 
 func TestServerCountsWireBytes(t *testing.T) {
-	a, _, srv := startPair(t)
+	a := node(core.NewReplica(0, 2))
+	srv, err := ListenPart(a, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	a.Update("x", op.NewSet([]byte("some-value-on-the-wire")))
-	b := core.NewReplica(1, 2)
+	b := node(core.NewReplica(1, 2))
 	c := NewClient(Options{})
 	defer c.Close()
-	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
+	if _, err := c.PullPart(b, memSinks(b), srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	bm := b.Metrics()

@@ -6,9 +6,8 @@ package transport
 // framing is needed, every round is stateless on the server), and
 // the computed difference is fetched in bounded KindFetch batches.
 //
-// A recipient lands here when a propagation request comes back with the
-// Reconcile flag (monolithic response, partitioned part-reply, or a
-// reconcile-diverted stream header): the source pruned its log past the
+// A recipient lands here when a partition's offer comes back with the
+// Reconcile flag (a part-reply, or a reconcile-diverted stream header): the source pruned its log past the
 // recipient's DBVV, so no log-based session can serve it. After the
 // reconciliation commits, the recipient's DBVV reflects every adopted copy
 // and the follow-up pull proceeds normally (or finds it current).
@@ -22,13 +21,12 @@ import (
 
 // ErrNeedsReconcile reports that the source has pruned its log past the
 // requester's DBVV: no log-based propagation session can serve it, and the
-// caller must reconcile before pulling again (a full Pull handles the
+// caller must reconcile before pulling again (PullPart handles the
 // diversion itself).
 var ErrNeedsReconcile = errors.New("transport: source pruned past requester's DBVV; reconciliation required")
 
 // reconcileSession drives the fingerprint phase of one reconciliation
-// session against the server at addr (partition part on a partitioned
-// server; 0 otherwise) and returns the keys whose copies differ — the
+// session for partition part against the server at addr and returns the keys whose copies differ — the
 // session's computed difference set. A session that stops short (a round
 // answered with the wrong number of replies, or the round cap reached with
 // ranges pending) returns an error and no keys: a partial difference must

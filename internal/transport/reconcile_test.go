@@ -44,10 +44,10 @@ func catchUpSetup(t *testing.T, base, diff, valueSize int) (a, b *core.Replica, 
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil {
+	if _, err := pullWith(c, b, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Pull(InMemory(b), srv.Addr()); err != nil { // teach a the full ack
+	if _, err := pullWith(c, b, srv.Addr()); err != nil { // teach a the full ack
 		t.Fatal(err)
 	}
 	for i := 0; i < diff; i++ {
@@ -66,18 +66,19 @@ func TestPullDivertsToReconcileAndConverges(t *testing.T) {
 	const base, diff, valueSize = 400, 10, 512
 	a, b, srv, c, diffBytes := catchUpSetup(t, base, diff, valueSize)
 
-	before := b.Metrics()
-	shipped, err := c.Pull(InMemory(b), srv.Addr())
+	bn := node(b)
+	before := bn.Metrics()
+	shipped, err := c.PullPart(bn, memSinks(bn), srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !shipped {
+	if shipped == 0 {
 		t.Fatal("catch-up pull shipped nothing")
 	}
 	if ok, why := core.Converged(a, b); !ok {
 		t.Fatalf("not converged: %s", why)
 	}
-	d := b.Metrics().Diff(before)
+	d := bn.Metrics().Diff(before)
 	if d.ReconcileSessions != 1 {
 		t.Errorf("ReconcileSessions = %d, want 1", d.ReconcileSessions)
 	}
@@ -102,7 +103,7 @@ func TestPullStreamDivertsToReconcile(t *testing.T) {
 	const base, diff, valueSize = 300, 8, 128
 	a, b, srv, c, _ := catchUpSetup(t, base, diff, valueSize)
 
-	shipped, err := c.PullStream(InMemory(b), srv.Addr())
+	shipped, err := pullStream(c, b, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

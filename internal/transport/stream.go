@@ -2,7 +2,7 @@ package transport
 
 // Streaming propagation sessions over the framed transport.
 //
-// A KindStream request turns one exchange into a bounded frame sequence
+// A KindPartStream request turns one exchange into a bounded frame sequence
 // (wire.KindSessionBegin / KindSessionChunk / KindSessionEnd) on the same
 // pooled connection. The session forms a three-stage pipeline:
 //
@@ -25,10 +25,10 @@ import (
 	"repro/internal/wire"
 )
 
-// DefaultMonolithicCap is the monolithic-response ceiling pooled clients
-// announce on KindPropagation requests: payload estimates above it make the
-// source reply "stream instead", and the client re-pulls over a KindStream
-// session. Chosen a few chunks large, so steady-state gossip stays on the
+// DefaultMonolithicCap is the per-partition inline-payload ceiling pooled
+// clients announce on KindPartPropagation requests: payload estimates above
+// it make the source answer the partition "stream instead", and the client
+// drains it over a KindPartStream session. Chosen a few chunks large, so steady-state gossip stays on the
 // cheaper single-exchange path and only bulk catch-up streams.
 const DefaultMonolithicCap = 1 << 20
 
@@ -43,7 +43,7 @@ func (s *Server) chunkBudget() uint64 {
 	return core.DefaultChunkBytes
 }
 
-// serveStream answers one KindStream request with a session frame
+// serveStream answers one KindPartStream request with a session frame
 // sequence. The builder goroutine cuts the next chunk while this goroutine
 // encodes and ships the previous one; every chunk frame is flushed
 // individually so the recipient can apply it while later chunks are still
@@ -148,42 +148,8 @@ type flushWriter interface {
 	Flush() error
 }
 
-// PullStream performs one streaming propagation session: the sink pulls
-// from the server at addr chunk by chunk, committing each chunk as it
-// arrives. It returns true when data was shipped, false when the sink was
-// already current. Streamed chunks apply straight to the replica, so only
-// an in-memory sink streams; any other sink runs an ordinary Pull, whose
-// inline payload it can log before applying.
-func (c *Client) PullStream(s Sink, addr string) (bool, error) {
-	m, ok := s.(memSink)
-	if !ok {
-		return c.Pull(s, addr)
-	}
-	return c.pullStream(m.r, addr)
-}
-
-func (c *Client) pullStream(recipient *core.Replica, addr string) (bool, error) {
-	shipped := false
-	for attempt := 0; ; attempt++ {
-		req := &wire.Request{Kind: wire.KindStream, From: recipient.ID(), DBVV: recipient.PropagationRequest()}
-		ok, reconcile, err := c.runStream(recipient, addr, req)
-		shipped = shipped || ok
-		if err != nil || !reconcile || attempt > 0 {
-			// A second diversion (conflicts, races) ends the session rather
-			// than looping; the next scheduled pull tries again.
-			return shipped, err
-		}
-		adopted, err := c.reconcileWith(memSink{recipient}, addr, 0)
-		if err != nil {
-			return shipped, err
-		}
-		shipped = shipped || adopted > 0
-	}
-}
-
-// runStream drives one streaming session request (KindStream, or
-// KindPartStream from the partitioned client) against addr with recipient
-// as the sink, retrying once on a fresh dial when a pooled connection turns
+// runStream drives one KindPartStream session request against addr with
+// recipient as the sink, retrying once on a fresh dial when a pooled connection turns
 // out stale before yielding a single frame. Requires the framed transport.
 // reconcile reports a reconcile-diverted session: the source pruned past
 // the request's DBVV and shipped nothing.

@@ -35,7 +35,7 @@ func TestPullStreamEndToEnd(t *testing.T) {
 	rec := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	shipped, err := c.PullStream(InMemory(rec), srv.Addr())
+	shipped, err := pullStream(c, rec, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestPullStreamEndToEnd(t *testing.T) {
 
 	// Second pull: current — and the connection must be reusable after a
 	// completed session (frame alternation restored).
-	shipped, err = c.PullStream(InMemory(rec), srv.Addr())
+	shipped, err = pullStream(c, rec, srv.Addr())
 	if err != nil || shipped {
 		t.Fatalf("second pull = (%v, %v), want (false, nil)", shipped, err)
 	}
-	if _, err := c.Pull(InMemory(rec), srv.Addr()); err != nil {
+	if _, err := pullWith(c, rec, srv.Addr()); err != nil {
 		t.Fatalf("ordinary pull after streamed session: %v", err)
 	}
 }
@@ -81,7 +81,7 @@ func TestPullAutoFallsBackToStreaming(t *testing.T) {
 	rec := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	shipped, err := c.Pull(InMemory(rec), srv.Addr())
+	shipped, err := pullWith(c, rec, srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPullSmallStaysMonolithic(t *testing.T) {
 	rec := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	if _, err := c.Pull(InMemory(rec), srv.Addr()); err != nil {
+	if _, err := pullWith(c, rec, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Metrics().ChunksApplied; got != 0 {
@@ -133,8 +133,10 @@ func TestPullStreamRemoteError(t *testing.T) {
 	rec := core.NewReplica(1, 2)
 	c := NewClient(Options{})
 	defer c.Close()
-	if _, err := c.PullStream(InMemory(rec), srv.Addr()); err == nil {
-		t.Fatal("error for a plain stream against a partitioned server not surfaced")
+	// The server has partitions 0..3; a stream of partition 7 must surface
+	// its "not replicated here" error.
+	if _, err := c.pullPartStream(node(rec), rec, srv.Addr(), 7); err == nil {
+		t.Fatal("error for a stream of a partition the server lacks not surfaced")
 	}
 }
 
@@ -163,7 +165,7 @@ func TestStreamingPeakPayloadRatio(t *testing.T) {
 	monoPeak := mono.Metrics().PeakPayloadBytes
 
 	streamed := core.NewReplica(1, 2)
-	if _, err := c.PullStream(InMemory(streamed), srv.Addr()); err != nil {
+	if _, err := pullStream(c, streamed, srv.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	streamPeak := streamed.Metrics().PeakPayloadBytes
@@ -185,7 +187,7 @@ func TestStreamingPeakPayloadRatio(t *testing.T) {
 //
 //   - monolithic: one PullSession reply carrying the whole payload,
 //     committed in one critical section;
-//   - streaming: a chunked KindStream session, each chunk applied as it
+//   - streaming: a chunked KindPartStream session, each chunk applied as it
 //     arrives while later chunks are still being built and shipped.
 //
 // Reported custom metrics: peak-payload-bytes is the largest payload either
@@ -241,7 +243,7 @@ func BenchmarkE17StreamingCatchup(b *testing.B) {
 			rec := core.NewReplica(1, 2)
 			runtime.GC() // as in the monolithic loop above
 			b.StartTimer()
-			shipped, err := c.PullStream(InMemory(rec), srv.Addr())
+			shipped, err := pullStream(c, rec, srv.Addr())
 			if err != nil || !shipped {
 				b.Fatalf("stream pull = (%v, %v)", shipped, err)
 			}

@@ -1,13 +1,14 @@
 // Package transport runs the protocol's two exchanges — update propagation
 // and out-of-bound copying — over real TCP connections.
 //
-// The wire protocol mirrors §5 exactly:
+// The wire protocol mirrors §5, one DBVV per keyspace partition:
 //
-//	propagation:  recipient --(DBVV)--> source --(Propagation | current)--> recipient
-//	out-of-bound: recipient --(key)---> source --(OOBReply)--------------> recipient
+//	propagation:  recipient --(pid, DBVV)*--> source --(Propagation | current)*--> recipient
+//	out-of-bound: recipient --(key)---------> source --(OOBReply)----------------> recipient
 //
-// A Server owns the source side of both exchanges for one replica; a Client
-// owns the recipient side. The hot path speaks the compact framed binary
+// A Server owns the source side of both exchanges for one node; a Client
+// owns the recipient side. A full replica is the one-partition node, so its
+// session is the paper's single DBVV comparison plus the partition id. The hot path speaks the compact framed binary
 // codec of internal/wire over persistent pooled connections (see pool.go),
 // so thousands of O(1) "you-are-current" exchanges per second share warm
 // TCP connections instead of paying a dial per session. It is the only
@@ -33,13 +34,11 @@ import (
 	"repro/internal/wire"
 )
 
-// Server serves propagation and out-of-bound requests for one replica.
+// Server serves propagation and out-of-bound requests for one node: a
+// core.Partitioned whose partitions each answer their own share of a
+// session, and whose ring routes single-key exchanges (OOB, fetch) to the
+// owning partition's replica. A full replica is the one-partition case.
 type Server struct {
-	replica *core.Replica //epi:immutable
-	// parted, when non-nil, makes this a partitioned server: partitioned
-	// sessions negotiate against it, and single-key exchanges (OOB, fetch)
-	// are routed to the owning partition's replica via its ring. replica
-	// is nil on a partitioned server.
 	parted *core.Partitioned //epi:immutable
 	ln     net.Listener      //epi:immutable
 
@@ -53,25 +52,31 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// Listen listens on addr (e.g. "127.0.0.1:0") and serves the replica. It
+// ListenPart listens on addr (e.g. "127.0.0.1:0") and serves the node. It
 // returns immediately; connections are handled on background goroutines
 // until Close.
-func Listen(replica *core.Replica, addr string) (*Server, error) {
-	return listen(&Server{replica: replica}, addr)
-}
-
-// listen binds addr and starts s serving on it.
-//
-//epi:init construction: s is published only on return
-func listen(s *Server, addr string) (*Server, error) {
+func ListenPart(pr *core.Partitioned, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s.ln = ln
+	s := &Server{parted: pr, ln: ln}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
+}
+
+// Listen serves a single replica as a one-partition node, which is the
+// paper's unpartitioned replica: one DBVV for the whole database, owned by
+// every server. The served wire bytes are charged to the wrapping node,
+// not to the replica.
+func Listen(replica *core.Replica, addr string) (*Server, error) {
+	pr, err := core.RestorePartitioned(replica.ID(), replica.Servers(), 1, replica.Servers(),
+		map[int]*core.Replica{0: replica})
+	if err != nil {
+		return nil, err
+	}
+	return ListenPart(pr, addr)
 }
 
 // Addr returns the server's listen address.
@@ -204,118 +209,34 @@ func (s *Server) handle(conn net.Conn) {
 		if err := wire.DecodeRequest(payload, &req); err != nil {
 			return
 		}
-		if req.Kind == wire.KindStream || req.Kind == wire.KindPartStream {
+		if req.Kind == wire.KindPartStream {
 			replica, errmsg := s.streamTarget(&req)
 			if err := s.serveStream(bw, replica, errmsg, &req, scratch); err != nil {
 				return
 			}
-			s.chargeServed(replica, cw.n-lastSent, cr.n-lastRecv)
-			lastSent, lastRecv = cw.n, cr.n
-			continue
+		} else {
+			*scratch = wire.AppendResponse((*scratch)[:0], s.dispatch(&req))
+			if err := wire.WriteFrame(bw, wire.FrameResponse, *scratch); err != nil {
+				return
+			}
+			if err := bw.Flush(); err != nil {
+				return
+			}
 		}
-		replica, resp := s.dispatch(&req)
-		*scratch = wire.AppendResponse((*scratch)[:0], resp)
-		if err := wire.WriteFrame(bw, wire.FrameResponse, *scratch); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		s.chargeServed(replica, cw.n-lastSent, cr.n-lastRecv)
+		// The connection multiplexes partitions, so its bytes are the
+		// node's, not any one partition's.
+		s.parted.AddWireStats(cw.n-lastSent, cr.n-lastRecv, 0, 0)
 		lastSent, lastRecv = cw.n, cr.n
 	}
 }
 
-// streamTarget resolves the replica a streaming request drains: the
-// server's replica for KindStream, the named partition's replica for
-// KindPartStream on a partitioned server. The replica is nil when the
-// request cannot be served, with the error text as the second result.
+// streamTarget resolves the partition replica a KindPartStream request
+// drains. The replica is nil when this node does not replicate the
+// partition, with the error text as the second result.
 func (s *Server) streamTarget(req *wire.Request) (*core.Replica, string) {
-	if req.Kind == wire.KindPartStream {
-		if s.parted == nil {
-			return nil, "server is not partitioned"
-		}
-		part := s.parted.Partition(req.Part)
-		if part == nil {
-			return nil, fmt.Sprintf("partition %d not replicated here", req.Part)
-		}
-		return part, ""
+	part := s.parted.Partition(req.Part)
+	if part == nil {
+		return nil, fmt.Sprintf("partition %d not replicated here", req.Part)
 	}
-	if s.parted != nil {
-		return nil, "server is partitioned; open a partitioned session"
-	}
-	return s.replica, ""
-}
-
-// chargeServed charges one served exchange's measured wire bytes: to the
-// node on a partitioned server (the connection multiplexes partitions), to
-// the serving replica otherwise.
-func (s *Server) chargeServed(replica *core.Replica, sent, recv uint64) {
-	if s.parted != nil {
-		s.parted.AddWireStats(sent, recv, 0, 0)
-		return
-	}
-	if replica != nil {
-		replica.AddWireStats(sent, recv, 0, 0)
-	}
-}
-
-// dispatch runs one decoded non-streaming request against the owning
-// replica. The returned replica is nil on a partitioned server, which
-// charges the node instead.
-func (s *Server) dispatch(req *wire.Request) (*core.Replica, *wire.Response) {
-	if s.parted != nil {
-		return nil, s.dispatchParted(req)
-	}
-	replica := s.replica
-	var resp wire.Response
-	switch req.Kind {
-	case wire.KindPropagation:
-		// The request's DBVV is the requester's claim of what it reflects —
-		// a safe lower bound on its state, recorded for acked-peer pruning.
-		replica.NoteAck(req.From, req.DBVV)
-		// Watermark guard: a DBVV below the pruned floor cannot be served
-		// from the log (the covering records are gone); divert the
-		// recipient to a reconciliation session instead of shipping a
-		// session with silent gaps.
-		if replica.NeedsReconcile(req.DBVV) {
-			resp.Reconcile = true
-			return replica, &resp
-		}
-		// Size guard: a monolithic response materializes the whole payload
-		// in memory on both ends. When the requester announced a cap and
-		// the payload estimate exceeds it, divert the session onto the
-		// streaming path instead of building the payload at all. The plan's
-		// current case answers directly — it already charged the session's
-		// noop accounting, and running BuildPropagation too would double the
-		// steady state's single DBVV comparison.
-		if req.MaxBytes > 0 {
-			switch replica.PlanPropagation(req.DBVV, req.MaxBytes) {
-			case core.PlanCurrent:
-				resp.Current = true
-				return replica, &resp
-			case core.PlanStream:
-				resp.Stream = true
-				return replica, &resp
-			}
-		}
-		p := replica.BuildPropagation(req.DBVV)
-		if p == nil {
-			resp.Current = true
-		} else {
-			resp.Prop = p
-		}
-	case wire.KindOOB:
-		reply := replica.ServeOOB(req.Key)
-		resp.OOB = &reply
-	case wire.KindFetch:
-		resp.Items = replica.BuildItems(req.Keys)
-	case wire.KindReconcile:
-		resp.Recon = replica.ServeReconcile(req.Ranges)
-	case wire.KindPartPropagation:
-		resp.Err = "server is not partitioned"
-	default:
-		resp.Err = fmt.Sprintf("unknown request kind %d", req.Kind)
-	}
-	return replica, &resp
+	return part, ""
 }

@@ -21,8 +21,8 @@ package wal
 // drains every attached WAL's pending batch, writes each batch to its own
 // segment in one write call, and syncs each dirty file once — k dirty
 // partitions cost k fsyncs per round instead of k·records, and records of
-// one partition still amortize into a single flush exactly as on an
-// unpartitioned node.
+// one partition still amortize into a single flush exactly as on a
+// one-partition node.
 
 import (
 	"runtime"

@@ -82,7 +82,7 @@ func reconcileFrameSeeds() [][]byte {
 	return [][]byte{
 		AppendRequest(nil, &Request{Kind: KindReconcile, From: 1, Ranges: sampleRanges()}),
 		AppendRequest(nil, &Request{Kind: KindReconcile, Part: 3}),
-		AppendResponse(nil, &Response{Reconcile: true}),
+		{respReconcile, reconRetired}, // the retired divert marker: must not decode
 		AppendResponse(nil, &Response{Recon: []core.ReconcileReply{
 			{Match: true},
 			{IsLeaf: true, Keys: []core.KeyDigest{{Key: "k", Fp: 9}}},

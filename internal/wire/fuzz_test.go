@@ -39,7 +39,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(AppendRequest(nil, &Request{Kind: KindPropagation, From: 1, DBVV: vv.VV{3, 1}}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindOOB, From: 2, Key: "k"}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindFetch, Keys: []string{"a", "b"}}))
-	f.Add(AppendRequest(nil, &Request{Kind: KindStream, From: 1, DBVV: vv.VV{2, 0, 5}, MaxBytes: 1 << 18}))
+	// The retired KindStream number: decodes as an unknown kind.
+	f.Add(AppendRequest(nil, &Request{Kind: Kind(4), From: 1, DBVV: vv.VV{2, 0, 5}, MaxBytes: 1 << 18}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindPartPropagation, From: 2,
 		Parts: []core.PartState{{Pid: 0, DBVV: vv.VV{1}}, {Pid: 7, DBVV: vv.VV{0, 4}}}}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindPartStream, From: 1, Part: 9, DBVV: vv.VV{2, 2}}))
@@ -64,8 +65,9 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func FuzzDecodeResponse(f *testing.F) {
-	f.Add(AppendResponse(nil, &Response{Current: true}))
-	f.Add(AppendResponse(nil, &Response{Prop: sampleProp()}))
+	// The retired you-are-current and inline-payload replies: must not decode.
+	f.Add([]byte{1 << 0})
+	f.Add(append([]byte{1 << 1}, AppendPropagation(nil, sampleProp())...))
 	f.Add(AppendResponse(nil, &Response{OOB: &core.OOBReply{Key: "k", Found: true, IVV: vv.VV{1}}}))
 	f.Add(AppendResponse(nil, &Response{Err: "boom"}))
 	f.Add(AppendResponse(nil, &Response{Parts: []PartReply{
@@ -81,10 +83,9 @@ func FuzzDecodeResponse(f *testing.F) {
 		if err := DecodeResponse(re, &resp2); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if resp2.Current != resp.Current || resp2.Err != resp.Err ||
+		if resp2.Err != resp.Err ||
 			len(resp2.Items) != len(resp.Items) ||
 			len(resp2.Parts) != len(resp.Parts) ||
-			(resp.Prop == nil) != (resp2.Prop == nil) ||
 			(resp.OOB == nil) != (resp2.OOB == nil) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", resp, resp2)
 		}

@@ -45,7 +45,7 @@ func TestPartStreamRequestRoundTrip(t *testing.T) {
 // byte-identically whether or not the new struct fields are populated, so
 // old peers and old captures keep decoding unchanged.
 func TestOldKindsEncodeByteIdentical(t *testing.T) {
-	for _, kind := range []Kind{KindPropagation, KindOOB, KindFetch, KindStream} {
+	for _, kind := range []Kind{KindPropagation, KindOOB, KindFetch} {
 		base := Request{Kind: kind, From: 2, DBVV: vv.VV{7}, Key: "k", Keys: []string{"a"}, MaxBytes: 9}
 		dirty := base
 		dirty.Parts = []core.PartState{{Pid: 3, DBVV: vv.VV{1}}}

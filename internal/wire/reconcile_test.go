@@ -97,18 +97,15 @@ func TestReconcileResponseRoundTrip(t *testing.T) {
 		{SketchCells: 1 << 40},
 	}
 	for _, resp := range []*Response{
-		{Reconcile: true},                 // divert marker on a propagation response
-		{Recon: replies},                  // reconcile round answer
-		{Reconcile: true, Recon: replies}, // both forms together
-		{Current: true, Reconcile: false}, // untouched pre-existing shape
+		{Recon: replies},  // reconcile round answer
+		{Err: "no recon"}, // untouched pre-existing shape
 	} {
 		buf := AppendResponse(nil, resp)
 		var got Response
 		if err := DecodeResponse(buf, &got); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
-		if got.Reconcile != resp.Reconcile || got.Current != resp.Current ||
-			!repliesEqual(got.Recon, resp.Recon) {
+		if got.Err != resp.Err || !repliesEqual(got.Recon, resp.Recon) {
 			t.Fatalf("round trip: %+v vs %+v", resp, got)
 		}
 		if !bytes.Equal(buf, AppendResponse(nil, &got)) {
@@ -189,7 +186,7 @@ func TestStreamReconcileDivert(t *testing.T) {
 func FuzzDecodeReconcileFrames(f *testing.F) {
 	f.Add(AppendRequest(nil, &Request{Kind: KindReconcile, From: 1, Ranges: sampleRanges()}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindReconcile, Part: 3}))
-	f.Add(AppendResponse(nil, &Response{Reconcile: true}))
+	f.Add([]byte{respReconcile, reconRetired}) // the retired divert marker: must not decode
 	f.Add(AppendResponse(nil, &Response{Recon: []core.ReconcileReply{
 		{Match: true},
 		{IsLeaf: true, Keys: []core.KeyDigest{{Key: "k", Fp: 9}}},
@@ -220,7 +217,7 @@ func FuzzDecodeReconcileFrames(f *testing.F) {
 			if err := DecodeResponse(re, &resp2); err != nil {
 				t.Fatalf("response re-decode failed: %v", err)
 			}
-			if resp2.Reconcile != resp.Reconcile || !repliesEqual(resp2.Recon, resp.Recon) {
+			if !repliesEqual(resp2.Recon, resp.Recon) {
 				t.Fatalf("response round trip mismatch: %+v vs %+v", resp, resp2)
 			}
 		}
@@ -255,6 +252,23 @@ func TestReconcileDecodeRejectsMalformedSketch(t *testing.T) {
 	resp[len(resp)-1] = 0 // the sketch flag set, with a zero cell count
 	if err := DecodeResponse(resp, new(Response)); err == nil {
 		t.Error("zero-cell sketch request decoded")
+	}
+}
+
+// The retired unpartitioned reply's flag bits (you-are-current, inline
+// payload, stream instead, and the reconcile section's divert marker) stay
+// unassigned: a response carrying one comes from a version-3 peer or from
+// corruption and must not decode.
+func TestDecodeResponseRejectsRetiredFlags(t *testing.T) {
+	for name, resp := range map[string][]byte{
+		"current":          {1 << 0},
+		"inline payload":   append([]byte{1 << 1}, AppendPropagation(nil, sampleProp())...),
+		"stream instead":   {1 << 5},
+		"reconcile divert": {respReconcile, 1 << 0},
+	} {
+		if err := DecodeResponse(resp, new(Response)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 

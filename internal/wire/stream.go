@@ -1,8 +1,8 @@
 package wire
 
-// Session framing for streaming propagation (KindStream requests).
+// Session framing for streaming propagation (KindPartStream requests).
 //
-// A KindStream request is answered not with one FrameResponse but with a
+// A KindPartStream request is answered not with one FrameResponse but with a
 // bounded frame sequence on the same connection:
 //
 //	[KindSessionBegin]  source id, you-are-current flag, or an error

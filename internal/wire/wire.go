@@ -13,7 +13,7 @@
 //
 // A client opening a framed connection first sends two bytes:
 //
-//	[Magic 0xEB] [Version 0x03]
+//	[Magic 0xEB] [Version 0x04]
 //
 // The magic byte is a sanity check that the peer speaks this codec at all;
 // the version byte names the codec below. A wrong magic or an unknown
@@ -61,9 +61,11 @@ const (
 	Magic = 0xEB
 	// Version is the codec version this package speaks. Version 2 dropped
 	// the request's database name; version 3 added the reconcile range's
-	// view stamp and sketch and the reply's sketch size. An older peer is
-	// closed at the preamble instead of being misparsed.
-	Version = 3
+	// view stamp and sketch and the reply's sketch size; version 4 retired
+	// the unpartitioned session (KindStream and the KindPropagation reply
+	// fields), so every pull negotiates partitions. An older peer is closed
+	// at the preamble instead of failing mid-session.
+	Version = 4
 	// FrameRequest marks a client-to-server frame.
 	FrameRequest = 0x01
 	// FrameResponse marks a server-to-client frame.
@@ -77,37 +79,39 @@ const (
 // of §5.
 type Kind uint8
 
-// Exchange kinds.
+// Exchange kinds. The values are part of the codec: a retired kind keeps
+// its number unused so the surviving kinds' encodings never change.
 const (
-	// KindPropagation opens an update-propagation session (§5.1).
-	KindPropagation Kind = iota + 1
+	// KindPropagation is the retired unpartitioned propagation request. It
+	// still encodes and decodes as a header-only request, but no server
+	// answers it: a full replica is a one-partition node and pulls with
+	// KindPartPropagation.
+	//
+	//epi:retired kept only so existing request encodings keep their codec
+	KindPropagation Kind = 1
 	// KindOOB requests an out-of-bound copy of one item (§5.2).
-	KindOOB
+	KindOOB Kind = 2
 	// KindFetch requests full copies of named items — the second round of
 	// a delta-mode propagation session.
-	KindFetch
-	// KindStream opens a streaming propagation session: instead of one
-	// Response frame, the server answers with a session frame sequence
-	// (KindSessionBegin, zero or more KindSessionChunk, KindSessionEnd);
-	// see stream.go.
-	KindStream
+	KindFetch Kind = 3
 	// KindPartPropagation opens a partitioned propagation session: the
 	// request carries one (partition id, DBVV) pair per partition the
 	// recipient replicates, and the response answers every pair — unowned,
 	// current, an inline payload, or a diversion to a per-partition
 	// KindPartStream session. One round trip negotiates and settles every
 	// clean partition at one DBVV comparison each.
-	KindPartPropagation
+	KindPartPropagation Kind = 5
 	// KindPartStream opens a streaming propagation session for a single
-	// keyspace partition (Request.Part); the frame sequence is identical to
-	// KindStream's.
-	KindPartStream
+	// keyspace partition (Request.Part): instead of one Response frame, the
+	// server answers with a session frame sequence (KindSessionBegin, zero
+	// or more KindSessionChunk, KindSessionEnd); see stream.go.
+	KindPartStream Kind = 6
 	// KindReconcile drives one round of range-based set reconciliation: the
 	// request carries the recipient's unresolved ranges (Request.Ranges),
 	// the response one verdict per range (Response.Recon). Used when the
 	// recipient's DBVV predates the source's pruned-log watermark, so a
 	// log-based session can no longer serve it; see core.ServeReconcile.
-	KindReconcile
+	KindReconcile Kind = 7
 )
 
 // Request is the recipient-to-source message opening an exchange.
@@ -116,18 +120,18 @@ type Request struct {
 	Kind Kind
 	// From is the requesting server's id (for conflict attribution).
 	From int
-	// DBVV is the recipient's database version vector (propagation only).
+	// DBVV is the recipient's DBVV for the partition a KindPartStream
+	// session drains.
 	DBVV vv.VV
 	// Key is the requested item (out-of-bound only).
 	Key string
 	// Keys are the items needing full copies (second-round fetch only).
 	Keys []string
-	// MaxBytes, when non-zero on a KindPropagation request, caps the
-	// monolithic response: a source whose payload estimate exceeds it
-	// replies with Response.Stream set instead of building the payload,
-	// and the recipient re-pulls over a KindStream session. Zero means
-	// uncapped. On a KindPartPropagation request it caps
-	// each partition's inline payload the same way.
+	// MaxBytes, when non-zero on a KindPartPropagation request, caps each
+	// partition's inline payload: a source whose payload estimate exceeds
+	// it answers that partition with PartReply.Stream instead of building
+	// the payload, and the recipient drains it over a KindPartStream
+	// session. Zero means uncapped.
 	MaxBytes uint64
 	// Parts is the partitioned session negotiation (KindPartPropagation
 	// only): the recipient's DBVV for every partition it replicates,
@@ -146,26 +150,13 @@ type Request struct {
 
 // Response is the source-to-recipient reply.
 type Response struct {
-	// Current is true when the recipient's DBVV dominates or equals the
-	// source's: the "you-are-current" message of Fig. 2.
-	Current bool
-	// Prop carries the tail vector and item set when Current is false.
-	Prop *core.Propagation
 	// OOB carries the out-of-bound reply for KindOOB requests.
 	OOB *core.OOBReply
 	// Items carries the full copies for KindFetch requests.
 	Items []core.ItemPayload
-	// Stream reports that the propagation payload exceeded the request's
-	// MaxBytes cap and was withheld; the recipient should open a KindStream
-	// session instead.
-	Stream bool
 	// Parts answers a KindPartPropagation request, one entry per offered
 	// partition, in the request's order.
 	Parts []PartReply
-	// Reconcile reports that the request's DBVV predates the source's
-	// pruned-log watermark: a log-based session cannot serve it, and the
-	// recipient should run a KindReconcile exchange before re-pulling.
-	Reconcile bool
 	// Recon carries the per-range verdicts answering a KindReconcile
 	// request, in the request's range order.
 	Recon []core.ReconcileReply
@@ -421,24 +412,26 @@ func varintSize(x int64) uint64 {
 
 // ---- Response ----
 
-// Response flag bits.
+// Response flag bits. Bits 0, 1 and 5 belonged to the retired
+// KindPropagation reply (current, inline payload, stream instead); they
+// stay unassigned and a response carrying one is rejected.
 const (
-	respCurrent = 1 << iota
-	respProp
-	respOOB
-	respItems
-	respErr
-	respStream
-	respParts
+	respOOB   = 1 << 2
+	respItems = 1 << 3
+	respErr   = 1 << 4
+	respParts = 1 << 6
 	// respReconcile marks a reconcile section: one sub-flag byte
-	// (reconDivert, reconReplies) followed by the replies when present.
-	respReconcile
+	// (reconReplies) followed by the replies when present.
+	respReconcile = 1 << 7
+	// respRetired collects the retired bits.
+	respRetired = 1<<0 | 1<<1 | 1<<5
 )
 
 // Reconcile section sub-flag bits (present only when respReconcile is set).
+// Bit 0 was the retired KindPropagation reply's divert marker.
 const (
-	reconDivert  = 1 << iota // recipient must fall back to reconciliation
-	reconReplies             // per-range replies to a KindReconcile request
+	reconReplies = 1 << 1 // per-range replies to a KindReconcile request
+	reconRetired = 1 << 0
 )
 
 // PartReply flag bits.
@@ -455,12 +448,6 @@ const (
 //epi:hotpath
 func AppendResponse(buf []byte, resp *Response) []byte {
 	var flags byte
-	if resp.Current {
-		flags |= respCurrent
-	}
-	if resp.Prop != nil {
-		flags |= respProp
-	}
 	if resp.OOB != nil {
 		flags |= respOOB
 	}
@@ -470,19 +457,13 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 	if resp.Err != "" {
 		flags |= respErr
 	}
-	if resp.Stream {
-		flags |= respStream
-	}
 	if resp.Parts != nil {
 		flags |= respParts
 	}
-	if resp.Reconcile || resp.Recon != nil {
+	if resp.Recon != nil {
 		flags |= respReconcile
 	}
 	buf = append(buf, flags)
-	if resp.Prop != nil {
-		buf = appendPropagation(buf, resp.Prop)
-	}
 	if resp.OOB != nil {
 		buf = appendOOB(buf, resp.OOB)
 	}
@@ -519,20 +500,11 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 			}
 		}
 	}
-	if resp.Reconcile || resp.Recon != nil {
-		var rf byte
-		if resp.Reconcile {
-			rf |= reconDivert
-		}
-		if resp.Recon != nil {
-			rf |= reconReplies
-		}
-		buf = append(buf, rf)
-		if resp.Recon != nil {
-			buf = binary.AppendUvarint(buf, uint64(len(resp.Recon)))
-			for i := range resp.Recon {
-				buf = appendReconcileReply(buf, &resp.Recon[i])
-			}
+	if resp.Recon != nil {
+		buf = append(buf, reconReplies)
+		buf = binary.AppendUvarint(buf, uint64(len(resp.Recon)))
+		for i := range resp.Recon {
+			buf = appendReconcileReply(buf, &resp.Recon[i])
 		}
 	}
 	if resp.Err != "" {
@@ -548,9 +520,9 @@ func AppendResponse(buf []byte, resp *Response) []byte {
 func DecodeResponse(buf []byte, resp *Response) error {
 	d := decoder{buf: buf}
 	flags := d.byte()
-	*resp = Response{Current: flags&respCurrent != 0, Stream: flags&respStream != 0}
-	if flags&respProp != 0 {
-		resp.Prop = d.propagation()
+	*resp = Response{}
+	if flags&respRetired != 0 {
+		d.fail("response carries a retired flag bit")
 	}
 	if flags&respOOB != 0 {
 		oob := d.oob()
@@ -596,7 +568,9 @@ func DecodeResponse(buf []byte, resp *Response) error {
 //go:noinline
 func decodeReconSection(d *decoder, resp *Response) {
 	rf := d.byte()
-	resp.Reconcile = rf&reconDivert != 0
+	if rf&reconRetired != 0 {
+		d.fail("reconcile section carries a retired flag bit")
+	}
 	if rf&reconReplies != 0 {
 		n := d.count()
 		resp.Recon = make([]core.ReconcileReply, 0, min(n, 1024))

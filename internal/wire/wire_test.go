@@ -111,8 +111,6 @@ func TestPropagationRoundTrip(t *testing.T) {
 
 func TestResponseRoundTrip(t *testing.T) {
 	resps := []Response{
-		{Current: true},
-		{Prop: sampleProp()},
 		{OOB: &core.OOBReply{Key: "k", Value: []byte("v"), IVV: vv.VV{1, 0}, Found: true}},
 		{OOB: &core.OOBReply{Key: "missing"}},
 		{Items: []core.ItemPayload{{Key: "a", Value: []byte("va"), IVV: vv.VV{2, 2}}}},
@@ -124,13 +122,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		if err := DecodeResponse(buf, &got); err != nil {
 			t.Fatalf("resp %d: %v", i, err)
 		}
-		if got.Current != resp.Current || got.Err != resp.Err {
+		if got.Err != resp.Err {
 			t.Errorf("resp %d: flags mangled: %+v -> %+v", i, resp, got)
-		}
-		if (resp.Prop == nil) != (got.Prop == nil) {
-			t.Errorf("resp %d: prop presence", i)
-		} else if resp.Prop != nil && !propsEqual(resp.Prop, got.Prop) {
-			t.Errorf("resp %d: prop mangled", i)
 		}
 		if (resp.OOB == nil) != (got.OOB == nil) {
 			t.Errorf("resp %d: oob presence", i)
@@ -203,11 +196,12 @@ func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	}
 }
 
-// Version 1 carried a database name in every request, and version 2
-// reconcile ranges had no stamp or sketch; an older peer must be closed at
-// the preamble, not misparsed.
+// Version 1 carried a database name in every request, version 2 reconcile
+// ranges had no stamp or sketch, and version 3 still spoke the
+// unpartitioned session; an older peer must be closed at the preamble, not
+// fail mid-session.
 func TestPreambleRejectsBadVersion(t *testing.T) {
-	for _, v := range []byte{1, 2, 99} {
+	for _, v := range []byte{1, 2, 3, 99} {
 		br := bufio.NewReader(bytes.NewReader([]byte{Magic, v}))
 		if err := ReadPreamble(br); err == nil {
 			t.Fatalf("version %d accepted", v)

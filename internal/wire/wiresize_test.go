@@ -99,7 +99,6 @@ func TestRequestWireSizeExactAcrossKinds(t *testing.T) {
 		{Kind: KindPropagation, From: 1, DBVV: vv.VV{3, 1}},
 		{Kind: KindOOB, From: 2, Key: "some/key"},
 		{Kind: KindFetch, Keys: []string{"a", "a-much-longer-key-name"}},
-		{Kind: KindStream, From: 128, DBVV: vv.VV{1 << 40, 0, 7}, MaxBytes: 1 << 20},
 		{Kind: KindPartPropagation, From: 2,
 			Parts: []core.PartState{{Pid: 0, DBVV: vv.VV{1}}, {Pid: 300, DBVV: vv.VV{0, 4}}}},
 		{Kind: KindPartStream, From: 1, Part: 9, DBVV: vv.VV{2, 2}},
