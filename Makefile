@@ -44,11 +44,14 @@ test-all:
 	$(GO) test ./...
 
 ## bench: smoke run of the experiment benchmarks — the parallel read /
-## propagation benchmark (E16), the propagation builders, and the pooled
-## transport round trip (E15). 100 iterations each: checks they run, not
-## their timing.
+## propagation benchmark (E16), the propagation builders, the pooled
+## transport round trip (E15), and the reconciliation session with its
+## maintained summary (E19). 100 iterations each (10 for the
+## reconciliation, whose largest row holds 200 000 items): checks they
+## run, not their timing.
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkParallelReadUpdate|BenchmarkBuildPropagation|BenchmarkApplyPropagation' -benchtime=100x ./internal/core
+	$(GO) test -run=NONE -bench=BenchmarkReconcileSession -benchtime=10x ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkTransportRoundTrip -benchtime=100x -benchmem ./internal/transport
 
 ## bench-check: vet and test the live-cluster benchmark under bench/. It

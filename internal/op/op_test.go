@@ -83,6 +83,31 @@ func TestApplyDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+func TestApplyReturnsFreshSlice(t *testing.T) {
+	// Stores share values they never write: a value may sit in several
+	// replicas and in payloads in flight at once. That is sound only while
+	// every Apply returns storage of its own and leaves its input, spare
+	// capacity included, untouched.
+	for _, o := range []Op{NewSet([]byte("xy")), NewAppend([]byte("y")), NewWriteAt(1, []byte("QRS")), NewWriteAt(0, nil), NewDelete()} {
+		in := make([]byte, 4, 16)
+		copy(in[:cap(in)], "abcdefghijklmnop")
+		data := append([]byte(nil), o.Data...)
+		out := mustApply(t, o, in)
+		for i := range out {
+			out[i] = '!'
+		}
+		if string(in[:cap(in)]) != "abcdefghijklmnop" {
+			t.Errorf("op %v wrote its input or its spare capacity: %q", o, in[:cap(in)])
+		}
+		if !bytes.Equal(o.Data, data) {
+			t.Errorf("op %v returned a value sharing its own data", o)
+		}
+		if out2 := mustApply(t, o, in); len(out2) > 0 && len(out) > 0 && &out2[0] == &out[0] {
+			t.Errorf("op %v returned the same storage twice", o)
+		}
+	}
+}
+
 func TestInvalidOps(t *testing.T) {
 	bad := []Op{
 		{Kind: WriteAt, Offset: -1, Data: []byte("x")},

@@ -3,9 +3,13 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/op"
 	"repro/internal/vv"
 )
 
@@ -254,4 +258,58 @@ func FuzzSessionFrames(f *testing.F) {
 		}
 		_ = chunks
 	})
+}
+
+func TestStreamedRecipientHoldsOriginBytesPerItem(t *testing.T) {
+	// A recipient caught up through decoded chunk frames must hold its
+	// items in about the bytes the origin does: no adopted key, log record
+	// or value may keep a frame-sized string or slab alive.
+	const n = 100_000
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	origin := core.NewReplica(0, 2)
+	val := make([]byte, 16)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(val, uint64(i))
+		if err := origin.Update(fmt.Sprintf("item-%07d", i), op.NewSet(val)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withOrigin := heap()
+
+	recipient := core.NewReplica(1, 2)
+	s := origin.StartChunkSession(recipient.DBVV(), core.DefaultChunkBytes)
+	var buf []byte
+	for seq := uint64(0); ; seq++ {
+		p := s.Next()
+		if p == nil {
+			break
+		}
+		buf = AppendSessionChunk(buf[:0], seq, p)
+		s.Recycle(p)
+		_, chunk, err := DecodeSessionChunk(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recipient.ApplyChunk(chunk)
+	}
+	s, buf = nil, nil
+	withRecipient := heap()
+
+	if ok, why := core.Converged(recipient, origin); !ok {
+		t.Fatalf("not converged: %s", why)
+	}
+	originPer := float64(withOrigin-base) / n
+	recipientPer := float64(withRecipient-withOrigin) / n
+	t.Logf("heap per item: origin %.0f B, streamed recipient %.0f B", originPer, recipientPer)
+	if recipientPer > 1.1*originPer {
+		t.Errorf("streamed recipient holds %.0f B per item, more than 10%% over the origin's %.0f B", recipientPer, originPer)
+	}
+	runtime.KeepAlive(origin)
+	runtime.KeepAlive(recipient)
 }
