@@ -321,7 +321,7 @@ func (s *ChunkSession) shell(itemCap int) *Propagation {
 		}
 	}
 	p.Items = p.Items[:0]
-	p.Owned = false
+	p.Owned, p.FrameKeys = false, false
 	if cap(p.arena) >= need {
 		s.ivvArena = p.arena[:0]
 	} else {
