@@ -139,8 +139,9 @@ func printStats(ns []*cluster.Node) {
 			i, items, logRecords, m.Propagations, m.PropagationNoops,
 			m.StreamSessions, m.ChunksSent, m.ChunksApplied, m.BytesSent,
 			m.WireBytesSent, m.WireBytesRecv, ps.Dials, ps.Reused)
-		fmt.Printf("node %d: pruned=%d reconcile-sessions=%d reconcile-trips=%d reconcile-bytes=%d\n",
-			i, m.PrunedRecords, m.ReconcileSessions, m.ReconcileRoundTrips, m.ReconcileBytes)
+		failures, lastErr := n.PullFailures()
+		fmt.Printf("node %d: pruned=%d reconcile-sessions=%d reconcile-trips=%d reconcile-bytes=%d pull-failures=%d last-pull-error=%v\n",
+			i, m.PrunedRecords, m.ReconcileSessions, m.ReconcileRoundTrips, m.ReconcileBytes, failures, lastErr)
 		if st, ok := n.WALStats(); ok {
 			fmt.Printf("node %d: wal fsyncs=%d batches=%d batched-records=%d waiters=%d max-batch=%d hist=%s\n",
 				i, st.Fsyncs, st.Batches, st.BatchedRecords, st.Waiters, st.MaxBatch, histString(st.BatchHist))

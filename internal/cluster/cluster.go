@@ -85,10 +85,14 @@ type Node struct {
 	// sinks[pid] is what a pull commits partition pid into (nil where the
 	// node does not replicate it): the durable replicas on a durable node,
 	// in-memory adapters otherwise.
-	sinks []transport.Sink //epi:immutable
+	sinks []core.Sink //epi:immutable
 
 	mu    sync.Mutex
 	peers []string //epi:guard mu
+	// pullErr is the last error of a background pull; pullFailures counts
+	// them.
+	pullErr      error  //epi:guard mu
+	pullFailures uint64 //epi:guard mu
 
 	stop chan struct{} //epi:immutable closed once by Stop; channels synchronize themselves
 	done chan struct{} //epi:immutable closed once by the loop goroutine
@@ -132,12 +136,12 @@ func Start(cfg Config) (*Node, error) {
 	} else {
 		n.parted = core.NewPartitioned(cfg.ID, cfg.Servers, partitions, placement)
 	}
-	n.sinks = make([]transport.Sink, partitions)
+	n.sinks = make([]core.Sink, partitions)
 	for _, pid := range n.parted.Owned() {
 		if n.dpart != nil {
 			n.sinks[pid] = n.dpart.Partition(pid)
 		} else {
-			n.sinks[pid] = transport.InMemory(n.parted.Partition(pid))
+			n.sinks[pid] = core.InMemory(n.parted.Partition(pid))
 		}
 	}
 	// Each partition's pruning is gated by its own ring owners — the only
@@ -247,6 +251,14 @@ func (n *Node) FetchOOB(addr, key string) (bool, error) {
 	return n.client.FetchOOB(sink, addr, key)
 }
 
+// PullFailures returns how many of the anti-entropy loop's pulls failed,
+// and the last failure's error (nil when none has).
+func (n *Node) PullFailures() (uint64, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.pullFailures, n.pullErr
+}
+
 // PoolStats returns the node's transport connection-pool counters.
 func (n *Node) PoolStats() transport.PoolStats { return n.client.PoolStats() }
 
@@ -308,8 +320,14 @@ func (n *Node) loop() {
 			return
 		case <-pull:
 			// Peer failures are expected in an epidemic system; the next
-			// tick simply tries another peer.
-			_, _ = n.PullOnce()
+			// tick simply tries another peer. They are counted, and the
+			// last one kept, so a node that cannot pull is visible.
+			if _, err := n.PullOnce(); err != nil {
+				n.mu.Lock()
+				n.pullFailures++
+				n.pullErr = err
+				n.mu.Unlock()
+			}
 		case <-prune:
 			n.PruneOnce()
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -176,5 +177,40 @@ func TestConcurrentSessionsOverPooledTransport(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Error("no connection reuse across 160 sessions")
+	}
+}
+
+// The anti-entropy loop counts the pulls that fail and keeps the last
+// error, so a node whose only peer is dead is visible.
+func TestLoopCountsFailedPulls(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+
+	n, err := Start(Config{ID: 0, Servers: 2, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if failures, last := n.PullFailures(); failures != 0 || last != nil {
+		t.Fatalf("before any peer: %d failures, last %v", failures, last)
+	}
+	n.SetPeers([]string{dead})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		failures, last := n.PullFailures()
+		if failures >= 3 {
+			if last == nil {
+				t.Fatalf("%d failures counted without an error kept", failures)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d failed pulls counted against a dead peer", failures)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

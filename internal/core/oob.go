@@ -98,11 +98,3 @@ func (r *Replica) ApplyOOB(reply OOBReply, source int) bool {
 		return false
 	}
 }
-
-// CopyOutOfBound performs a complete out-of-bound copy of key from source
-// to recipient r, returning true if a newer copy was adopted. Like
-// AntiEntropy it takes the two replicas' locks one at a time.
-func (r *Replica) CopyOutOfBound(key string, source *Replica) bool {
-	reply := source.ServeOOB(key)
-	return r.ApplyOOB(reply, source.ID())
-}

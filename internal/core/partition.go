@@ -348,39 +348,6 @@ func sameRing(a, b *Partitioned) {
 	}
 }
 
-// PartAntiEntropy performs one complete partitioned session: the recipient
-// pulls from the source over every partition both nodes replicate,
-// ascending by pid, running the ordinary monolithic session per partition.
-// A partition the recipient is current on costs exactly one DBVV
-// comparison and ships nothing — so a fully-quiescent session between
-// nodes sharing k partitions costs exactly k DBVV comparisons, regardless
-// of database size. Returns the number of partitions that shipped data.
-func PartAntiEntropy(recipient, source *Partitioned) int {
-	sameRing(recipient, source)
-	shipped := 0
-	for _, pid := range recipient.Owned() {
-		if source.parts[pid] != nil && AntiEntropy(recipient.parts[pid], source.parts[pid]) {
-			shipped++
-		}
-	}
-	return shipped
-}
-
-// StreamPartAntiEntropy is PartAntiEntropy over the streaming path: each
-// dirty shared partition is drained chunk by chunk under maxBytes (0
-// selects DefaultChunkBytes), clean partitions still cost one DBVV
-// comparison each. Returns the number of partitions that shipped data.
-func StreamPartAntiEntropy(recipient, source *Partitioned, maxBytes uint64) int {
-	sameRing(recipient, source)
-	shipped := 0
-	for _, pid := range recipient.Owned() {
-		if source.parts[pid] != nil && StreamAntiEntropy(recipient.parts[pid], source.parts[pid], maxBytes) {
-			shipped++
-		}
-	}
-	return shipped
-}
-
 // PartConverged reports whether, for every partition, all of its owner
 // replicas among the given nodes are pairwise equivalent. Nodes must share
 // a ring configuration; on failure the description names the partition.

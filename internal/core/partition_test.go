@@ -226,7 +226,7 @@ func TestStreamPartAntiEntropyConverges(t *testing.T) {
 		for _, src := range nodes {
 			for _, dst := range nodes {
 				if src != dst {
-					StreamPartAntiEntropy(dst, src, 4<<10)
+					Pull(dst, memSinks(dst), streamPeer{LocalPeer: Local(src), maxBytes: 1, chunkBytes: 4 << 10})
 				}
 			}
 		}

@@ -665,60 +665,3 @@ func (r *Replica) intraNodePropagateLocked(it *store.Item) {
 		}
 	}
 }
-
-// AntiEntropy performs one complete update-propagation session: recipient
-// pulls from source. It returns true if the session shipped data and false
-// if the recipient was already current. In delta mode a second round
-// fetches full copies for the deltas the recipient cannot apply. The two
-// replicas' locks are taken one at a time, never together, so concurrent
-// sessions over any pairing schedule cannot deadlock.
-func AntiEntropy(recipient, source *Replica) bool {
-	req := recipient.PropagationRequest()
-	source.NoteAck(recipient.ID(), req)
-	reconciled := false
-	if source.NeedsReconcile(req) {
-		// The recipient's DBVV predates the source's pruned log prefix: a
-		// log-based session could silently skip updates whose records are
-		// gone. Reconcile first, then re-request — post-reconcile the
-		// recipient is at or above the watermark and the ordinary session
-		// (usually a no-op) completes the exchange.
-		reconciled = ReconcileAntiEntropy(recipient, source) > 0
-		req = recipient.PropagationRequest()
-		source.NoteAck(recipient.ID(), req)
-		if source.NeedsReconcile(req) {
-			// Still below the watermark (conflicts suspend convergence
-			// guarantees, §5.1); don't risk a log-based session.
-			return reconciled
-		}
-	}
-	p := source.BuildPropagation(req)
-	if p == nil {
-		return reconciled
-	}
-	defer recipient.NoteSessionAck(p.Source, p)
-	need := recipient.ApplyPropagation(p)
-	if len(need) == 0 {
-		return true // committed in one pass
-	}
-	// Delta mode, second round: fetch full copies. Concurrent sessions can
-	// make further deltas inapplicable between probe and commit; re-probe a
-	// bounded number of times so the commit (almost) never has to skip an
-	// item. The commit's skip fallback remains the final guard.
-	have := make(map[string]bool)
-	var items []ItemPayload
-	for attempt := 0; attempt < 3 && len(need) > 0; attempt++ {
-		fetched := source.BuildItems(need)
-		items = append(items, fetched...)
-		for _, it := range fetched {
-			have[it.Key] = true
-		}
-		need = need[:0]
-		for _, key := range recipient.NeedFull(p) {
-			if !have[key] {
-				need = append(need, key)
-			}
-		}
-	}
-	recipient.ApplyPropagationWithItems(p, items)
-	return true
-}

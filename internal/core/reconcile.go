@@ -918,34 +918,3 @@ func (r *Replica) ApplyReconcileItems(items []ItemPayload, source int) int {
 	}
 	return adopted
 }
-
-// ReconcileAntiEntropy performs one complete in-process reconciliation
-// session: recipient computes the difference against source via range
-// fingerprints, fetches the differing items, and commits them. Returns the
-// number of items adopted; a session that stops short (Reconciler.Err)
-// adopts nothing. The two replicas' locks are taken one at a time, never
-// together, like every other session driver.
-func ReconcileAntiEntropy(recipient, source *Replica) int {
-	rc := recipient.StartReconcile()
-	for {
-		ranges := rc.Next()
-		if ranges == nil {
-			break
-		}
-		rc.Handle(ranges, source.ServeReconcile(ranges))
-	}
-	if rc.Err() != nil {
-		return 0
-	}
-	adopted := 0
-	keys := rc.NeedKeys()
-	for len(keys) > 0 {
-		batch := keys
-		if len(batch) > ReconcileFetchBatch {
-			batch = batch[:ReconcileFetchBatch]
-		}
-		keys = keys[len(batch):]
-		adopted += recipient.ApplyReconcileItems(source.BuildItems(batch), source.ID())
-	}
-	return adopted
-}

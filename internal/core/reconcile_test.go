@@ -580,7 +580,7 @@ func TestReconcileViewPatchMatchesScratchRandomized(t *testing.T) {
 			case 3:
 				what = "stream anti-entropy"
 				a, b := pair()
-				StreamAntiEntropy(a, b, 1)
+				streamAntiEntropy(a, b, 1)
 			case 4:
 				what = "reconcile anti-entropy"
 				a, b := pair()

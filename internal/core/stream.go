@@ -64,8 +64,6 @@ package core
 // delta machinery.
 
 import (
-	"time"
-
 	"repro/internal/logvec"
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -498,50 +496,4 @@ walk:
 		plan = PlanStream
 	}
 	return plan
-}
-
-// RecordStreamFirstApply records the delay between a catch-up session's
-// start and its first committed payload — the streamed path's headline
-// latency win over the monolithic path, which applies nothing until the
-// whole payload has arrived. Kept as a high-water gauge (slowest observed).
-func (r *Replica) RecordStreamFirstApply(d time.Duration) {
-	if d > 0 {
-		metrics.StoreMax(&r.met.StreamFirstApplyNanos, uint64(d))
-	}
-}
-
-// StreamAntiEntropy performs one complete streaming session in-process:
-// recipient pulls from source chunk by chunk. It returns true if the
-// session shipped data. The in-memory analogue of the transport's
-// streaming pull, used by tests and experiments; the two replicas' locks
-// are taken one at a time, never together.
-func StreamAntiEntropy(recipient, source *Replica, maxBytes uint64) bool {
-	req := recipient.PropagationRequest()
-	source.NoteAck(recipient.ID(), req)
-	reconciled := false
-	if source.NeedsReconcile(req) {
-		// Below the source's pruned watermark: reconcile, then resume the
-		// ordinary streaming path from the post-reconcile DBVV.
-		reconciled = ReconcileAntiEntropy(recipient, source) > 0
-		req = recipient.PropagationRequest()
-		source.NoteAck(recipient.ID(), req)
-		if source.NeedsReconcile(req) {
-			return reconciled
-		}
-	}
-	s := source.StartChunkSession(req, maxBytes)
-	if s == nil {
-		return reconciled
-	}
-	shipped := reconciled
-	for {
-		p := s.Next()
-		if p == nil {
-			return shipped
-		}
-		shipped = true
-		recipient.ApplyChunk(p)
-		recipient.NoteSessionAck(p.Source, p)
-		s.Recycle(p) // un-owned chunks are cloned on apply; the shell is free
-	}
 }

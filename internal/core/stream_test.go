@@ -24,7 +24,7 @@ func TestStreamAntiEntropyMatchesMonolithic(t *testing.T) {
 	populate(t, source, 200)
 
 	streamed := NewReplica(1, 3)
-	if !StreamAntiEntropy(streamed, source, 2<<10) {
+	if !streamAntiEntropy(streamed, source, 2<<10) {
 		t.Fatal("streaming session shipped nothing")
 	}
 	mono := NewReplica(2, 3)
@@ -58,7 +58,7 @@ func TestStreamAntiEntropyMultiOrigin(t *testing.T) {
 	}
 
 	recipient := NewReplica(1, 3)
-	if !StreamAntiEntropy(recipient, a, 1<<10) {
+	if !streamAntiEntropy(recipient, a, 1<<10) {
 		t.Fatal("streaming session shipped nothing")
 	}
 	checkAll(t, a, recipient)
@@ -97,7 +97,7 @@ func TestChunkSessionPartialApplyIsConsistentPrefix(t *testing.T) {
 	// Resume is free: a fresh session starts from the advanced DBVV and
 	// ships only the unapplied suffix.
 	before := source.Metrics().LogRecordsSent
-	if !StreamAntiEntropy(recipient, source, 1<<10) {
+	if !streamAntiEntropy(recipient, source, 1<<10) {
 		t.Fatal("resume session shipped nothing")
 	}
 	suffix := source.Metrics().LogRecordsSent - before
@@ -144,7 +144,7 @@ func TestChunkSessionAbortsOnMidSessionUpdate(t *testing.T) {
 	// The partial state must be consistent, and a follow-up session must
 	// deliver the superseded item.
 	checkAll(t, recipient)
-	if !StreamAntiEntropy(recipient, source, 1<<10) {
+	if !streamAntiEntropy(recipient, source, 1<<10) {
 		t.Fatal("follow-up session shipped nothing")
 	}
 	checkAll(t, source, recipient)
@@ -190,12 +190,12 @@ func TestStartChunkSessionCurrentRecipient(t *testing.T) {
 	source := NewReplica(0, 2)
 	populate(t, source, 10)
 	recipient := NewReplica(1, 2)
-	StreamAntiEntropy(recipient, source, 0)
+	streamAntiEntropy(recipient, source, 0)
 	if s := source.StartChunkSession(recipient.PropagationRequest(), 0); s != nil {
 		t.Fatal("session started for a current recipient")
 	}
 	// Symmetrically, the in-process loop reports nothing shipped.
-	if StreamAntiEntropy(recipient, source, 0) {
+	if streamAntiEntropy(recipient, source, 0) {
 		t.Fatal("second streaming session shipped data to a current recipient")
 	}
 }
@@ -263,13 +263,13 @@ func TestStreamingConcurrentWithUpdates(t *testing.T) {
 	}()
 	// Sessions may abort under the write load; keep pulling until quiet.
 	for i := 0; i < 100; i++ {
-		StreamAntiEntropy(recipient, source, 1<<10)
+		streamAntiEntropy(recipient, source, 1<<10)
 	}
 	<-done
-	for !StreamAntiEntropy(recipient, source, 1<<10) {
+	for !streamAntiEntropy(recipient, source, 1<<10) {
 		break
 	}
-	StreamAntiEntropy(recipient, source, 1<<10)
+	streamAntiEntropy(recipient, source, 1<<10)
 	checkAll(t, source, recipient)
 	if ok, why := source.Snapshot().Equivalent(recipient.Snapshot()); !ok {
 		t.Fatalf("recipient did not converge after the write burst: %s", why)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/op"
-	"repro/internal/transport"
 )
 
 // TestDurablePullMatchesVolatile pulls one source history into an
@@ -50,7 +49,7 @@ func diffPlain(t *testing.T, delta, reconcile bool, opts Options) {
 	d := mustOpen(t, dir, 1, 2, opts)
 	pullBoth := func() {
 		t.Helper()
-		if _, err := pull(transport.InMemory(mem), addr); err != nil {
+		if _, err := pull(core.InMemory(mem), addr); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := pull(d, addr); err != nil {
@@ -101,9 +100,9 @@ func diffPartitioned(t *testing.T, parts int, opts Options) {
 	src := core.NewPartitioned(0, 2, parts, 2)
 	addr := startPartSource(t, src)
 	mem := core.NewPartitioned(1, 2, parts, 2)
-	memSinks := make([]transport.Sink, parts)
+	memSinks := make([]core.Sink, parts)
 	for _, pid := range mem.Owned() {
-		memSinks[pid] = transport.InMemory(mem.Partition(pid))
+		memSinks[pid] = core.InMemory(mem.Partition(pid))
 	}
 	dir := t.TempDir()
 	p := mustOpenPart(t, dir, 1, 2, parts, 2, opts)

@@ -474,19 +474,12 @@ func (d *Replica) Prune() (int, error) {
 }
 
 // AntiEntropyFrom durably performs one propagation session pulling from an
-// in-process source replica, including the second-round fetch of a
-// delta-mode session. Returns whether data was shipped.
+// in-process source replica: core.AntiEntropy's session with this replica
+// as the sink, so it takes the same divert, re-probe and fetch decisions —
+// a source that pruned past this replica is reconciled first, each fetched
+// batch write-ahead logged. Returns whether data was shipped.
 func (d *Replica) AntiEntropyFrom(source *core.Replica) (bool, error) {
-	req := d.replica.PropagationRequest()
-	p := source.BuildPropagation(req)
-	if p == nil {
-		return false, nil
-	}
-	var items []core.ItemPayload
-	if need := d.replica.NeedFull(p); len(need) > 0 {
-		items = source.BuildItems(need)
-	}
-	return true, d.ApplyPropagationWithItems(p, items)
+	return core.PullReplica(d, source)
 }
 
 // Snapshot writes the full replica state and drops the superseded log

@@ -333,3 +333,40 @@ func TestSnapshotPersistsPruningState(t *testing.T) {
 		t.Fatalf("log records after reopen = %d, want 0", d2.Core().LogRecords())
 	}
 }
+
+// A source that pruned past the replica's DBVV cannot serve it from its log:
+// AntiEntropyFrom must divert to reconciliation, as core.AntiEntropy does,
+// and not commit the log tail over a gap (which leaves a tail record above
+// the DBVV).
+func TestAntiEntropyFromReconcilesPastAPrunedLog(t *testing.T) {
+	src := core.NewReplica(0, 2)
+	for i := 0; i < 10; i++ {
+		if err := src.Update(fmt.Sprintf("item/%02d", i), op.NewSet([]byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.SetLogCap(3)
+	if dropped := src.Prune(); dropped != 7 {
+		t.Fatalf("setup: prune dropped %d records, want 7", dropped)
+	}
+	dir := t.TempDir()
+	d := mustOpen(t, dir, 1, 2, Options{NoSync: true})
+	shipped, err := d.AntiEntropyFrom(src)
+	if err != nil || !shipped {
+		t.Fatalf("AntiEntropyFrom = %v/%v", shipped, err)
+	}
+	if err := d.Core().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, why := core.Converged(src, d.Core()); !ok {
+		t.Fatalf("not converged: %s", why)
+	}
+	if err := d.CloseWithoutSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := mustOpen(t, dir, 1, 2, Options{NoSync: true})
+	defer d2.Close()
+	if ok, why := core.Converged(src, d2.Core()); !ok {
+		t.Fatalf("recovered replica differs: %s", why)
+	}
+}

@@ -16,8 +16,8 @@ var testClient = transport.NewClient(transport.Options{})
 
 // partSinks returns the durable sink of every partition p replicates,
 // indexed by pid.
-func partSinks(p *Partitioned) []transport.Sink {
-	sinks := make([]transport.Sink, len(p.parts))
+func partSinks(p *Partitioned) []core.Sink {
+	sinks := make([]core.Sink, len(p.parts))
 	for pid, part := range p.parts {
 		if part != nil {
 			sinks[pid] = part
@@ -28,13 +28,13 @@ func partSinks(p *Partitioned) []transport.Sink {
 
 // pull runs one pull into s through testClient, as the one-partition node
 // a full replica is.
-func pull(s transport.Sink, addr string) (bool, error) {
+func pull(s core.Sink, addr string) (bool, error) {
 	r := s.Core()
 	pr, err := core.RestorePartitioned(r.ID(), r.Servers(), 1, r.Servers(), map[int]*core.Replica{0: r})
 	if err != nil {
 		return false, err
 	}
-	shipped, err := testClient.PullPart(pr, []transport.Sink{s}, addr)
+	shipped, err := testClient.PullPart(pr, []core.Sink{s}, addr)
 	return shipped > 0, err
 }
 

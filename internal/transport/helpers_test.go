@@ -21,7 +21,7 @@ func node(r *core.Replica) *core.Partitioned {
 
 // pullWith is one in-memory pull of r, as a one-partition node, through c.
 func pullWith(c *Client, r *core.Replica, addr string) (bool, error) {
-	shipped, err := c.PullPart(node(r), []Sink{InMemory(r)}, addr)
+	shipped, err := c.PullPart(node(r), []core.Sink{core.InMemory(r)}, addr)
 	return shipped > 0, err
 }
 
@@ -33,19 +33,19 @@ func pull(r *core.Replica, addr string) (bool, error) {
 // pullStream drains r's one partition over a chunked session through c,
 // whatever the payload's size.
 func pullStream(c *Client, r *core.Replica, addr string) (bool, error) {
-	return c.pullPartStream(node(r), r, addr, 0)
+	return core.Drain(r, 0, peer{c: c, addr: addr, node: node(r)})
 }
 
 // fetchOOB is one in-memory out-of-bound copy through testClient.
 func fetchOOB(r *core.Replica, addr, key string) (bool, error) {
-	return testClient.FetchOOB(InMemory(r), addr, key)
+	return testClient.FetchOOB(core.InMemory(r), addr, key)
 }
 
 // memSinks adapts every partition pr replicates, indexed by pid.
-func memSinks(pr *core.Partitioned) []Sink {
-	sinks := make([]Sink, pr.Ring().Partitions())
+func memSinks(pr *core.Partitioned) []core.Sink {
+	sinks := make([]core.Sink, pr.Ring().Partitions())
 	for _, pid := range pr.Owned() {
-		sinks[pid] = InMemory(pr.Partition(pid))
+		sinks[pid] = core.InMemory(pr.Partition(pid))
 	}
 	return sinks
 }

@@ -1,262 +1,134 @@
 package transport
 
-// Propagation sessions over the framed transport. Every session is
-// partitioned: a full replica is a one-partition node and offers just that
-// partition.
+// Sessions over the framed transport. Every decision of a session lives in
+// internal/core: the server answers each request with its core.LocalPeer,
+// and the client is a core.Peer whose methods each run one pooled exchange,
+// so core.Pull drives a pull over TCP exactly as it drives one in process.
+// This file holds the server's request dispatch and the client's Peer; a
+// KindPartStream session's frame sequence is in stream.go.
 //
 // One KindPartPropagation exchange negotiates the whole node pair: the
 // recipient offers the (partition id, DBVV) pair for every partition it
-// replicates, and the source answers each offer — unowned, current, an
-// inline payload, or "stream instead" when the payload estimate exceeds the
-// request's cap. Clean partitions therefore settle in the single round trip
-// at one DBVV comparison each, and only dirty partitions cost further
-// frames: each one drains over its own KindPartStream session, reusing the
-// chunked pipeline of stream.go unchanged (the session target is simply the
-// partition's replica). Those sessions, and the reconciliations of
-// partitions diverted past a pruned log, run concurrently on separate
-// pooled connections, as many at once as the pool keeps idle per peer.
+// replicates and the source answers each one. Only dirty partitions cost
+// further frames: an inline payload's fetch round, a KindPartStream
+// session, or the KindReconcile rounds and KindFetch batches of a
+// partition diverted past a pruned log. Those catch-ups run concurrently
+// on separate pooled connections, as many at once as the pool keeps idle
+// per peer.
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
+	"repro/internal/vv"
 	"repro/internal/wire"
 )
 
-// dispatch serves one non-streaming request. Single-key exchanges route to
-// the owning partition's replica through the ring. Any other kind, the
-// retired KindPropagation included, is answered with an error.
+// dispatch serves one non-streaming request through the node's LocalPeer.
+// Any other kind, the retired KindPropagation included, is answered with
+// an error.
 func (s *Server) dispatch(req *wire.Request) *wire.Response {
-	pr := s.parted
 	var resp wire.Response
+	var err error
 	switch req.Kind {
 	case wire.KindPartPropagation:
-		resp.Parts = make([]wire.PartReply, 0, len(req.Parts))
-		for _, ps := range req.Parts {
-			resp.Parts = append(resp.Parts, s.servePartOffer(ps, req.MaxBytes, req.From))
-		}
+		resp.Parts, err = s.local.Offer(req.From, req.Parts, req.MaxBytes)
 	case wire.KindReconcile:
-		part := pr.Partition(req.Part)
-		if part == nil {
-			resp.Err = fmt.Sprintf("partition %d not replicated here", req.Part)
-			break
-		}
-		resp.Recon = part.ServeReconcile(req.Ranges)
+		resp.Recon, err = s.local.Reconcile(nil, req.Part, req.Ranges)
 	case wire.KindOOB:
-		pid := pr.PartitionOf(req.Key)
-		part := pr.Partition(pid)
-		if part == nil {
-			resp.Err = fmt.Sprintf("partition %d not replicated here", pid)
-			break
+		var reply core.OOBReply
+		if reply, err = s.local.OOB(nil, req.Key); err == nil {
+			resp.OOB = &reply
 		}
-		reply := part.ServeOOB(req.Key)
-		resp.OOB = &reply
 	case wire.KindFetch:
-		// Fetch keys may span partitions; group per partition and serve each
-		// group from its replica. Non-owned keys are skipped — the recipient
-		// treats a missing item as "re-probe next session", the same defensive
-		// contract as an item concurrently deleted from a single replica.
-		groups := make(map[int][]string)
-		var pids []int
-		for _, key := range req.Keys {
-			pid := pr.PartitionOf(key)
-			if _, seen := groups[pid]; !seen {
-				pids = append(pids, pid)
-			}
-			groups[pid] = append(groups[pid], key)
-		}
-		for _, pid := range pids {
-			if part := pr.Partition(pid); part != nil {
-				resp.Items = append(resp.Items, part.BuildItems(groups[pid])...)
-			}
-		}
+		resp.Items, err = s.local.Fetch(nil, req.Keys)
 	default:
-		resp.Err = fmt.Sprintf("unknown request kind %d", req.Kind)
+		err = fmt.Errorf("unknown request kind %d", req.Kind)
+	}
+	if err != nil {
+		resp.Err = err.Error()
 	}
 	return &resp
 }
 
-// servePartOffer answers one offered partition of a partitioned session.
-// A clean partition costs exactly one DBVV comparison (the plan's current
-// case, or BuildPropagation's identical-check when uncapped) and ships
-// nothing.
-func (s *Server) servePartOffer(ps core.PartState, maxBytes uint64, from int) wire.PartReply {
-	pe := wire.PartReply{Pid: ps.Pid}
-	part := s.parted.Partition(ps.Pid)
-	if part == nil {
-		pe.Unowned = true
-		return pe
-	}
-	part.NoteAck(from, ps.DBVV)
-	if part.NeedsReconcile(ps.DBVV) {
-		// The offered DBVV predates this partition's pruned watermark:
-		// divert to a per-partition reconciliation session.
-		pe.Reconcile = true
-		return pe
-	}
-	if maxBytes > 0 {
-		switch part.PlanPropagation(ps.DBVV, maxBytes) {
-		case core.PlanCurrent:
-			pe.Current = true
-			return pe
-		case core.PlanStream:
-			pe.Stream = true
-			return pe
-		}
-	}
-	pe.Prop = part.BuildPropagation(ps.DBVV)
-	if pe.Prop == nil {
-		pe.Current = true
-	}
-	return pe
+// PullPart performs one complete session: core.Pull of recipient from the
+// server at addr, committing partition pid into sinks[pid]. The
+// negotiation's wire cost is charged to the recipient's node counters,
+// every other exchange's to its partition's replica.
+func (c *Client) PullPart(recipient *core.Partitioned, sinks []core.Sink, addr string) (int, error) {
+	return core.Pull(recipient, sinks, peer{c: c, addr: addr, node: recipient})
 }
 
-// PullPart performs one complete partitioned session: recipient pulls from
-// the partitioned server at addr, committing partition pid into sinks[pid]
-// (nil for a partition it does not replicate). One exchange negotiates
-// every partition the recipient replicates; inline payloads are applied
-// immediately, and partitions diverted to streaming or reconciliation catch
-// up concurrently. It returns the number of partitions that shipped data
-// and the first error in partition order. The negotiation's wire cost is
-// charged to the recipient's node counters, each catch-up's to its
-// partition.
-func (c *Client) PullPart(recipient *core.Partitioned, sinks []Sink, addr string) (int, error) {
-	// In-memory sinks announce the per-partition monolithic ceiling: a dirty
-	// partition above it is answered "stream instead" rather than inline.
-	maxBytes := monolithicCap(sinks...)
-	parts, err := c.partOffers(recipient, addr, recipient.PartRequest(), maxBytes)
-	if err != nil {
-		return 0, err
-	}
-	// Inline payloads apply here. Partitions diverted to a stream or a
-	// reconciliation catch up concurrently: each is an independent replica,
-	// and each catch-up checks out its own pooled connection. A slot is
-	// held per partition in flight, inline applies included, and there are
-	// as many slots as the pool keeps idle connections per peer: every
-	// connection a pull uses goes back to the pool for the next one.
-	type outcome struct {
-		shipped bool
-		err     error
-	}
-	outcomes := make([]outcome, len(parts))
-	seen := make(map[int]bool, len(parts))
-	slots := make(chan struct{}, c.pool.opts.MaxIdlePerHost)
-	var wg sync.WaitGroup
-	for i, pe := range parts {
-		if pe.Pid < 0 || pe.Pid >= len(sinks) || sinks[pe.Pid] == nil || seen[pe.Pid] {
-			// Defensive: the server answered a partition we never offered,
-			// or one twice; at most one goroutine per owned partition.
-			continue
-		}
-		seen[pe.Pid] = true
-		sink := sinks[pe.Pid]
-		switch {
-		case pe.Unowned, pe.Current:
-			// Nothing to do for this partition.
-		case pe.Prop != nil:
-			slots <- struct{}{}
-			err := c.applySession(sink, addr, pe.Prop)
-			<-slots
-			outcomes[i] = outcome{shipped: err == nil, err: err}
-		case pe.Reconcile, pe.Stream && maxBytes > 0:
-			slots <- struct{}{}
-			wg.Add(1)
-			go func(out *outcome, pid int, reconcile bool) {
-				defer func() { <-slots; wg.Done() }()
-				out.shipped, out.err = c.catchUpPart(recipient, sink, addr, pid, reconcile)
-			}(&outcomes[i], pe.Pid, pe.Reconcile)
-		}
-	}
-	wg.Wait()
-	shipped := 0
-	var firstErr error
-	for _, out := range outcomes {
-		if out.shipped {
-			shipped++
-		}
-		if firstErr == nil {
-			firstErr = out.err
-		}
-	}
-	return shipped, firstErr
+// FetchOOB performs one out-of-bound copy of key from the server at addr
+// into the sink, returning whether a newer copy was adopted. The exchange
+// is charged to the sink's replica.
+func (c *Client) FetchOOB(s core.Sink, addr, key string) (bool, error) {
+	return core.PullOOB(s, key, peer{c: c, addr: addr})
 }
 
-// partOffers runs the negotiation round of a partitioned session: offer
-// the given (partition, DBVV) pairs to the server at addr with maxBytes as
-// the inline payload ceiling per partition (zero: uncapped, never
-// streamed) and return its per-partition replies without applying
-// anything. Wire cost is charged to the recipient's node counters.
-func (c *Client) partOffers(recipient *core.Partitioned, addr string, offers []core.PartState, maxBytes uint64) ([]wire.PartReply, error) {
-	req := &wire.Request{
-		Kind:     wire.KindPartPropagation,
-		From:     recipient.ID(),
-		Parts:    offers,
-		MaxBytes: maxBytes,
-	}
+// peer is the client's core.Peer for the server at addr: each method is one
+// pooled exchange (a stream, one session's frame sequence).
+type peer struct {
+	c    *Client //epi:immutable
+	addr string  //epi:immutable
+	// node is charged the negotiation rounds: the recipient node, whose
+	// connection multiplexes its partitions.
+	node wireMeter //epi:immutable
+}
+
+// Offer runs the negotiation round, with maxBytes as the inline payload
+// ceiling per partition (zero: uncapped, never streamed).
+func (p peer) Offer(from int, offers []core.PartState, maxBytes uint64) ([]core.PartReply, error) {
+	req := &wire.Request{Kind: wire.KindPartPropagation, From: from, Parts: offers, MaxBytes: maxBytes}
 	var resp wire.Response
-	st, err := c.pool.roundTrip(addr, req, &resp)
-	st.charge(recipient)
+	st, err := p.c.pool.roundTrip(p.addr, req, &resp)
+	st.charge(p.node)
 	if err != nil {
 		return nil, err
 	}
 	return resp.Parts, remoteErr(resp.Err)
 }
 
-// catchUpPart drains one partition the negotiation diverted, after
-// reconciling it first when the source pruned past its DBVV. An in-memory
-// sink drains over a stream session. Any other sink re-offers the partition
-// uncapped and commits the inline reply, because streamed chunks would
-// bypass its log; one reconciliation is all this pull spends on it. It
-// reports whether the partition took any data.
-func (c *Client) catchUpPart(recipient *core.Partitioned, s Sink, addr string, pid int, reconcile bool) (bool, error) {
-	adopted := 0
-	if reconcile {
-		var err error
-		adopted, err = c.reconcileWith(s, addr, pid)
-		if err != nil {
-			return adopted > 0, err
-		}
+func (p peer) Fetch(r *core.Replica, keys []string) ([]core.ItemPayload, error) {
+	var resp wire.Response
+	if err := p.c.do(r, p.addr, &wire.Request{Kind: wire.KindFetch, From: r.ID(), Keys: keys}, &resp); err != nil {
+		return nil, err
 	}
-	// After reconciling, the DBVV is at or above the watermark, so the
-	// partition drains normally (or finds itself current).
-	if m, ok := s.(memSink); ok {
-		ok, err := c.pullPartStream(recipient, m.r, addr, pid)
-		return ok || adopted > 0, err
-	}
-	offer := []core.PartState{{Pid: pid, DBVV: s.Core().PropagationRequest()}}
-	replies, err := c.partOffers(recipient, addr, offer, 0)
-	if err != nil || len(replies) == 0 || replies[0].Prop == nil {
-		return adopted > 0, err
-	}
-	if err := c.applySession(s, addr, replies[0].Prop); err != nil {
-		return adopted > 0, err
-	}
-	return true, nil
+	return resp.Items, nil
 }
 
-// pullPartStream drains one partition over a KindPartStream session,
-// reusing the chunked pipeline with the partition's replica as the sink.
-// Wire cost is charged to the partition replica (whose counters roll up
-// into the node's Metrics).
-func (c *Client) pullPartStream(recipient *core.Partitioned, part *core.Replica, addr string, pid int) (bool, error) {
-	shipped := false
-	for attempt := 0; ; attempt++ {
-		req := &wire.Request{
-			Kind: wire.KindPartStream,
-			From: recipient.ID(),
-			Part: pid,
-			DBVV: part.PropagationRequest(),
-		}
-		ok, reconcile, err := c.runStream(part, addr, req)
-		shipped = shipped || ok
-		if err != nil || !reconcile || attempt > 0 {
-			return shipped, err
-		}
-		adopted, err := c.reconcileWith(memSink{part}, addr, pid)
-		if err != nil {
-			return shipped, err
-		}
-		shipped = shipped || adopted > 0
+// Reconcile runs one fingerprint round. Every round is stateless on the
+// server, so rounds ride ordinary exchanges on pooled connections.
+func (p peer) Reconcile(r *core.Replica, pid int, ranges []core.ReconcileRange) ([]core.ReconcileReply, error) {
+	var resp wire.Response
+	req := &wire.Request{Kind: wire.KindReconcile, From: r.ID(), Part: pid, Ranges: ranges}
+	if err := p.c.do(r, p.addr, req, &resp); err != nil {
+		return nil, err
 	}
+	return resp.Recon, nil
+}
+
+func (p peer) Stream(r *core.Replica, pid int, dbvv vv.VV, apply func(*core.Propagation)) (bool, error) {
+	req := &wire.Request{Kind: wire.KindPartStream, From: r.ID(), Part: pid, DBVV: dbvv.Clone()}
+	return p.c.runStream(r, p.addr, req, apply)
+}
+
+func (p peer) OOB(r *core.Replica, key string) (core.OOBReply, error) {
+	var resp wire.Response
+	if err := p.c.do(r, p.addr, &wire.Request{Kind: wire.KindOOB, From: r.ID(), Key: key}, &resp); err != nil {
+		return core.OOBReply{}, err
+	}
+	if resp.OOB == nil {
+		return core.OOBReply{}, errors.New("transport: malformed OOB response")
+	}
+	return *resp.OOB, nil
+}
+
+// Limits: every catch-up checks out its own pooled connection, and as many
+// run at once as the pool keeps idle per peer, so every connection a pull
+// uses goes back to the pool for the next one. In-memory sinks announce
+// DefaultMonolithicCap.
+func (p peer) Limits() (int, uint64) {
+	return p.c.pool.opts.MaxIdlePerHost, DefaultMonolithicCap
 }

@@ -334,8 +334,27 @@ func TestPullPartStreamsLargePartition(t *testing.T) {
 	}
 }
 
-// An uncapped negotiation — the round durable.Partitioned drives — answers
-// every dirty partition inline, however large, and opens no stream session.
+// loggedSink stands for a durable sink: any sink that is not core.InMemory.
+type loggedSink struct{ core.Sink }
+
+// offerLog is a Peer that records every Offer's replies.
+type offerLog struct {
+	core.Peer
+	mu      sync.Mutex
+	replies [][]core.PartReply
+}
+
+func (o *offerLog) Offer(from int, offers []core.PartState, maxBytes uint64) ([]core.PartReply, error) {
+	replies, err := o.Peer.Offer(from, offers, maxBytes)
+	o.mu.Lock()
+	o.replies = append(o.replies, replies)
+	o.mu.Unlock()
+	return replies, err
+}
+
+// An uncapped negotiation — the round a pull into durable sinks drives —
+// answers every dirty partition inline, however large, and opens no stream
+// session.
 func TestPullPartOffersUncappedShipsInline(t *testing.T) {
 	a, b, srv := startPartPair(t, 2, 8, 2)
 	rg := a.Ring()
@@ -354,25 +373,39 @@ func TestPullPartOffersUncappedShipsInline(t *testing.T) {
 	}
 	c := NewClient(Options{})
 	defer c.Close()
-	replies, err := c.partOffers(b, srv.Addr(), b.PartRequest(), 0)
+	// A sink that is not in memory makes the pull uncapped.
+	sinks := memSinks(b)
+	for pid, s := range sinks {
+		if s != nil {
+			sinks[pid] = loggedSink{s}
+		}
+	}
+	// PullPart's own peer, with its offers recorded.
+	log := &offerLog{Peer: peer{c: c, addr: srv.Addr(), node: b}}
+	shipped, err := core.Pull(b, sinks, log)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if shipped != 2 {
+		t.Fatalf("%d partitions shipped, want 2", shipped)
+	}
+	if len(log.replies) != 1 {
+		t.Fatalf("%d offers sent, want 1 (a diverted partition re-offers)", len(log.replies))
+	}
 	inline := 0
-	for _, pe := range replies {
+	for _, pe := range log.replies[0] {
 		if pe.Stream || pe.Reconcile {
 			t.Fatalf("partition %d diverted (stream=%v reconcile=%v) with no cap", pe.Pid, pe.Stream, pe.Reconcile)
 		}
-		if pe.Prop == nil {
-			continue
-		}
-		inline++
-		if err := c.applySession(InMemory(b.Partition(pe.Pid)), srv.Addr(), pe.Prop); err != nil {
-			t.Fatal(err)
+		if pe.Prop != nil {
+			inline++
 		}
 	}
 	if inline != 2 {
 		t.Fatalf("%d partitions shipped inline, want 2", inline)
+	}
+	if got := b.Metrics().ReconcileSessions; got != 0 {
+		t.Errorf("uncapped pull ran %d reconcile sessions", got)
 	}
 	if got := a.Metrics().ChunksSent; got != 0 {
 		t.Errorf("uncapped negotiation streamed %d chunks", got)
@@ -394,7 +427,7 @@ func TestOOBAndFetchRouteByRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	recipient := b.Partition(rg.PartitionOf(key))
-	adopted, err := testClient.FetchOOB(InMemory(recipient), srv.Addr(), key)
+	adopted, err := testClient.FetchOOB(core.InMemory(recipient), srv.Addr(), key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +438,7 @@ func TestOOBAndFetchRouteByRing(t *testing.T) {
 		t.Fatalf("b.%s = %q/%v after OOB", key, v, ok)
 	}
 
-	items, err := testClient.fetchItems(recipient, srv.Addr(), []string{key, "missing/key"})
+	items, err := peer{c: testClient, addr: srv.Addr()}.Fetch(recipient, []string{key, "missing/key"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -287,10 +287,10 @@ type Options struct {
 	Pool PoolOptions
 }
 
-// Client is the recipient side of the protocol: it runs exchanges against
-// peer servers over pooled persistent connections. It is the only code that
-// drives a pull; what the pull commits into is the caller's Sink. Methods
-// are safe for concurrent use.
+// Client is the recipient side of the protocol: a core.Peer for each peer
+// server, whose exchanges run over pooled persistent connections; core.Pull
+// drives the session, and what it commits into is the caller's core.Sink.
+// Methods are safe for concurrent use.
 type Client struct {
 	pool *pool //epi:immutable
 }
@@ -339,6 +339,12 @@ func offerRequest(from int, dbvv vv.VV) *wire.Request {
 	}
 }
 
+// ErrNeedsReconcile reports that the source has pruned its log past the
+// requester's DBVV: no log-based propagation session can serve it, and the
+// caller must reconcile before pulling again (PullPart handles the
+// diversion itself).
+var ErrNeedsReconcile = errors.New("transport: source pruned past requester's DBVV; reconciliation required")
+
 // PullSessionMetered runs just the first round of a propagation session:
 // it offers dbvv as the recipient's DBVV for partition 0 of the source at
 // addr and fetches the source's reply without applying it, charging the
@@ -360,72 +366,4 @@ func (c *Client) PullSessionMetered(r *core.Replica, addr, db string, from int, 
 		return resp.Parts[0].Prop, nil
 	}
 	return nil, errors.New("transport: malformed propagation response")
-}
-
-// fetchItems fetches full copies of the named items from the server at
-// addr, charging the exchange to r.
-func (c *Client) fetchItems(r *core.Replica, addr string, keys []string) ([]core.ItemPayload, error) {
-	var resp wire.Response
-	if err := c.do(r, addr, &wire.Request{Kind: wire.KindFetch, From: r.ID(), Keys: keys}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Items, nil
-}
-
-// applySession commits one monolithic propagation payload to the sink,
-// running the delta-mode second round when the payload referenced base
-// versions the sink lacks: fetch the full copies, re-probing a bounded
-// number of times in case concurrent sessions moved items underneath. An
-// in-memory sink tries the single-sweep apply first; any other sink learns
-// what it lacks up front, so it logs and commits the session once.
-func (c *Client) applySession(s Sink, addr string, prop *core.Propagation) error {
-	r := s.Core()
-	// The payload's non-empty tails end at the source's own DBVV
-	// components — a safe floor of the source's state for the recipient's
-	// acked table (prune.go).
-	defer r.NoteSessionAck(prop.Source, prop)
-	var need []string
-	if m, ok := s.(memSink); ok {
-		if need = m.r.ApplyPropagation(prop); len(need) == 0 {
-			return nil
-		}
-	} else {
-		need = r.NeedFull(prop)
-	}
-	have := make(map[string]bool)
-	var items []core.ItemPayload
-	for attempt := 0; attempt < 3 && len(need) > 0; attempt++ {
-		fetched, err := c.fetchItems(r, addr, need)
-		if err != nil {
-			return err
-		}
-		items = append(items, fetched...)
-		for _, it := range fetched {
-			have[it.Key] = true
-		}
-		need = need[:0]
-		for _, key := range r.NeedFull(prop) {
-			if !have[key] {
-				need = append(need, key)
-			}
-		}
-	}
-	return s.ApplyPropagationWithItems(prop, items)
-}
-
-// FetchOOB performs one out-of-bound copy of key from the server at addr
-// into the sink, returning whether a newer copy was adopted. The exchange
-// is charged to the sink's replica.
-func (c *Client) FetchOOB(s Sink, addr, key string) (bool, error) {
-	r := s.Core()
-	var resp wire.Response
-	if err := c.do(r, addr, &wire.Request{Kind: wire.KindOOB, From: r.ID(), Key: key}, &resp); err != nil {
-		return false, err
-	}
-	if resp.OOB == nil {
-		return false, errors.New("transport: malformed OOB response")
-	}
-	// Source id is not authenticated on the wire; attribute to -1. The
-	// conflict report's source field is advisory only.
-	return s.ApplyOOB(*resp.OOB, -1)
 }

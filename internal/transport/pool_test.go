@@ -143,7 +143,7 @@ func TestPoolRedialsAfterPeerClosedPooledConnection(t *testing.T) {
 				if wire.ReadPreamble(br) != nil {
 					return
 				}
-				current := wire.AppendResponse(nil, &wire.Response{Parts: []wire.PartReply{{Pid: 0, Current: true}}})
+				current := wire.AppendResponse(nil, &wire.Response{Parts: []core.PartReply{{Pid: 0, Current: true}}})
 				for {
 					if _, err := wire.ReadFrame(br, wire.FrameRequest, nil); err != nil {
 						return

@@ -128,11 +128,18 @@ func TestPullSessionMeteredSurfacesErrNeedsReconcile(t *testing.T) {
 
 func TestReconcileSessionComputesDifference(t *testing.T) {
 	_, b, srv, c, _ := catchUpSetup(t, 60, 6, 32)
-	keys, err := c.reconcileSession(b, srv.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
+	p := peer{c: c, addr: srv.Addr()}
+	rc := b.StartReconcile()
+	for ranges := rc.Next(); ranges != nil; ranges = rc.Next() {
+		replies, err := p.Reconcile(b, 0, ranges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rc.Handle(ranges, replies); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(keys) != 6 {
+	if keys := rc.NeedKeys(); len(keys) != 6 {
 		t.Fatalf("difference = %d keys %v, want 6", len(keys), keys)
 	}
 }
@@ -205,8 +212,9 @@ func TestPartPullDivertsToReconcile(t *testing.T) {
 	}
 }
 
-// TestReconcileShortRoundFetchesNothing runs a session against a server
-// that answers every multi-range round with its last reply missing. The
+// TestReconcileShortRoundFetchesNothing runs a pull against a server that
+// diverts it to reconciliation and answers every multi-range round with
+// its last reply missing. The
 // session must fail without fetching: a partial difference committed
 // would raise the recipient's pruned watermark past items it never got.
 func TestReconcileShortRoundFetchesNothing(t *testing.T) {
@@ -245,6 +253,8 @@ func TestReconcileShortRoundFetchesNothing(t *testing.T) {
 					}
 					var resp wire.Response
 					switch req.Kind {
+					case wire.KindPartPropagation:
+						resp.Parts = []core.PartReply{{Pid: 0, Reconcile: true}}
 					case wire.KindReconcile:
 						resp.Recon = src.ServeReconcile(req.Ranges)
 						if len(resp.Recon) > 1 {
@@ -267,12 +277,12 @@ func TestReconcileShortRoundFetchesNothing(t *testing.T) {
 	c := NewClient(Options{})
 	defer c.Close()
 	dst := core.NewReplica(1, 2)
-	adopted, err := c.reconcileWith(InMemory(dst), ln.Addr().String(), 0)
+	shipped, err := pullWith(c, dst, ln.Addr().String())
 	if err == nil {
-		t.Fatalf("session with a missing reply succeeded, adopting %d items", adopted)
+		t.Fatalf("session with a missing reply succeeded (shipped %v)", shipped)
 	}
-	if n := fetches.Load(); n != 0 || adopted != 0 {
-		t.Fatalf("short session fetched %d batches and adopted %d items, want none", n, adopted)
+	if n := fetches.Load(); n != 0 || shipped || dst.Items() != 0 {
+		t.Fatalf("short session fetched %d batches and adopted %d items, want none", n, dst.Items())
 	}
 	if dst.NeedsReconcile(vv.VV{}) {
 		t.Fatal("short session raised the recipient's pruned watermark")

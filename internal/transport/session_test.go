@@ -34,7 +34,7 @@ func TestPullSessionDeadAddress(t *testing.T) {
 	if _, err := testClient.PullSessionMetered(b, "127.0.0.1:1", "", 1, b.PropagationRequest()); err == nil {
 		t.Error("dead address succeeded")
 	}
-	if _, err := testClient.fetchItems(b, "127.0.0.1:1", []string{"x"}); err == nil {
-		t.Error("dead address fetchItems succeeded")
+	if _, err := (peer{c: testClient, addr: "127.0.0.1:1"}).Fetch(b, []string{"x"}); err == nil {
+		t.Error("dead address fetch succeeded")
 	}
 }

@@ -17,9 +17,9 @@ package transport
 // source re-ships nothing already applied.
 
 import (
+	"bufio"
 	"fmt"
 	"runtime"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/wire"
@@ -36,36 +36,29 @@ const DefaultMonolithicCap = 1 << 20
 // sessions (0 restores core.DefaultChunkBytes). Safe to call while serving.
 func (s *Server) SetChunkBytes(n uint64) { s.chunkBytes.Store(n) }
 
-func (s *Server) chunkBudget() uint64 {
-	if n := s.chunkBytes.Load(); n > 0 {
-		return n
-	}
-	return core.DefaultChunkBytes
-}
-
 // serveStream answers one KindPartStream request with a session frame
-// sequence. The builder goroutine cuts the next chunk while this goroutine
-// encodes and ships the previous one; every chunk frame is flushed
-// individually so the recipient can apply it while later chunks are still
-// being built. Any write error aborts the session (the client observes a
+// sequence; the node's LocalPeer admits the session (or diverts it, or
+// refuses a partition this node does not replicate). The builder goroutine
+// cuts the next chunk while this goroutine encodes and ships the previous
+// one; every chunk frame is flushed individually so the recipient can
+// apply it while later chunks are still being built. Any write error aborts the session (the client observes a
 // truncated stream and the connection is closed); the builder is unblocked
 // via stop and the already-shipped prefix remains fully applied downstream.
-func (s *Server) serveStream(bw flushWriter, replica *core.Replica, errmsg string, req *wire.Request, scratch *[]byte) error {
-	if replica == nil {
-		begin := wire.SessionBegin{Source: -1, Err: errmsg}
+func (s *Server) serveStream(bw *bufio.Writer, req *wire.Request, scratch *[]byte) error {
+	cur, reconcile, err := s.local.OpenStream(req.From, req.Part, req.DBVV, s.chunkBytes.Load())
+	if err != nil {
+		begin := wire.SessionBegin{Source: -1, Err: err.Error()}
 		*scratch = wire.AppendSessionBegin((*scratch)[:0], &begin)
 		if err := wire.WriteFrame(bw, wire.KindSessionBegin, *scratch); err != nil {
 			return err
 		}
 		return bw.Flush()
 	}
-
-	replica.NoteAck(req.From, req.DBVV)
-	if replica.NeedsReconcile(req.DBVV) {
+	if reconcile {
 		// The requester's DBVV predates the pruned log prefix: no chunked
 		// session can serve it. Answer with a reconcile-diverted header and
 		// an empty trailer so the frame alternation stays clean.
-		begin := wire.SessionBegin{Source: replica.ID(), Reconcile: true}
+		begin := wire.SessionBegin{Source: s.parted.ID(), Reconcile: true}
 		*scratch = wire.AppendSessionBegin((*scratch)[:0], &begin)
 		if err := wire.WriteFrame(bw, wire.KindSessionBegin, *scratch); err != nil {
 			return err
@@ -78,8 +71,7 @@ func (s *Server) serveStream(bw flushWriter, replica *core.Replica, errmsg strin
 		return bw.Flush()
 	}
 
-	cur := replica.StartChunkSession(req.DBVV, s.chunkBudget())
-	begin := wire.SessionBegin{Source: replica.ID(), Current: cur == nil}
+	begin := wire.SessionBegin{Source: s.parted.ID(), Current: cur == nil}
 	*scratch = wire.AppendSessionBegin((*scratch)[:0], &begin)
 	if err := wire.WriteFrame(bw, wire.KindSessionBegin, *scratch); err != nil {
 		return err
@@ -141,50 +133,41 @@ func (s *Server) serveStream(bw flushWriter, replica *core.Replica, errmsg strin
 	return bw.Flush()
 }
 
-// flushWriter is the buffered-writer surface serveStream needs; satisfied
-// by *bufio.Writer and by test doubles that cut the stream mid-frame.
-type flushWriter interface {
-	Write(p []byte) (int, error)
-	Flush() error
-}
-
-// runStream drives one KindPartStream session request against addr with
-// recipient as the sink, retrying once on a fresh dial when a pooled connection turns
-// out stale before yielding a single frame. Requires the framed transport.
-// reconcile reports a reconcile-diverted session: the source pruned past
-// the request's DBVV and shipped nothing.
-func (c *Client) runStream(recipient *core.Replica, addr string, req *wire.Request) (shipped, reconcile bool, err error) {
-	start := time.Now()
-
+// runStream runs one KindPartStream session request against addr, handing
+// each chunk to apply, retrying once on a fresh dial when a pooled
+// connection turns out stale before yielding a single frame. reconcile
+// reports a reconcile-diverted session: the source pruned past the
+// request's DBVV and shipped nothing. The wire cost is charged to r.
+func (c *Client) runStream(r *core.Replica, addr string, req *wire.Request, apply func(*core.Propagation)) (reconcile bool, err error) {
 	pc, reused, err := c.pool.get(addr)
 	if err != nil {
-		return false, false, err
+		return false, err
 	}
 	for {
 		var st tripStats
 		st.dialed = !reused
 		st.reused = reused
 		sent0, recv0 := pc.cw.n, pc.cr.n
-		shipped, reconcile, started, err := streamOn(pc, recipient, req, start)
+		reconcile, started, err := streamOn(pc, req, apply)
 		st.sent, st.recv = pc.cw.n-sent0, pc.cr.n-recv0
-		st.charge(recipient)
+		st.charge(r)
 		if err == nil {
 			c.pool.put(addr, pc)
-			return shipped, reconcile, nil
+			return reconcile, nil
 		}
 		pc.conn.Close()
 		if started || !reused {
 			// Frames were already received (partial sessions stay partially
 			// applied; the next pull resumes from the advanced DBVV), or the
 			// dial was fresh: surface the error.
-			return shipped, reconcile, err
+			return reconcile, err
 		}
 		// Stale pooled connection that died before yielding a single frame:
 		// retry once on a fresh dial, bypassing the pool.
 		reused = false
 		pc, err = c.pool.dial(addr)
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
 	}
 }
@@ -194,15 +177,15 @@ func (c *Client) runStream(recipient *core.Replica, addr string, req *wire.Reque
 // was received (a session that started must not be retried on another
 // connection — its applied prefix belongs to this request's DBVV);
 // reconcile reports a reconcile-diverted session header.
-func streamOn(pc *poolConn, recipient *core.Replica, req *wire.Request, start time.Time) (shipped, reconcile, started bool, err error) {
+func streamOn(pc *poolConn, req *wire.Request, apply func(*core.Propagation)) (reconcile, started bool, err error) {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	*buf = wire.AppendRequest((*buf)[:0], req)
 	if err := wire.WriteFrame(pc.bw, wire.FrameRequest, *buf); err != nil {
-		return false, false, false, fmt.Errorf("transport: send request: %w", err)
+		return false, false, fmt.Errorf("transport: send request: %w", err)
 	}
 	if err := pc.bw.Flush(); err != nil {
-		return false, false, false, fmt.Errorf("transport: send request: %w", err)
+		return false, false, fmt.Errorf("transport: send request: %w", err)
 	}
 
 	// Pipeline, recipient half: the applier goroutine commits chunk k-1
@@ -216,17 +199,8 @@ func streamOn(pc *poolConn, recipient *core.Replica, req *wire.Request, start ti
 	applierDone := make(chan struct{})
 	go func() {
 		defer close(applierDone)
-		first := true
 		for p := range chunks {
-			recipient.ApplyChunk(p)
-			if first {
-				first = false
-				recipient.RecordStreamFirstApply(time.Since(start))
-			}
-			// Every applied chunk teaches us a floor of the source's own
-			// state (its tails end at the source's DBVV components), feeding
-			// our acked table for pruning.
-			recipient.NoteSessionAck(p.Source, p)
+			apply(p)
 			select {
 			case free <- p:
 			default:
@@ -242,7 +216,7 @@ func streamOn(pc *poolConn, recipient *core.Replica, req *wire.Request, start ti
 	for {
 		frameType, payload, err := wire.ReadSessionFrame(pc.br, pc.frameBuf)
 		if err != nil {
-			return shipped, reconcile, started, fmt.Errorf("transport: read session frame: %w", err)
+			return reconcile, started, fmt.Errorf("transport: read session frame: %w", err)
 		}
 		started = true
 		pc.frameBuf = payload
@@ -255,15 +229,14 @@ func streamOn(pc *poolConn, recipient *core.Replica, req *wire.Request, start ti
 		}
 		chunk, done, err := sr.FeedInto(frameType, payload, spare)
 		if err != nil {
-			return shipped, reconcile, started, fmt.Errorf("transport: %w", err)
+			return reconcile, started, fmt.Errorf("transport: %w", err)
 		}
 		reconcile = sr.Begin().Reconcile
 		if chunk != nil {
-			shipped = true
 			chunks <- chunk
 		}
 		if done {
-			return shipped, reconcile, started, nil
+			return reconcile, started, nil
 		}
 	}
 }

@@ -135,7 +135,7 @@ func TestPullStreamRemoteError(t *testing.T) {
 	defer c.Close()
 	// The server has partitions 0..3; a stream of partition 7 must surface
 	// its "not replicated here" error.
-	if _, err := c.pullPartStream(node(rec), rec, srv.Addr(), 7); err == nil {
+	if _, err := core.Drain(rec, 7, peer{c: c, addr: srv.Addr(), node: node(rec)}); err == nil {
 		t.Fatal("error for a stream of a partition the server lacks not surfaced")
 	}
 }

@@ -6,9 +6,11 @@
 //	propagation:  recipient --(pid, DBVV)*--> source --(Propagation | current)*--> recipient
 //	out-of-bound: recipient --(key)---------> source --(OOBReply)----------------> recipient
 //
-// A Server owns the source side of both exchanges for one node; a Client
-// owns the recipient side. A full replica is the one-partition node, so its
-// session is the paper's single DBVV comparison plus the partition id. The hot path speaks the compact framed binary
+// The session itself is core.Pull's: a Server decodes each request and
+// has the node's core.LocalPeer answer it, and a Client is a core.Peer
+// whose methods are exchanges (part.go). A full replica is the
+// one-partition node, so its session is the paper's single DBVV comparison
+// plus the partition id. The hot path speaks the compact framed binary
 // codec of internal/wire over persistent pooled connections (see pool.go),
 // so thousands of O(1) "you-are-current" exchanges per second share warm
 // TCP connections instead of paying a dial per session. It is the only
@@ -34,12 +36,14 @@ import (
 	"repro/internal/wire"
 )
 
-// Server serves propagation and out-of-bound requests for one node: a
-// core.Partitioned whose partitions each answer their own share of a
-// session, and whose ring routes single-key exchanges (OOB, fetch) to the
-// owning partition's replica. A full replica is the one-partition case.
+// Server serves propagation and out-of-bound requests for one node: it
+// decodes each request, has the node's core.LocalPeer answer it — the
+// partitions each answer their own share of a session, and the ring routes
+// single-key exchanges (OOB, fetch) to the owning partition — and encodes
+// the answer. A full replica is the one-partition case.
 type Server struct {
 	parted *core.Partitioned //epi:immutable
+	local  *core.LocalPeer   //epi:immutable answers every request from parted
 	ln     net.Listener      //epi:immutable
 
 	// chunkBytes is the streamed-session chunk budget; 0 means
@@ -60,7 +64,7 @@ func ListenPart(pr *core.Partitioned, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	s := &Server{parted: pr, ln: ln}
+	s := &Server{parted: pr, local: core.Local(pr), ln: ln}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -210,8 +214,7 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		if req.Kind == wire.KindPartStream {
-			replica, errmsg := s.streamTarget(&req)
-			if err := s.serveStream(bw, replica, errmsg, &req, scratch); err != nil {
+			if err := s.serveStream(bw, &req, scratch); err != nil {
 				return
 			}
 		} else {
@@ -228,15 +231,4 @@ func (s *Server) handle(conn net.Conn) {
 		s.parted.AddWireStats(cw.n-lastSent, cr.n-lastRecv, 0, 0)
 		lastSent, lastRecv = cw.n, cr.n
 	}
-}
-
-// streamTarget resolves the partition replica a KindPartStream request
-// drains. The replica is nil when this node does not replicate the
-// partition, with the error text as the second result.
-func (s *Server) streamTarget(req *wire.Request) (*core.Replica, string) {
-	part := s.parted.Partition(req.Part)
-	if part == nil {
-		return nil, fmt.Sprintf("partition %d not replicated here", req.Part)
-	}
-	return part, ""
 }

@@ -88,7 +88,7 @@ func reconcileFrameSeeds() [][]byte {
 			{IsLeaf: true, Keys: []core.KeyDigest{{Key: "k", Fp: 9}}},
 			{Splits: sampleRanges()},
 		}}),
-		AppendResponse(nil, &Response{Parts: []PartReply{{Pid: 1, Reconcile: true}}}),
+		AppendResponse(nil, &Response{Parts: []core.PartReply{{Pid: 1, Reconcile: true}}}),
 		{0xEB, 0x01, byte(KindReconcile)},
 		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[:1]}),
 		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[1:]}),

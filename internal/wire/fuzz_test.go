@@ -70,7 +70,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(append([]byte{1 << 1}, AppendPropagation(nil, sampleProp())...))
 	f.Add(AppendResponse(nil, &Response{OOB: &core.OOBReply{Key: "k", Found: true, IVV: vv.VV{1}}}))
 	f.Add(AppendResponse(nil, &Response{Err: "boom"}))
-	f.Add(AppendResponse(nil, &Response{Parts: []PartReply{
+	f.Add(AppendResponse(nil, &Response{Parts: []core.PartReply{
 		{Pid: 0, Unowned: true}, {Pid: 3, Current: true}, {Pid: 5, Prop: sampleProp()}, {Pid: 8, Stream: true}}}))
 	f.Add([]byte{0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {

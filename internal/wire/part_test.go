@@ -64,7 +64,7 @@ func TestOldKindsEncodeByteIdentical(t *testing.T) {
 
 func TestPartResponseRoundTrip(t *testing.T) {
 	resp := Response{
-		Parts: []PartReply{
+		Parts: []core.PartReply{
 			{Pid: 0, Unowned: true},
 			{Pid: 2, Current: true},
 			{Pid: 5, Prop: sampleProp()},
@@ -92,7 +92,7 @@ func TestPartResponseRoundTrip(t *testing.T) {
 		}
 	}
 	// A partitioned response may also carry an error alongside the entries.
-	withErr := Response{Parts: []PartReply{{Pid: 1, Current: true}}, Err: "bad db"}
+	withErr := Response{Parts: []core.PartReply{{Pid: 1, Current: true}}, Err: "bad db"}
 	buf = AppendResponse(nil, &withErr)
 	var got2 Response
 	if err := DecodeResponse(buf, &got2); err != nil {
@@ -104,7 +104,7 @@ func TestPartResponseRoundTrip(t *testing.T) {
 }
 
 func TestPartResponseRejectsTruncation(t *testing.T) {
-	resp := Response{Parts: []PartReply{{Pid: 5, Prop: sampleProp()}}}
+	resp := Response{Parts: []core.PartReply{{Pid: 5, Prop: sampleProp()}}}
 	buf := AppendResponse(nil, &resp)
 	for _, cut := range []int{1, 3, len(buf) / 2, len(buf) - 1} {
 		var got Response

@@ -115,7 +115,7 @@ func TestReconcileResponseRoundTrip(t *testing.T) {
 }
 
 func TestPartReplyReconcileRoundTrip(t *testing.T) {
-	resp := &Response{Parts: []PartReply{
+	resp := &Response{Parts: []core.PartReply{
 		{Pid: 0, Current: true},
 		{Pid: 3, Reconcile: true},
 		{Pid: 5, Prop: sampleProp()},
@@ -192,7 +192,7 @@ func FuzzDecodeReconcileFrames(f *testing.F) {
 		{IsLeaf: true, Keys: []core.KeyDigest{{Key: "k", Fp: 9}}},
 		{Splits: sampleRanges()},
 	}}))
-	f.Add(AppendResponse(nil, &Response{Parts: []PartReply{{Pid: 1, Reconcile: true}}}))
+	f.Add(AppendResponse(nil, &Response{Parts: []core.PartReply{{Pid: 1, Reconcile: true}}}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[:1]}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[1:]}))
 	f.Add(AppendResponse(nil, &Response{Recon: []core.ReconcileReply{{SketchCells: 780}}}))

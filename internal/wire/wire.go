@@ -129,7 +129,7 @@ type Request struct {
 	Keys []string
 	// MaxBytes, when non-zero on a KindPartPropagation request, caps each
 	// partition's inline payload: a source whose payload estimate exceeds
-	// it answers that partition with PartReply.Stream instead of building
+	// it answers that partition with core.PartReply.Stream instead of building
 	// the payload, and the recipient drains it over a KindPartStream
 	// session. Zero means uncapped.
 	MaxBytes uint64
@@ -156,28 +156,12 @@ type Response struct {
 	Items []core.ItemPayload
 	// Parts answers a KindPartPropagation request, one entry per offered
 	// partition, in the request's order.
-	Parts []PartReply
+	Parts []core.PartReply
 	// Recon carries the per-range verdicts answering a KindReconcile
 	// request, in the request's range order.
 	Recon []core.ReconcileReply
 	// Err carries a server-side error description, empty on success.
 	Err string
-}
-
-// PartReply is the source's verdict for one offered partition of a
-// partitioned propagation session. Exactly one of the five outcomes holds:
-// the source does not replicate the partition (Unowned), the recipient is
-// current (Current), the payload rides inline (Prop), it exceeded the
-// request's cap and must be pulled over a KindPartStream session (Stream),
-// or the partition's DBVV predates the source's pruned watermark and must
-// be reconciled first (Reconcile).
-type PartReply struct {
-	Pid       int
-	Unowned   bool
-	Current   bool
-	Stream    bool
-	Reconcile bool
-	Prop      *core.Propagation
 }
 
 // Buffer pooling: encode scratch and frame-read buffers are recycled so the
@@ -537,9 +521,9 @@ func DecodeResponse(buf []byte, resp *Response) error {
 	}
 	if flags&respParts != 0 {
 		n := d.count()
-		resp.Parts = make([]PartReply, 0, min(n, 1024))
+		resp.Parts = make([]core.PartReply, 0, min(n, 1024))
 		for i := uint64(0); i < n && d.err == nil; i++ {
-			pe := PartReply{Pid: int(d.uvarint())}
+			pe := core.PartReply{Pid: int(d.uvarint())}
 			pf := d.byte()
 			pe.Unowned = pf&partUnowned != 0
 			pe.Current = pf&partCurrent != 0
