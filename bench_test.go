@@ -189,7 +189,7 @@ func BenchmarkE7ServerSweep(b *testing.B) {
 // the operation: §6 claims it is constant — independent of database size
 // and update history length.
 func BenchmarkUpdate(b *testing.B) {
-	for _, n := range []int{100, 10000} {
+	for _, n := range []int{100, 10000, 100000} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			r, _ := benchPair(b, n)
 			val := op.NewSet([]byte("payload"))

@@ -178,3 +178,33 @@ func TestGrowDeltaMode(t *testing.T) {
 	}
 	checkAll(t, a, b, c)
 }
+
+func TestGrowthKeepsDeltaChainsValid(t *testing.T) {
+	// An item adopted before growth keeps its short IVV; a delta the new
+	// server then retains for it has an origin past that IVV's length.
+	// Checking, shipping and applying the chain must treat the missing
+	// component as zero rather than index past it.
+	a, b := NewReplica(0, 2, WithDeltaPropagation()), NewReplica(1, 2, WithDeltaPropagation())
+	mustUpdate(t, a, "x", "v")
+	AntiEntropy(b, a)
+	b.Grow(3)
+	c := NewReplica(2, 3, WithDeltaPropagation())
+	AntiEntropy(c, b)
+	if err := c.Update("x", op.NewAppend([]byte("+c"))); err != nil {
+		t.Fatal(err)
+	}
+	checkAll(t, c)
+	for _, r := range []*Replica{b, a} {
+		AntiEntropy(r, c)
+	}
+	if ok, why := Converged(a, b, c); !ok {
+		t.Fatalf("not converged: %s", why)
+	}
+	if got, _ := a.Read("x"); string(got) != "v+c" {
+		t.Fatalf("a reads %q, want %q", got, "v+c")
+	}
+	if a.Metrics().DeltasApplied == 0 {
+		t.Error("the new server's update did not ship as a delta")
+	}
+	checkAll(t, a, b, c)
+}

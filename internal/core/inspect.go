@@ -99,7 +99,11 @@ func (r *Replica) ItemValue(key string) ([]byte, bool) {
 //     the property that makes DBVV comparison equivalent to comparing every
 //     item at once (§4.1).
 //  2. Log structure: every component is a well-formed list sorted by
-//     sequence number with exact per-item pointers (§4.2, Fig. 1).
+//     sequence number, and the per-item pointers P_j(x) are exact both
+//     ways: every record's item points back at it, every pointer an item
+//     holds names a record linked in that origin's component, and each
+//     component holds as many records as its origin has pointers
+//     (§4.2, Fig. 1).
 //  3. Log coverage: the newest record in L_ik has Seq <= V_i[k] — the node
 //     never logs an update it has not counted.
 //  4. IsSelected flags are all clear outside SendPropagation (§6).
@@ -113,7 +117,19 @@ func (r *Replica) CheckInvariants() error {
 	sum := vv.New(r.n)
 	selectedLeak := ""
 	staleDelta := ""
+	var badPointer error
+	pointers := make([]int, r.n)
 	r.store.ForEach(func(it *store.Item) {
+		for j, rec := range it.LogRecords() {
+			switch {
+			case rec == nil:
+			case badPointer != nil:
+			case j >= r.n || rec.Item != it || !r.logs.Component(j).Holds(rec):
+				badPointer = fmt.Errorf("core: node %d: P_%d pointer of %q names no record of its own in log %d", r.id, j, it.Key, j)
+			default:
+				pointers[j]++
+			}
+		}
 		for l := 0; l < r.n; l++ {
 			sum[l] += it.IVV.Get(l)
 		}
@@ -137,6 +153,20 @@ func (r *Replica) CheckInvariants() error {
 	// 2 + 3. Log structure and coverage.
 	if err := r.logs.CheckInvariants(); err != nil {
 		return fmt.Errorf("core: node %d: %w", r.id, err)
+	}
+	if badPointer != nil {
+		return badPointer
+	}
+	for j, n := range pointers {
+		comp := r.logs.Component(j)
+		if comp.Len() != n {
+			return fmt.Errorf("core: node %d log %d holds %d records for %d item pointers", r.id, j, comp.Len(), n)
+		}
+		for rec := comp.Head(); rec != nil; rec = rec.Next() {
+			if r.store.Get(rec.Item.Key) != rec.Item {
+				return fmt.Errorf("core: node %d log %d names an item %q the store does not hold", r.id, j, rec.Item.Key)
+			}
+		}
 	}
 	// Log coverage holds only while no conflict has been declared: the
 	// conflict purge of Fig. 3 suspends the guarantee for the affected

@@ -158,7 +158,7 @@ func (r *Replica) CaptureState() *State {
 		comp := r.logs.Component(k)
 		recs := make([]persistLogRec, 0, comp.Len())
 		for rec := comp.Head(); rec != nil; rec = rec.Next() {
-			recs = append(recs, persistLogRec{Key: rec.Key, Seq: rec.Seq})
+			recs = append(recs, persistLogRec{Key: rec.Item.Key, Seq: rec.Seq})
 		}
 		st.Logs[k] = recs
 	}
@@ -223,7 +223,14 @@ func ReadState(rd io.Reader, opts ...Option) (*Replica, error) {
 	for k, recs := range st.Logs {
 		comp := r.logs.Component(k)
 		for _, rec := range recs {
-			comp.Add(rec.Key, rec.Seq)
+			it := r.store.Get(rec.Key)
+			if it == nil {
+				return nil, fmt.Errorf("core: snapshot log %d holds a record for %q, which it has no item for", k, rec.Key)
+			}
+			if t := comp.Tail(); t != nil && rec.Seq < t.Seq {
+				return nil, fmt.Errorf("core: snapshot log %d is out of order at %q", k, rec.Key)
+			}
+			comp.Append(it, rec.Seq)
 		}
 	}
 	r.aux = auxlog.New()

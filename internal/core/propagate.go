@@ -72,8 +72,8 @@ type Propagation struct {
 
 	// FrameKeys marks a propagation whose keys are slices of one string
 	// holding a whole decoded frame (wire.DecodeSessionChunkInto). The
-	// recipient gives a key it keeps, in a new item or log record, a
-	// string of its own, so that the frame is not kept alive.
+	// recipient gives a new item a key string of its own, so that the
+	// frame is not kept alive; log records name their item, not a key.
 	FrameKeys bool
 
 	// arena is the IVV slab a chunk session carved this chunk's payload
@@ -211,15 +211,8 @@ func (r *Replica) BuildPropagation(recipientDBVV vv.VV) *Propagation {
 		floor := recipientDBVV.Get(k)
 		tail := make([]TailRecord, 0, 8)
 		r.logs.Component(k).TailAfter(floor, func(rec *logvec.Record) {
-			tail = append(tail, TailRecord{Key: rec.Key, Seq: rec.Seq})
-			it := r.store.Get(rec.Key)
-			if it == nil {
-				// A log record always refers to an item this node has
-				// (records register local or adopted updates); absence is a
-				// protocol bug surfaced defensively.
-				r.met.AnomaliesIgnored.Add(1)
-				return
-			}
+			it := rec.Item
+			tail = append(tail, TailRecord{Key: it.Key, Seq: rec.Seq})
 			r.met.ItemsExamined.Add(1)
 			if !it.Selected() {
 				it.SetSelected(true)
@@ -358,6 +351,7 @@ func chainSuffixAt(payload ItemPayload, local vv.VV) int {
 		return 0
 	}
 	for i, link := range payload.Chain {
+		state = state.Extended(link.Origin + 1)
 		state.Inc(link.Origin)
 		if local.Equal(state) {
 			return i + 1
@@ -490,6 +484,7 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 							Pre:    state.Clone(),
 							Origin: link.Origin,
 						})
+						state = state.Extended(link.Origin + 1)
 						state.Inc(link.Origin)
 					}
 					if over := len(it.Deltas) - r.deltaDepth; over > 0 {
@@ -555,17 +550,14 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 				r.met.AnomaliesIgnored.Add(1)
 				continue
 			}
-			key := rec.Key
-			if p.FrameKeys && comp.Lookup(key) == nil {
-				// A new record takes its item's key; a superseding one
-				// keeps the old record's. Asking the log first keeps the
-				// common superseding case to one map, whose entry Add then
-				// finds in cache.
-				if it := r.store.Get(key); it != nil {
-					key = it.Key
-				}
+			it := r.store.Get(rec.Key)
+			if it == nil {
+				// Every shipped record's item ships beside it, so this is
+				// a protocol bug, surfaced defensively.
+				r.met.AnomaliesIgnored.Add(1)
+				continue
 			}
-			comp.Add(key, rec.Seq)
+			comp.Append(it, rec.Seq)
 			r.met.LogRecordsApplied.Add(1)
 		}
 	}
@@ -644,7 +636,7 @@ func (r *Replica) intraNodePropagateLocked(it *store.Item) {
 			it.IVV = it.IVV.Extended(r.id + 1)
 			it.IVV.Inc(r.id)
 			r.dbvv.Inc(r.id)
-			r.logs.Component(r.id).Add(it.Key, r.dbvv[r.id])
+			r.logs.Component(r.id).Append(it, r.dbvv[r.id])
 			r.noteChangedLocked(it)
 			r.aux.Remove(e)
 			r.met.AuxOpsReplayed.Add(1)

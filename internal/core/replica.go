@@ -162,6 +162,11 @@ type Replica struct {
 	// construction/restore.
 	deltaMode  bool //epi:immutable
 	deltaDepth int  //epi:immutable
+
+	// alone is the in-memory peer answering for this replica as a
+	// one-partition node (localReplica), made once so that in-process
+	// pulls from it allocate no peer.
+	alone *LocalPeer //epi:immutable
 }
 
 // NewReplica returns the initial replica state for server id of n servers:
@@ -178,6 +183,7 @@ func NewReplica(id, n int, opts ...Option) *Replica {
 		logs:  logvec.NewVector(n),
 		aux:   auxlog.New(),
 	}
+	r.alone = &LocalPeer{parts: []*Replica{r}}
 	for _, o := range opts {
 		o(r)
 	}
@@ -280,7 +286,7 @@ func (r *Replica) Update(key string, o op.Op) error {
 	it.IVV.Inc(r.id)
 	r.ctl.Lock()
 	r.dbvv.Inc(r.id)
-	r.logs.Component(r.id).Add(key, r.dbvv[r.id])
+	r.logs.Component(r.id).Append(it, r.dbvv[r.id])
 	r.noteChangedLocked(it)
 	r.ctl.Unlock()
 	r.met.UpdatesApplied.Add(1)

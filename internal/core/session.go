@@ -123,36 +123,65 @@ func pull(from int, offers []PartState, sinks []Sink, peer Peer) (int, error) {
 		shipped bool
 		err     error
 	}
-	outcomes := make([]outcome, len(parts))
-	seen := make(map[int]bool, len(parts))
-	slots := make(chan struct{}, max(width, 1))
-	var wg sync.WaitGroup
+	// A pull that finds every partition current allocates none of what
+	// follows: outcomes are kept from the first partition that ships or
+	// diverts, seen only when the source could answer a partition twice,
+	// and the catch-up slots from the first catch-up, since until one runs
+	// beside the loop an inline commit is the only thing running. The
+	// catch-up goroutine takes what it uses as arguments, so none of these
+	// variables moves to the heap for it.
+	var (
+		outcomes []outcome
+		seen     []bool
+		slots    chan struct{}
+		wg       *sync.WaitGroup
+	)
+	if len(parts) > 1 {
+		seen = make([]bool, len(sinks))
+	}
 	for i, pe := range parts {
-		if pe.Pid < 0 || pe.Pid >= len(sinks) || sinks[pe.Pid] == nil || seen[pe.Pid] {
+		if pe.Pid < 0 || pe.Pid >= len(sinks) || sinks[pe.Pid] == nil || seen != nil && seen[pe.Pid] {
 			// Defensive: the source answered a partition we never offered,
 			// or one twice; at most one catch-up per owned partition.
 			continue
 		}
-		seen[pe.Pid] = true
+		if seen != nil {
+			seen[pe.Pid] = true
+		}
 		sink := sinks[pe.Pid]
 		switch {
 		case pe.Unowned, pe.Current:
 			// Nothing to do for this partition.
 		case pe.Prop != nil:
-			slots <- struct{}{}
+			if outcomes == nil {
+				outcomes = make([]outcome, len(parts))
+			}
+			if slots != nil {
+				slots <- struct{}{}
+			}
 			err := commit(sink, pe.Prop, peer)
-			<-slots
+			if slots != nil {
+				<-slots
+			}
 			outcomes[i] = outcome{shipped: err == nil, err: err}
 		case pe.Reconcile, pe.Stream && maxBytes > 0:
+			if outcomes == nil {
+				outcomes = make([]outcome, len(parts))
+			}
+			if slots == nil {
+				slots, wg = make(chan struct{}, max(width, 1)), new(sync.WaitGroup)
+			}
 			slots <- struct{}{}
 			wg.Add(1)
-			go func(out *outcome, pid int, reconcile bool) {
+			go func(out *outcome, sink Sink, pid int, reconcile bool, maxBytes uint64, slots chan struct{}, wg *sync.WaitGroup) {
 				defer func() { <-slots; wg.Done() }()
 				out.shipped, out.err = catchUp(from, sink, pid, peer, maxBytes, reconcile)
-			}(&outcomes[i], pe.Pid, pe.Reconcile)
+			}(&outcomes[i], sink, pe.Pid, pe.Reconcile, maxBytes, slots, wg)
 		}
 	}
-	wg.Wait()
+	if wg != nil {
+		wg.Wait()
+	}
 	shipped := 0
 	var firstErr error
 	for _, out := range outcomes {
@@ -393,7 +422,7 @@ type LocalPeer struct {
 func Local(pr *Partitioned) *LocalPeer { return &LocalPeer{ring: pr.ring, parts: pr.parts} }
 
 // localReplica is Local for a lone replica: the one-partition node.
-func localReplica(r *Replica) *LocalPeer { return &LocalPeer{parts: []*Replica{r}} }
+func localReplica(r *Replica) *LocalPeer { return r.alone }
 
 // partition returns the replica of partition pid, nil when this node does
 // not replicate it.
@@ -464,6 +493,12 @@ func (l *LocalPeer) Offer(from int, offers []PartState, maxBytes uint64) ([]Part
 // recipient treats a missing item as "re-probe next session", the same
 // contract as an item concurrently deleted.
 func (l *LocalPeer) Fetch(_ *Replica, keys []string) ([]ItemPayload, error) {
+	if l.ring == nil {
+		if part := l.partition(0); part != nil && len(keys) > 0 {
+			return part.BuildItems(keys), nil
+		}
+		return nil, nil
+	}
 	groups := make(map[int][]string)
 	var pids []int
 	for _, key := range keys {

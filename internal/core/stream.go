@@ -94,8 +94,11 @@ type ChunkSession struct {
 	target   vv.VV // source DBVV at session start: the session's goal
 	maxBytes uint64
 
-	tails [][]TailRecord // metadata snapshot of the session's record tails
-	pos   []int          // per-origin cursor into tails
+	// tails snapshots the session's record tails. A record's item and
+	// sequence number never change (superseding it makes a new record),
+	// so the snapshot keeps both however the log moves meanwhile.
+	tails [][]*logvec.Record
+	pos   []int // per-origin cursor into tails
 
 	// frontier is the sequence number of the last emitted record per
 	// origin. An item is complete — its payload ships — once every origin's
@@ -153,7 +156,7 @@ func (r *Replica) StartChunkSession(recipientDBVV vv.VV, maxBytes uint64) *Chunk
 		floor:    recipientDBVV.Clone(),
 		target:   r.dbvv.Clone(),
 		maxBytes: maxBytes,
-		tails:    make([][]TailRecord, r.n),
+		tails:    make([][]*logvec.Record, r.n),
 		pos:      make([]int, r.n),
 		frontier: make([]uint64, r.n),
 		free:     make(chan *Propagation, 4),
@@ -166,9 +169,9 @@ func (r *Replica) StartChunkSession(recipientDBVV vv.VV, maxBytes uint64) *Chunk
 		// The component's record count bounds the tail exactly for a fresh
 		// recipient and is a near-fit otherwise; pre-sizing avoids the
 		// growth reallocations of a 10^5-record snapshot.
-		tail := make([]TailRecord, 0, r.logs.Component(k).Len())
+		tail := make([]*logvec.Record, 0, r.logs.Component(k).Len())
 		r.logs.Component(k).TailAfter(recipientDBVV.Get(k), func(rec *logvec.Record) {
-			tail = append(tail, TailRecord{Key: rec.Key, Seq: rec.Seq})
+			tail = append(tail, rec)
 		})
 		s.tails[k] = tail
 	}
@@ -237,11 +240,12 @@ sweep:
 				}
 				p.Tails[k] = make([]TailRecord, 0, c)
 			}
-			p.Tails[k] = append(p.Tails[k], rec)
-			used += recordWireSize(rec)
+			tr := TailRecord{Key: rec.Item.Key, Seq: rec.Seq}
+			p.Tails[k] = append(p.Tails[k], tr)
+			used += recordWireSize(tr)
 			nrecs++
 			progressed = true
-			emitted, pending, ok := s.statusLocked(rec.Key)
+			emitted, pending, ok := s.statusLocked(rec.Item)
 			if !ok {
 				// Updated mid-session: the copy now covers records beyond
 				// the session target. Abort — discard this unsent chunk
@@ -255,11 +259,7 @@ sweep:
 				if emitted > 0 {
 					open--
 				}
-				payload, ok := s.payloadLocked(rec.Key)
-				if !ok {
-					s.done = true
-					return nil
-				}
+				payload := s.payloadLocked(rec.Item)
 				used += payload.wireSize()
 				p.Items = append(p.Items, payload)
 			} else if emitted == 0 {
@@ -353,10 +353,8 @@ func (s *ChunkSession) Recycle(p *Propagation) {
 // sits beyond the session target — the item was updated mid-session and
 // the session must abort. Chunks never close with an item partially
 // emitted, so "already emitted" records are always from the current chunk.
-func (s *ChunkSession) statusLocked(key string) (emitted, pending int, ok bool) {
-	r := s.r
-	for l := 0; l < r.n; l++ {
-		lr := r.logs.Component(l).Lookup(key)
+func (s *ChunkSession) statusLocked(it *store.Item) (emitted, pending int, ok bool) {
+	for l, lr := range it.LogRecords() {
 		if lr == nil {
 			continue
 		}
@@ -377,16 +375,9 @@ func (s *ChunkSession) statusLocked(key string) (emitted, pending int, ok bool) 
 
 // payloadLocked clones the payload for an item whose last session record
 // was just emitted. Caller holds the all-shard read sweep and has already
-// ruled out mid-session supersession via statusLocked; false here is the
-// defensive missing-item case only.
-func (s *ChunkSession) payloadLocked(key string) (ItemPayload, bool) {
-	r := s.r
-	it := r.store.Get(key)
-	if it == nil {
-		r.met.AnomaliesIgnored.Add(1)
-		return ItemPayload{}, false
-	}
-	r.met.ItemsExamined.Add(1)
+// ruled out mid-session supersession via statusLocked.
+func (s *ChunkSession) payloadLocked(it *store.Item) ItemPayload {
+	s.r.met.ItemsExamined.Add(1)
 	// The payload may alias the store's value buffer: values are
 	// immutable-on-write (Update installs a fresh slice), so the alias
 	// stays intact however long the chunk is in flight. The IVV is cloned
@@ -397,7 +388,7 @@ func (s *ChunkSession) payloadLocked(key string) (ItemPayload, bool) {
 		Key:   it.Key,
 		Value: it.Value,
 		IVV:   ivv,
-	}, true
+	}
 }
 
 // ApplyChunk commits one streamed chunk at the recipient — AcceptPropagation
@@ -474,9 +465,10 @@ walk:
 		nrecs := uint64(0)
 		if floor := recipientDBVV.Get(k); r.dbvv[k] > floor {
 			for rec := r.logs.Component(k).TailStart(floor); rec != nil; rec = rec.Next() {
-				size += recordWireSize(TailRecord{Key: rec.Key, Seq: rec.Seq})
+				it := rec.Item
+				size += recordWireSize(TailRecord{Key: it.Key, Seq: rec.Seq})
 				nrecs++
-				if it := r.store.Get(rec.Key); it != nil && !it.Selected() {
+				if !it.Selected() {
 					it.SetSelected(true)
 					selected = append(selected, it)
 					size += 1 + stringWireSize(len(it.Key)) + stringWireSize(len(it.Value)) + uint64(it.IVV.BinarySize())

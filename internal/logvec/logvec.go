@@ -3,116 +3,130 @@
 // Node i keeps one log component L_ij per origin server j. Component L_ij
 // records, for updates performed by j that are reflected at i, only the
 // *latest* update per data item: a record is the pair (x, m) where x is the
-// item name and m the sequence number the update had on j (the value of
-// V_jj including that update). Records carry no redo information — they
+// item and m the sequence number the update had on j (the value of V_jj
+// including that update). Records carry no redo information — they
 // register only the fact that an item changed.
 //
-// The component is a doubly-linked list ordered by m ascending, with a
-// per-item pointer (the paper's P_j(x) array) so that AddLogRecord runs in
-// O(1): the superseded record for the same item is unlinked and the new
-// record appended at the tail. Consequently each component holds at most
-// one record per item and the whole vector at most n·N records, independent
-// of the number of updates ever performed (§4.2).
+// The component is a doubly-linked list ordered by m ascending. As in
+// Figure 1, the per-item pointers P_j(x) live on the item itself
+// (store.Item.LogRecord), and each record points back at its item, so
+// AddLogRecord is O(1) pointer work with no lookup by key: the superseded
+// record for the same item is unlinked and the new record appended at the
+// tail. Consequently each component holds at most one record per item and
+// the whole vector at most n·N records, independent of the number of
+// updates ever performed (§4.2).
 //
 // Because records are appended in increasing m and supersession moves an
 // item's record to the tail, every component remains sorted by m. The tail
 // of records with m > s is therefore a suffix, and TailAfter extracts it in
 // time linear in the number of records selected (§6).
+//
+// A component used on its own, outside a replica, can also be driven by
+// key (Add, Lookup): it then keeps the items it has been given in a map of
+// its own. The replica never does; its records name the store's items.
+//
+// Every method that reads or moves records requires the owning replica's
+// control mutex, which guards the records' links and the items' P_j(x)
+// pointers.
 package logvec
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/store"
+)
 
 // Record is one log entry (x, m): item x was updated by this component's
 // origin server, and m is that server's update sequence number (its own
-// DBVV component at the time of the update, inclusive).
-type Record struct {
-	Key string
-	Seq uint64
-
-	prev, next *Record
-}
-
-// Next returns the record after r in its component (m ascending), or nil.
-func (r *Record) Next() *Record { return r.next }
-
-// Prev returns the record before r in its component, or nil.
-func (r *Record) Prev() *Record { return r.prev }
+// DBVV component at the time of the update, inclusive). It is defined in
+// package store, beside the item it points at.
+type Record = store.LogRecord
 
 // Component is one log L_ij: updates by a single origin server, newest at
 // the tail.
 type Component struct {
-	head, tail *Record
-	byKey      map[string]*Record // the paper's P_j(x) pointers
-	size       int
+	origin int // j: the P_j(x) pointer this component maintains
+	list   store.LogList
+	size   int
+
+	// keyed holds the items of a component driven by key (Add, Lookup);
+	// nil until the first such call.
+	keyed map[string]*store.Item
 }
 
-// NewComponent returns an empty log component.
-func NewComponent() *Component {
-	return &Component{byKey: make(map[string]*Record)}
-}
+// NewComponent returns an empty log component for origin 0, to be used
+// on its own.
+func NewComponent() *Component { return &Component{} }
 
 // Len returns the number of records (≤ number of distinct items).
 func (c *Component) Len() int { return c.size }
 
 // Head returns the oldest record, or nil if the component is empty.
-func (c *Component) Head() *Record { return c.head }
+//
+//epi:requires ctl read
+func (c *Component) Head() *Record { return c.list.Head() }
 
 // Tail returns the newest record, or nil if the component is empty.
-func (c *Component) Tail() *Record { return c.tail }
+//
+//epi:requires ctl read
+func (c *Component) Tail() *Record { return c.list.Tail() }
 
-// Lookup returns the record for key, or nil (the P_j(x) pointer).
-func (c *Component) Lookup(key string) *Record { return c.byKey[key] }
+// Holds reports whether rec is one of the component's live records.
+//
+//epi:requires ctl read
+func (c *Component) Holds(rec *Record) bool { return c.list.Linked(rec) }
 
-// Add is the paper's AddLogRecord procedure (§4.2): link a new record
-// (key, seq) at the tail, unlink the existing record for the same item if
-// any, and repoint P_j(key) at the new record. O(1). A record that
-// supersedes another keeps the old record's key string, so a key that is
-// a slice of a larger buffer (a decoded frame) is kept only by an item's
-// first record.
+// Append is the paper's AddLogRecord procedure (§4.2) for item it: link a
+// new record (it, seq) at the tail, unlink the item's existing record if
+// any, and repoint P_j(it) at the new record. O(1), with no lookup.
 //
 // Sequence numbers must be non-decreasing across calls for the component to
 // stay sorted; the protocol guarantees this (each new record's m exceeds
-// every m the node has already seen from this origin). Add panics if the
+// every m the node has already seen from this origin). Append panics if the
 // invariant would be violated, since that indicates a protocol bug.
-func (c *Component) Add(key string, seq uint64) *Record {
-	if c.tail != nil && seq < c.tail.Seq {
-		panic(fmt.Sprintf("logvec: out-of-order add: seq %d after tail seq %d (key %q)", seq, c.tail.Seq, key))
+//
+//epi:requires ctl
+func (c *Component) Append(it *store.Item, seq uint64) *Record {
+	if t := c.list.Tail(); t != nil && seq < t.Seq {
+		panic(fmt.Sprintf("logvec: out-of-order add: seq %d after tail seq %d (key %q)", seq, t.Seq, it.Key))
 	}
-	if old := c.byKey[key]; old != nil {
-		c.unlink(old)
+	if old := it.LogRecord(c.origin); old != nil {
+		c.list.Remove(old)
 		c.size--
-		key = old.Key
 	}
-	rec := &Record{Key: key, Seq: seq}
-	c.append(rec)
-	c.byKey[key] = rec
+	rec := &Record{Item: it, Seq: seq}
+	c.list.PushBack(rec)
+	it.SetLogRecord(c.origin, rec)
 	c.size++
 	return rec
 }
 
-func (c *Component) append(rec *Record) {
-	rec.prev = c.tail
-	rec.next = nil
-	if c.tail != nil {
-		c.tail.next = rec
-	} else {
-		c.head = rec
+// Add is Append by key, for a component used on its own: the record names
+// the component's own item for key, made on the key's first record, so a
+// superseding record keeps the key string the item's first record had.
+//
+//epi:requires ctl
+func (c *Component) Add(key string, seq uint64) *Record {
+	it := c.keyed[key]
+	if it == nil {
+		if c.keyed == nil {
+			c.keyed = make(map[string]*store.Item)
+		}
+		it = &store.Item{Key: key}
+		c.keyed[key] = it
 	}
-	c.tail = rec
+	return c.Append(it, seq)
 }
 
-func (c *Component) unlink(rec *Record) {
-	if rec.prev != nil {
-		rec.prev.next = rec.next
-	} else {
-		c.head = rec.next
+// Lookup returns the live record for key of a component driven by Add, or
+// nil.
+//
+//epi:requires ctl read
+func (c *Component) Lookup(key string) *Record {
+	if it := c.keyed[key]; it != nil {
+		return it.LogRecord(c.origin)
 	}
-	if rec.next != nil {
-		rec.next.prev = rec.prev
-	} else {
-		c.tail = rec.prev
-	}
-	rec.prev, rec.next = nil, nil
+	return nil
 }
 
 // TruncateBefore drops every record with Seq <= floor and returns how many
@@ -120,17 +134,19 @@ func (c *Component) unlink(rec *Record) {
 // covered records are exactly a prefix: the loop pops from the head and
 // stops at the first surviving record, so the cost is linear in the number
 // of records dropped, never in the component length — and TailAfter stays
-// O(m) afterwards since the suffix structure is untouched.
+// O(m) afterwards since the suffix structure is untouched. Each dropped
+// record's item loses its P_j pointer.
 //
 // This is the log-pruning primitive: a record (x, m) with m <= floor is
 // safe to forget once every configured peer's acked DBVV covers m, because
 // no future propagation session will need to select it.
+//
+//epi:requires ctl
 func (c *Component) TruncateBefore(floor uint64) int {
 	n := 0
-	for c.head != nil && c.head.Seq <= floor {
-		rec := c.head
-		c.unlink(rec)
-		delete(c.byKey, rec.Key)
+	for rec := c.list.Head(); rec != nil && rec.Seq <= floor; rec = c.list.Head() {
+		c.list.Remove(rec)
+		rec.Item.SetLogRecord(c.origin, nil)
 		c.size--
 		n++
 	}
@@ -142,13 +158,15 @@ func (c *Component) TruncateBefore(floor uint64) int {
 // backwards from the tail to find the boundary, so its cost is linear in
 // the tail's length (plus one), never in the component length; callers
 // walk the tail forward with Next and may stop early.
+//
+//epi:requires ctl read
 func (c *Component) TailStart(seq uint64) *Record {
-	start := c.tail
+	start := c.list.Tail()
 	if start == nil || start.Seq <= seq {
 		return nil
 	}
-	for start.prev != nil && start.prev.Seq > seq {
-		start = start.prev
+	for p := start.Prev(); p != nil && p.Seq > seq; p = start.Prev() {
+		start = p
 	}
 	return start
 }
@@ -159,9 +177,11 @@ func (c *Component) TailStart(seq uint64) *Record {
 //
 // The returned count is the number of records visited. If visit is nil the
 // records are only counted.
+//
+//epi:requires ctl read
 func (c *Component) TailAfter(seq uint64, visit func(*Record)) int {
 	n := 0
-	for rec := c.TailStart(seq); rec != nil; rec = rec.next {
+	for rec := c.TailStart(seq); rec != nil; rec = rec.Next() {
 		n++
 		if visit != nil {
 			visit(rec)
@@ -171,40 +191,52 @@ func (c *Component) TailAfter(seq uint64, visit func(*Record)) int {
 }
 
 // CheckInvariants verifies structural invariants: list links consistent,
-// sequence numbers strictly ascending, byKey pointers exact, at most one
-// record per item. Intended for tests.
+// sequence numbers ascending, and every record's item pointing back at it
+// through P_j — which also makes records of one item unique. For a
+// component driven by key it checks the converse too: every item with a
+// live P_j pointer is linked here. (A replica's items live in its store;
+// core checks the converse there.) Intended for tests.
+//
+//epi:requires ctl read
 func (c *Component) CheckInvariants() error {
-	seen := make(map[string]bool, c.size)
 	var prev *Record
 	n := 0
-	for rec := c.head; rec != nil; rec = rec.next {
+	for rec := c.list.Head(); rec != nil; rec = rec.Next() {
 		n++
 		if n > c.size {
 			return fmt.Errorf("logvec: list longer than size %d (cycle?)", c.size)
 		}
-		if rec.prev != prev {
-			return fmt.Errorf("logvec: broken prev link at %q", rec.Key)
+		if rec.Item == nil {
+			return fmt.Errorf("logvec: record with seq %d names no item", rec.Seq)
+		}
+		if rec.Prev() != prev {
+			return fmt.Errorf("logvec: broken prev link at %q", rec.Item.Key)
 		}
 		if prev != nil && rec.Seq < prev.Seq {
 			return fmt.Errorf("logvec: order violated: %d after %d", rec.Seq, prev.Seq)
 		}
-		if seen[rec.Key] {
-			return fmt.Errorf("logvec: duplicate record for item %q", rec.Key)
-		}
-		seen[rec.Key] = true
-		if c.byKey[rec.Key] != rec {
-			return fmt.Errorf("logvec: byKey pointer stale for %q", rec.Key)
+		if rec.Item.LogRecord(c.origin) != rec {
+			return fmt.Errorf("logvec: P_%d pointer of %q does not point at its record", c.origin, rec.Item.Key)
 		}
 		prev = rec
 	}
 	if n != c.size {
 		return fmt.Errorf("logvec: size %d but %d records linked", c.size, n)
 	}
-	if c.tail != prev {
+	if c.list.Tail() != prev {
 		return fmt.Errorf("logvec: tail pointer stale")
 	}
-	if len(c.byKey) != c.size {
-		return fmt.Errorf("logvec: byKey has %d entries, size %d", len(c.byKey), c.size)
+	live := 0
+	for key, it := range c.keyed {
+		if rec := it.LogRecord(c.origin); rec != nil {
+			if !c.list.Linked(rec) || rec.Item != it {
+				return fmt.Errorf("logvec: P_%d pointer of %q names a record not linked here", c.origin, key)
+			}
+			live++
+		}
+	}
+	if c.keyed != nil && live != c.size {
+		return fmt.Errorf("logvec: %d keyed items have records, size %d", live, c.size)
 	}
 	return nil
 }
@@ -217,10 +249,8 @@ type Vector struct {
 
 // NewVector returns a log vector for n servers, all components empty.
 func NewVector(n int) *Vector {
-	v := &Vector{comps: make([]*Component, n)}
-	for i := range v.comps {
-		v.comps[i] = NewComponent()
-	}
+	v := &Vector{}
+	v.Grow(n)
 	return v
 }
 
@@ -230,10 +260,11 @@ func (v *Vector) Servers() int { return len(v.comps) }
 // Component returns L_ij for origin j.
 func (v *Vector) Component(j int) *Component { return v.comps[j] }
 
-// Grow adds empty components for newly admitted origin servers.
+// Grow adds empty components for newly admitted origin servers. Items get
+// P_j pointers for a new origin on their first record there.
 func (v *Vector) Grow(n int) {
 	for len(v.comps) < n {
-		v.comps = append(v.comps, NewComponent())
+		v.comps = append(v.comps, &Component{origin: len(v.comps)})
 	}
 }
 
@@ -251,6 +282,8 @@ func (v *Vector) Len() int {
 // floor[j] (Seq <= floor[j]; missing components are treated as zero) and
 // returns the total number removed. floor is any component-wise watermark —
 // in the pruning protocol, the minimum acked DBVV across configured peers.
+//
+//epi:requires ctl
 func (v *Vector) TruncateBefore(floor []uint64) int {
 	total := 0
 	for j, c := range v.comps {
@@ -262,6 +295,8 @@ func (v *Vector) TruncateBefore(floor []uint64) int {
 }
 
 // CheckInvariants verifies every component. Intended for tests.
+//
+//epi:requires ctl read
 func (v *Vector) CheckInvariants() error {
 	for j, c := range v.comps {
 		if err := c.CheckInvariants(); err != nil {

@@ -4,12 +4,20 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"repro/internal/store"
 )
 
-func collect(c *Component) []Record {
-	var out []Record
+// kv is a record's content: its item's key and its sequence number.
+type kv struct {
+	Key string
+	Seq uint64
+}
+
+func collect(c *Component) []kv {
+	var out []kv
 	for r := c.Head(); r != nil; r = r.Next() {
-		out = append(out, Record{Key: r.Key, Seq: r.Seq})
+		out = append(out, kv{Key: r.Item.Key, Seq: r.Seq})
 	}
 	return out
 }
@@ -27,7 +35,7 @@ func TestAddLogRecordAppends(t *testing.T) {
 	c.Add("x", 3)
 	c.Add("z", 4)
 	got := collect(c)
-	want := []Record{{Key: "y", Seq: 1}, {Key: "x", Seq: 3}, {Key: "z", Seq: 4}}
+	want := []kv{{Key: "y", Seq: 1}, {Key: "x", Seq: 3}, {Key: "z", Seq: 4}}
 	if len(got) != len(want) {
 		t.Fatalf("records = %v", got)
 	}
@@ -47,7 +55,7 @@ func TestAddLogRecordSupersedes(t *testing.T) {
 	c.Add("z", 4)
 	c.Add("x", 5)
 	got := collect(c)
-	want := []Record{{Key: "y", Seq: 1}, {Key: "z", Seq: 4}, {Key: "x", Seq: 5}}
+	want := []kv{{Key: "y", Seq: 1}, {Key: "z", Seq: 4}, {Key: "x", Seq: 5}}
 	if len(got) != 3 {
 		t.Fatalf("records = %v", got)
 	}
@@ -85,7 +93,7 @@ func TestSupersedeHeadAndTail(t *testing.T) {
 	c.Add("a", 4) // supersede tail
 	check(t, c)
 	got := collect(c)
-	if len(got) != 2 || got[0].Key != "b" || got[1] != (Record{Key: "a", Seq: 4}) {
+	if len(got) != 2 || got[0].Key != "b" || got[1] != (kv{Key: "a", Seq: 4}) {
 		t.Errorf("records = %v", got)
 	}
 }
@@ -154,7 +162,7 @@ func TestTailAfterBoundaries(t *testing.T) {
 	if n := empty.TailAfter(0, nil); n != 0 {
 		t.Errorf("empty TailAfter = %d, want 0", n)
 	}
-	if rec := c.TailStart(5); rec == nil || rec.Key != "b" {
+	if rec := c.TailStart(5); rec == nil || rec.Item.Key != "b" {
 		t.Errorf("TailStart(5) = %+v, want b", rec)
 	}
 	if rec := c.TailStart(9); rec != nil {
@@ -252,7 +260,7 @@ func TestAddKeepsTheSupersededKey(t *testing.T) {
 	if rec == nil || rec.Seq != 4 || c.Tail() != rec || c.Len() != 2 {
 		t.Fatalf("record %+v, tail %+v, len %d: want item at the tail with seq 4 of 2", rec, c.Tail(), c.Len())
 	}
-	if unsafe.StringData(rec.Key) != unsafe.StringData(first) {
+	if unsafe.StringData(rec.Item.Key) != unsafe.StringData(first) {
 		t.Error("the superseding record took the caller's key string")
 	}
 	check(t, c)
@@ -283,4 +291,36 @@ func itoa(i int) string {
 		i /= 10
 	}
 	return string(buf[pos:])
+}
+
+func TestAppendKeepsOnePointerPerOrigin(t *testing.T) {
+	// P_j(x) lives on the item: one slot per origin, grown on the item's
+	// first record there (here origin 2 first, then a grown origin 3),
+	// each maintained only by its own component.
+	v := NewVector(3)
+	x, y := &store.Item{Key: "x"}, &store.Item{Key: "y"}
+	v.Component(2).Append(x, 1)
+	if got := len(x.LogRecords()); got != 3 || x.LogRecord(0) != nil || x.LogRecord(1) != nil {
+		t.Fatalf("pointers after a first record at origin 2: %d slots, %v", got, x.LogRecords())
+	}
+	v.Component(0).Append(x, 1)
+	v.Component(2).Append(y, 2)
+	v.Component(2).Append(x, 3) // supersedes x's record at origin 2 only
+	if rec := x.LogRecord(2); rec == nil || rec.Seq != 3 || v.Component(2).Tail() != rec || v.Component(2).Len() != 2 {
+		t.Fatalf("origin 2 after superseding x: record %+v, len %d", rec, v.Component(2).Len())
+	}
+	if rec := x.LogRecord(0); rec == nil || rec.Seq != 1 || v.Component(0).Len() != 1 {
+		t.Fatalf("origin 0 moved when origin 2 superseded: %+v", rec)
+	}
+	if n := v.Component(0).TruncateBefore(1); n != 1 || x.LogRecord(0) != nil || x.LogRecord(2) == nil {
+		t.Fatalf("truncating origin 0 dropped %d and left pointers %v", n, x.LogRecords())
+	}
+	v.Grow(4)
+	v.Component(3).Append(y, 1)
+	if len(y.LogRecords()) != 4 || y.LogRecord(3) == nil || y.LogRecord(2) == nil {
+		t.Fatalf("pointers after growth: %v", y.LogRecords())
+	}
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,8 +1,10 @@
 // Package store implements a node's local database replica: a collection of
 // named data items, each carrying its item version vector (IVV), the
 // IsSelected flag used by SendPropagation's O(m) item-set computation (§6),
-// and — when the item has been copied out-of-bound — a parallel auxiliary
-// copy with its own auxiliary IVV (§4.3).
+// its P_j(x) pointers into the log vector (§4.2, Fig. 1; the record type,
+// LogRecord, is declared here beside it), and — when the item has been
+// copied out-of-bound — a parallel auxiliary copy with its own auxiliary
+// IVV (§4.3).
 //
 // The store is the replica's *data plane*: items live in a fixed number of
 // key-hashed shards, each guarded by its own RWMutex, so reads and updates
@@ -56,6 +58,7 @@ func (d *Delta) Valid(ivv vv.VV) bool {
 		return false
 	}
 	expected := d.Pre.Clone()
+	expected = expected.Extended(d.Origin + 1)
 	expected.Inc(d.Origin)
 	return expected.Equal(ivv)
 }
@@ -64,6 +67,7 @@ func (d *Delta) Valid(ivv vv.VV) bool {
 // by Origin.
 func (d Delta) Post() vv.VV {
 	p := d.Pre.Clone()
+	p = p.Extended(d.Origin + 1)
 	p.Inc(d.Origin)
 	return p
 }
@@ -79,6 +83,7 @@ func ChainValid(chain []Delta, ivv vv.VV) bool {
 		if !d.Pre.Equal(state) {
 			return false
 		}
+		state = state.Extended(d.Origin + 1)
 		state.Inc(d.Origin)
 	}
 	return state.Equal(ivv)
@@ -117,6 +122,14 @@ type Item struct {
 	// slot is the item's 1-based position in the replica's reconcile
 	// digest slab, 0 while it has none; serialized by the control mutex.
 	slot int32 //epi:guard ctl
+
+	// recs holds the paper's P_j(x) pointers: recs[j] is the item's live
+	// record in origin j's log component, nil when it has none. Like
+	// queued it is written under the item's shard write lock plus the
+	// control mutex (pruning, which holds only the latter, clears
+	// entries), and it grows to cover origin j on the item's first record
+	// there.
+	recs []*LogRecord //epi:guard ctl
 }
 
 // Selected reports the IsSelected flag.
@@ -148,6 +161,40 @@ func (it *Item) Slot() int32 { return it.slot }
 //
 //epi:requires ctl
 func (it *Item) SetSlot(s int32) { it.slot = s }
+
+// LogRecord returns P_j(x): the item's live record in origin j's log
+// component, or nil.
+//
+//epi:requires ctl read
+func (it *Item) LogRecord(j int) *LogRecord {
+	if j < len(it.recs) {
+		return it.recs[j]
+	}
+	return nil
+}
+
+// LogRecords returns the item's P_j(x) pointers indexed by origin j,
+// possibly shorter than the server count (missing origins hold no
+// record). The slice is the item's own; callers only read it.
+//
+//epi:requires ctl read
+func (it *Item) LogRecords() []*LogRecord { return it.recs }
+
+// SetLogRecord repoints P_j(x) at rec (nil: the item has no record at
+// origin j). The pointers grow to cover j on the first record there.
+//
+//epi:requires ctl
+func (it *Item) SetLogRecord(j int, rec *LogRecord) {
+	if j >= len(it.recs) {
+		if rec == nil {
+			return
+		}
+		recs := make([]*LogRecord, j+1)
+		copy(recs, it.recs)
+		it.recs = recs
+	}
+	it.recs[j] = rec
+}
 
 // CurrentValue returns the value user operations observe: the auxiliary
 // copy if one exists, else the regular copy (§5.3).
