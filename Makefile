@@ -46,14 +46,16 @@ test-all:
 ## bench: smoke run of the experiment benchmarks — the parallel read /
 ## propagation benchmark (E16), the propagation builders, the pooled
 ## transport round trip (E15), the reconciliation session with its
-## maintained summary (E19), the in-process streamed catch-up and the
-## per-update cost up to N = 100 000. 100 iterations each (10 for the
-## reconciliation, whose largest row holds 200 000 items, and 3 for the
-## catch-up, 20 000 rewrites each): checks they run, not their timing.
+## maintained summary (E19), the in-process streamed catch-up into a
+## volatile and into a durable recipient, and the per-update cost up to
+## N = 100 000. 100 iterations each (10 for the reconciliation, whose
+## largest row holds 200 000 items, and 3 for each catch-up, 20 000
+## rewrites each): checks they run, not their timing.
 bench:
 	$(GO) test -run=NONE -bench='BenchmarkParallelReadUpdate|BenchmarkBuildPropagation|BenchmarkApplyPropagation' -benchtime=100x ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkReconcileSession -benchtime=10x ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkStreamCatchUp -benchtime=3x ./internal/core
+	$(GO) test -run=NONE -bench=BenchmarkDurableStreamCatchUp -benchtime=3x ./internal/durable
 	$(GO) test -run=NONE -bench='BenchmarkUpdate$$' -benchtime=100x .
 	$(GO) test -run=NONE -bench=BenchmarkTransportRoundTrip -benchtime=100x -benchmem ./internal/transport
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/logvec"
 	"repro/internal/metrics"
 	"repro/internal/op"
@@ -313,8 +315,8 @@ func (r *Replica) BuildItems(keys []string) []ItemPayload {
 // BuildItems before committing via ApplyPropagationWithItems. It returns
 // nil for whole-item sessions.
 func (r *Replica) NeedFull(p *Propagation) []string {
-	if p == nil {
-		return nil
+	if p == nil || !slices.ContainsFunc(p.Items, func(it ItemPayload) bool { return it.IsDelta }) {
+		return nil // only a delta's base can be missing
 	}
 	r.rlockAll()
 	defer r.runlockAll()
@@ -396,7 +398,6 @@ func (r *Replica) ApplyPropagation(p *Propagation) []string {
 	if need := r.needFullLocked(p); len(need) > 0 {
 		return need
 	}
-	metrics.StoreMax(&r.met.PeakPayloadBytes, p.WireSize())
 	r.applySessionLocked(p, nil)
 	return nil
 }
@@ -410,19 +411,24 @@ func (r *Replica) ApplyPropagationWithItems(p *Propagation, items []ItemPayload)
 	if p == nil {
 		return
 	}
-	extras := make(map[string]ItemPayload, len(items))
-	for _, it := range items {
-		extras[it.Key] = it
+	var extras map[string]ItemPayload
+	if len(items) > 0 {
+		extras = make(map[string]ItemPayload, len(items))
+		for _, it := range items {
+			extras[it.Key] = it
+		}
 	}
 	r.lockAll()
 	defer r.unlockAll()
 	r.applySessionLocked(p, extras)
 }
 
-// applySessionLocked is the committing pass shared by ApplyPropagation and
-// ApplyPropagationWithItems. Caller holds all shard write locks plus the
-// control mutex.
+// applySessionLocked is the committing pass shared by ApplyPropagation,
+// ApplyPropagationWithItems and ApplyChunk, and the one place a recipient
+// charges the payload it holds to PeakPayloadBytes. Caller holds all shard
+// write locks plus the control mutex.
 func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPayload) {
+	metrics.StoreMax(&r.met.PeakPayloadBytes, p.WireSize())
 	// A message mentioning more origin servers than we know means the
 	// server set has grown; extend our state first.
 	r.maybeGrowFor(p)

@@ -22,13 +22,15 @@ import (
 
 // Sink is what a pull commits into. Core gives the replica the session
 // reads its DBVV from (and a wire peer charges its traffic to); the Apply
-// methods commit what the source shipped. A durable replica satisfies Sink
-// and write-ahead logs every commit; InMemory adapts a volatile replica.
-// Only a pull into in-memory sinks announces its peer's inline cap and so
-// may stream: chunks apply straight to the replica, past a durable log.
+// methods commit what the source shipped: an inline payload with its
+// fetched copies, one streamed chunk, a reconciled difference, an
+// out-of-bound copy. A durable replica satisfies Sink and write-ahead logs
+// every commit, a chunk as one record; InMemory adapts a volatile replica.
+// The session takes the same path into either.
 type Sink interface {
 	Core() *Replica
 	ApplyPropagationWithItems(p *Propagation, items []ItemPayload) error
+	ApplyChunk(p *Propagation) error
 	ApplyReconcileItems(items []ItemPayload, source int) (int, error)
 	ApplyOOB(reply OOBReply, source int) (bool, error)
 }
@@ -44,6 +46,11 @@ func (m memSink) Core() *Replica { return m.r }
 
 func (m memSink) ApplyPropagationWithItems(p *Propagation, items []ItemPayload) error {
 	m.r.ApplyPropagationWithItems(p, items)
+	return nil
+}
+
+func (m memSink) ApplyChunk(p *Propagation) error {
+	m.r.ApplyChunk(p)
 	return nil
 }
 
@@ -85,13 +92,14 @@ type Peer interface {
 	// Reconcile answers one fingerprint round over partition pid.
 	Reconcile(r *Replica, pid int, ranges []ReconcileRange) ([]ReconcileReply, error)
 	// Stream opens a chunk session of partition pid against dbvv and
-	// returns once apply has taken every chunk, in order. reconcile reports
-	// a session diverted because the source pruned past dbvv.
-	Stream(r *Replica, pid int, dbvv vv.VV, apply func(*Propagation)) (reconcile bool, err error)
+	// returns once apply has taken every chunk, in order. The first error
+	// apply returns ends the session and is returned. reconcile reports a
+	// session diverted because the source pruned past dbvv.
+	Stream(r *Replica, pid int, dbvv vv.VV, apply func(*Propagation) error) (reconcile bool, err error)
 	// OOB serves one out-of-bound copy of key.
 	OOB(r *Replica, key string) (OOBReply, error)
 	// Limits reports how many partitions may catch up at once and the
-	// inline cap a pull into in-memory sinks announces.
+	// inline cap every pull announces (0: uncapped, never streamed).
 	Limits() (width int, maxBytes uint64)
 }
 
@@ -110,11 +118,6 @@ func Pull(recipient *Partitioned, sinks []Sink, peer Peer) (int, error) {
 // pull is Pull for the recipient from, offering offers.
 func pull(from int, offers []PartState, sinks []Sink, peer Peer) (int, error) {
 	width, maxBytes := peer.Limits()
-	for _, s := range sinks {
-		if _, mem := s.(memSink); s != nil && !mem {
-			maxBytes = 0
-		}
-	}
 	parts, err := peer.Offer(from, offers, maxBytes)
 	if err != nil {
 		return 0, err
@@ -164,7 +167,7 @@ func pull(from int, offers []PartState, sinks []Sink, peer Peer) (int, error) {
 				<-slots
 			}
 			outcomes[i] = outcome{shipped: err == nil, err: err}
-		case pe.Reconcile, pe.Stream && maxBytes > 0:
+		case pe.Reconcile, pe.Stream:
 			if outcomes == nil {
 				outcomes = make([]outcome, len(parts))
 			}
@@ -173,10 +176,10 @@ func pull(from int, offers []PartState, sinks []Sink, peer Peer) (int, error) {
 			}
 			slots <- struct{}{}
 			wg.Add(1)
-			go func(out *outcome, sink Sink, pid int, reconcile bool, maxBytes uint64, slots chan struct{}, wg *sync.WaitGroup) {
+			go func(out *outcome, sink Sink, pid int, reconcile bool, slots chan struct{}, wg *sync.WaitGroup) {
 				defer func() { <-slots; wg.Done() }()
-				out.shipped, out.err = catchUp(from, sink, pid, peer, maxBytes, reconcile)
-			}(&outcomes[i], sink, pe.Pid, pe.Reconcile, maxBytes, slots, wg)
+				out.shipped, out.err = catchUp(sink, pid, peer, reconcile)
+			}(&outcomes[i], sink, pe.Pid, pe.Reconcile, slots, wg)
 		}
 	}
 	if wg != nil {
@@ -198,30 +201,24 @@ func pull(from int, offers []PartState, sinks []Sink, peer Peer) (int, error) {
 // commit applies one inline payload to the sink. When the payload names
 // base versions the sink lacks (delta mode), the full copies are fetched,
 // re-probing at most three times in case concurrent sessions moved items
-// underneath. An in-memory sink tries the single-sweep apply first; any
-// other sink learns what it lacks up front, so it logs one commit.
+// underneath, so the sink commits the session once.
 func commit(s Sink, prop *Propagation, peer Peer) error {
 	r := s.Core()
 	// The payload's non-empty tails end at the source's own DBVV
 	// components — a safe floor of the source's state for the recipient's
 	// acked table (prune.go).
 	defer r.NoteSessionAck(prop.Source, prop)
-	var need []string
-	if m, ok := s.(memSink); ok {
-		if need = m.r.ApplyPropagation(prop); len(need) == 0 {
-			return nil
-		}
-	} else {
-		need = r.NeedFull(prop)
-	}
-	have := make(map[string]bool)
 	var items []ItemPayload
-	for attempt := 0; attempt < 3 && len(need) > 0; attempt++ {
+	var have map[string]bool
+	for attempt, need := 0, r.NeedFull(prop); attempt < 3 && len(need) > 0; attempt++ {
 		fetched, err := peer.Fetch(r, need)
 		if err != nil {
 			return err
 		}
 		items = append(items, fetched...)
+		if have == nil {
+			have = make(map[string]bool)
+		}
 		for _, it := range fetched {
 			have[it.Key] = true
 		}
@@ -236,11 +233,10 @@ func commit(s Sink, prop *Propagation, peer Peer) error {
 }
 
 // catchUp drains one partition the negotiation diverted, reconciling it
-// first when the source pruned past its DBVV. A capped pull (its sinks are
-// all in memory) drains over a chunk stream; an uncapped one re-offers the
-// partition and commits the inline reply, spending one reconciliation at
-// most. It reports whether the partition took any data.
-func catchUp(from int, s Sink, pid int, peer Peer, maxBytes uint64, reconcile bool) (bool, error) {
+// first when the source pruned past its DBVV: after reconciling, the DBVV
+// is at or above the watermark, so the partition streams normally (or
+// finds itself current). It reports whether the partition took any data.
+func catchUp(s Sink, pid int, peer Peer, reconcile bool) (bool, error) {
 	adopted := 0
 	if reconcile {
 		var err error
@@ -248,32 +244,25 @@ func catchUp(from int, s Sink, pid int, peer Peer, maxBytes uint64, reconcile bo
 			return adopted > 0, err
 		}
 	}
-	// After reconciling, the DBVV is at or above the watermark, so the
-	// partition drains normally (or finds itself current).
-	if maxBytes > 0 {
-		ok, err := Drain(s.Core(), pid, peer)
-		return ok || adopted > 0, err
-	}
-	offer := []PartState{{Pid: pid, DBVV: s.Core().PropagationRequest()}}
-	replies, err := peer.Offer(from, offer, 0)
-	if err != nil || len(replies) == 0 || replies[0].Prop == nil {
-		return adopted > 0, err
-	}
-	err = commit(s, replies[0].Prop, peer)
-	return err == nil || adopted > 0, err
+	ok, err := Drain(s, pid, peer)
+	return ok || adopted > 0, err
 }
 
-// Drain catches partition pid of r up from peer over a chunk stream,
-// whatever the payload's size, committing each chunk as it arrives. A
-// stream the source diverts is reconciled once and then streamed again. It
+// Drain catches partition pid of the sink up from peer over a chunk
+// stream, whatever the payload's size, committing each chunk through the
+// sink as it arrives; the first failed commit ends the stream. A stream
+// the source diverts is reconciled once and then streamed again. It
 // reports whether anything was applied.
-func Drain(r *Replica, pid int, peer Peer) (bool, error) {
+func Drain(s Sink, pid int, peer Peer) (bool, error) {
+	r := s.Core()
 	shipped := false
 	for attempt := 0; ; attempt++ {
 		start := time.Now()
 		first := true
-		reconcile, err := peer.Stream(r, pid, r.PropagationRequest(), func(p *Propagation) {
-			r.ApplyChunk(p)
+		reconcile, err := peer.Stream(r, pid, r.PropagationRequest(), func(p *Propagation) error {
+			if err := s.ApplyChunk(p); err != nil {
+				return err
+			}
 			if first {
 				// The streamed path's headline latency over the monolithic
 				// one, which applies nothing until the whole payload is in;
@@ -285,11 +274,12 @@ func Drain(r *Replica, pid int, peer Peer) (bool, error) {
 			// state (its tails end at the source's DBVV components).
 			r.NoteSessionAck(p.Source, p)
 			shipped = true
+			return nil
 		})
 		if err != nil || !reconcile || attempt > 0 {
 			return shipped, err
 		}
-		adopted, err := reconcileFrom(InMemory(r), pid, peer)
+		adopted, err := reconcileFrom(s, pid, peer)
 		if err != nil {
 			return shipped, err
 		}
@@ -543,23 +533,30 @@ func (l *LocalPeer) OpenStream(from, pid int, dbvv vv.VV, chunkBytes uint64) (cu
 
 // Stream drains a chunk session of DefaultChunkBytes chunks in the
 // caller's goroutine.
-func (l *LocalPeer) Stream(r *Replica, pid int, dbvv vv.VV, apply func(*Propagation)) (bool, error) {
+func (l *LocalPeer) Stream(r *Replica, pid int, dbvv vv.VV, apply func(*Propagation) error) (bool, error) {
 	cur, reconcile, err := l.OpenStream(r.ID(), pid, dbvv, 0)
-	drainChunks(cur, apply)
+	if err == nil {
+		err = drainChunks(cur, apply)
+	}
 	return reconcile, err
 }
 
 // drainChunks applies every chunk of cur (nil: none) before the next one
-// is cut. An un-owned chunk is cloned on apply, so its shell is recycled.
-func drainChunks(cur *ChunkSession, apply func(*Propagation)) {
+// is cut, up to the first chunk apply fails. An un-owned chunk is cloned
+// on apply, so its shell is recycled.
+func drainChunks(cur *ChunkSession, apply func(*Propagation) error) error {
 	for cur != nil {
 		p := cur.Next()
 		if p == nil {
-			return
+			return nil
 		}
-		apply(p)
+		err := apply(p)
 		cur.Recycle(p)
+		if err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // OOB serves key from the partition that owns it.

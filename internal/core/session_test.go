@@ -19,16 +19,18 @@ type streamPeer struct {
 
 func (p streamPeer) Limits() (int, uint64) { return 1, p.maxBytes }
 
-func (p streamPeer) Stream(r *Replica, pid int, dbvv vv.VV, apply func(*Propagation)) (bool, error) {
+func (p streamPeer) Stream(r *Replica, pid int, dbvv vv.VV, apply func(*Propagation) error) (bool, error) {
 	cur, reconcile, err := p.OpenStream(r.ID(), pid, dbvv, p.chunkBytes)
-	drainChunks(cur, apply)
+	if err == nil {
+		err = drainChunks(cur, apply)
+	}
 	return reconcile, err
 }
 
 // streamAntiEntropy drains source into recipient over a Local chunk stream
 // of chunkBytes, whatever the payload's size.
 func streamAntiEntropy(recipient, source *Replica, chunkBytes uint64) bool {
-	shipped, _ := Drain(recipient, 0, streamPeer{LocalPeer: localReplica(source), chunkBytes: chunkBytes})
+	shipped, _ := Drain(InMemory(recipient), 0, streamPeer{LocalPeer: localReplica(source), chunkBytes: chunkBytes})
 	return shipped
 }
 

@@ -407,7 +407,6 @@ func (r *Replica) ApplyChunk(p *Propagation) {
 	defer r.unlockAll()
 	r.applySessionLocked(p, nil)
 	r.met.ChunksApplied.Add(1)
-	metrics.StoreMax(&r.met.PeakPayloadBytes, p.WireSize())
 }
 
 // SessionPlan is PlanPropagation's decision for one propagation request.

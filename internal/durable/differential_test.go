@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -15,15 +16,19 @@ import (
 // from its WAL alone.
 func TestDurablePullMatchesVolatile(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		delta     bool // delta-mode propagation: the second pull needs a fetch round
-		reconcile bool // the source caps its log at 8 records and prunes past both recipients
-		parts     int  // >1: partitioned nodes, with one partition pruned past the recipients
+		name       string
+		delta      bool // delta-mode propagation: the second pull needs a fetch round
+		reconcile  bool // the source caps its log at 8 records and prunes past both recipients
+		parts      int  // >1: partitioned nodes, with one partition pruned past the recipients
+		streamed   bool // the payload exceeds the inline cap, so both recipients stream it
+		crashAfter int  // >0: the durable recipient dies after this many chunks
 	}{
 		{name: "inline"},
 		{name: "delta-fetch-round", delta: true},
 		{name: "reconcile-divert", reconcile: true},
 		{name: "partitioned-one-diverted", reconcile: true, parts: 4},
+		{name: "streamed", streamed: true},
+		{name: "crash-mid-stream", streamed: true, crashAfter: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var copts []core.Option
@@ -31,9 +36,12 @@ func TestDurablePullMatchesVolatile(t *testing.T) {
 				copts = append(copts, core.WithDeltaPropagation())
 			}
 			opts := Options{NoSync: true, SnapshotEvery: 1 << 30, CoreOptions: copts}
-			if tc.parts > 1 {
+			switch {
+			case tc.streamed:
+				diffStreamed(t, tc.crashAfter, opts)
+			case tc.parts > 1:
 				diffPartitioned(t, tc.parts, opts)
-			} else {
+			default:
 				diffPlain(t, tc.delta, tc.reconcile, opts)
 			}
 		})
@@ -41,6 +49,90 @@ func TestDurablePullMatchesVolatile(t *testing.T) {
 }
 
 func diffKey(i int) string { return fmt.Sprintf("item/%03d", i) }
+
+var errCrash = errors.New("recipient crashed")
+
+// crashSink is a durable sink that dies after `after` chunks: the next
+// chunk fails before it is logged.
+type crashSink struct {
+	*Replica
+	after, chunks int
+}
+
+func (c *crashSink) ApplyChunk(p *core.Propagation) error {
+	if c.chunks == c.after {
+		return errCrash
+	}
+	c.chunks++
+	return c.Replica.ApplyChunk(p)
+}
+
+// diffStreamed pulls a 2 MiB history, above transport.DefaultMonolithicCap,
+// into both recipients, which therefore stream it. With crashAfter > 0 the
+// durable recipient first dies after that many chunks and is reopened
+// from its WAL alone: it must hold exactly that chunk prefix, and the next
+// pull must ship only the rest.
+func diffStreamed(t *testing.T, crashAfter int, opts Options) {
+	src, addr := startSource(t, opts.CoreOptions...)
+	for i := 0; i < 64; i++ {
+		val := make([]byte, 32<<10)
+		val[0] = byte(i)
+		src.Update(diffKey(i), op.NewSet(val))
+	}
+	mem := core.NewReplica(1, 2, opts.CoreOptions...)
+	if _, err := pull(core.InMemory(mem), addr); err != nil {
+		t.Fatal(err)
+	}
+	total := mem.Metrics().LogRecordsApplied
+	dir := t.TempDir()
+	d := mustOpen(t, dir, 1, 2, opts)
+	var replayed uint64
+	if crashAfter > 0 {
+		if _, err := pull(&crashSink{Replica: d, after: crashAfter}, addr); !errors.Is(err, errCrash) {
+			t.Fatalf("pull error = %v, want the crash", err)
+		}
+		prefix, want := d.Core().Metrics().LogRecordsApplied, d.Core().DBVV()
+		if prefix == 0 || prefix >= total {
+			t.Fatalf("setup: %d of %d records applied before the crash", prefix, total)
+		}
+		if err := d.CloseWithoutSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		d = mustOpen(t, dir, 1, 2, opts)
+		if got := d.Core().DBVV(); !got.Equal(want) {
+			t.Fatalf("recovered DBVV %v, want the %d-chunk prefix %v", got, crashAfter, want)
+		}
+		if err := d.Core().CheckInvariants(); err != nil {
+			t.Fatalf("recovered prefix: %v", err)
+		}
+		replayed = d.Core().Metrics().LogRecordsApplied
+		total -= prefix
+	}
+	if _, err := pull(d, addr); err != nil {
+		t.Fatal(err)
+	}
+	dm := d.Core().Metrics()
+	if got := dm.LogRecordsApplied - replayed; got != total {
+		t.Errorf("durable pull applied %d log records, want %d", got, total)
+	}
+	if dm.ChunksApplied == 0 || mem.Metrics().ChunksApplied == 0 {
+		t.Errorf("chunks applied: durable %d, in memory %d; want both streamed", dm.ChunksApplied, mem.Metrics().ChunksApplied)
+	}
+	if dm.PeakPayloadBytes == 0 || dm.PeakPayloadBytes > 2*core.DefaultChunkBytes {
+		t.Errorf("durable peak payload %d B, want (0, %d]", dm.PeakPayloadBytes, 2*core.DefaultChunkBytes)
+	}
+	if ok, why := core.Converged(src, mem, d.Core()); !ok {
+		t.Fatalf("recipients differ: %s", why)
+	}
+	if err := d.CloseWithoutSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	d2 := mustOpen(t, dir, 1, 2, opts)
+	defer d2.Close()
+	if ok, why := core.Converged(mem, d2.Core()); !ok {
+		t.Fatalf("recovered durable state differs: %s", why)
+	}
+}
 
 func diffPlain(t *testing.T, delta, reconcile bool, opts Options) {
 	src, addr := startSource(t, opts.CoreOptions...)

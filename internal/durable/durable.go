@@ -252,18 +252,6 @@ type pendingSnap struct {
 	floor uint64
 }
 
-// maybeCaptureLocked captures a snapshot when the log has grown past the
-// configured threshold and no capture is already in flight.
-//
-//epi:requires wmu
-func (d *Replica) maybeCaptureLocked() *pendingSnap {
-	if d.since < d.opts.SnapshotEvery || d.snapping {
-		return nil
-	}
-	snap, _ := d.captureLocked()
-	return snap
-}
-
 // captureLocked cuts the WAL at the current point and clones the replica
 // state as of the cut. Everything staged so far is flushed to stable
 // storage by the cut, so the snapshot supersedes exactly the segments
@@ -338,12 +326,25 @@ func (d *Replica) writeSnapFile(s *pendingSnap) error {
 	return d.log.DiscardBefore(s.floor)
 }
 
-// finish completes a durable action begun under wmu: release the ordering
-// lock, wait for the group commit covering the staged record, and publish
-// any snapshot the action triggered.
-func (d *Replica) finish(t wal.Ticket, snap *pendingSnap) error {
+// logged is one durable action: stage rec and run apply under wmu, so log
+// order is apply order, then release wmu and wait for the group commit that
+// covers the record. An action that takes the log past SnapshotEvery, with
+// no capture in flight, captures a snapshot under wmu and publishes it
+// after the wait.
+func (d *Replica) logged(rec *wire.WALRecord, apply func()) error {
+	d.wmu.Lock()
+	t, err := d.stageLocked(rec)
+	if err != nil {
+		d.wmu.Unlock()
+		return err
+	}
+	apply()
+	var snap *pendingSnap
+	if d.since >= d.opts.SnapshotEvery && !d.snapping {
+		snap, _ = d.captureLocked()
+	}
 	d.wmu.Unlock()
-	err := t.Wait()
+	err = t.Wait()
 	if snap != nil {
 		// A failed background publish does not fail the action (its record
 		// is durable); it is reported through Close (snapErr).
@@ -368,15 +369,9 @@ func (d *Replica) Update(key string, o op.Op) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
-	d.wmu.Lock()
-	t, err := d.stageLocked(&wire.WALRecord{Kind: recUpdate, Key: key, Op: o, HasOp: true})
-	if err != nil {
-		d.wmu.Unlock()
-		return err
-	}
-	aerr := d.replica.Update(key, o)
-	snap := d.maybeCaptureLocked()
-	if err := d.finish(t, snap); err != nil {
+	var aerr error
+	rec := &wire.WALRecord{Kind: recUpdate, Key: key, Op: o, HasOp: true}
+	if err := d.logged(rec, func() { aerr = d.replica.Update(key, o) }); err != nil {
 		return err
 	}
 	return aerr
@@ -386,9 +381,6 @@ func (d *Replica) Update(key string, o op.Op) error {
 // sessions needing a second-round fetch must use ApplyPropagationWithItems
 // (AntiEntropyFrom handles this automatically).
 func (d *Replica) ApplyPropagation(p *core.Propagation) error {
-	if p == nil {
-		return nil
-	}
 	if need := d.replica.NeedFull(p); len(need) > 0 {
 		return fmt.Errorf("durable: session needs full copies of %d items; use ApplyPropagationWithItems", len(need))
 	}
@@ -401,28 +393,26 @@ func (d *Replica) ApplyPropagationWithItems(p *core.Propagation, items []core.It
 	if p == nil {
 		return nil
 	}
-	d.wmu.Lock()
-	t, err := d.stageLocked(&wire.WALRecord{Kind: recPropagation, Prop: p, Items: items})
-	if err != nil {
-		d.wmu.Unlock()
-		return err
+	rec := &wire.WALRecord{Kind: recPropagation, Prop: p, Items: items}
+	return d.logged(rec, func() { d.replica.ApplyPropagationWithItems(p, items) })
+}
+
+// ApplyChunk durably commits one streamed chunk as an ordinary propagation
+// record, which replay applies like any other. Chunks end on per-origin
+// prefix boundaries, so the chunks a crash leaves in the log recover to a
+// valid DBVV, and the next pull ships only the rest.
+func (d *Replica) ApplyChunk(p *core.Propagation) error {
+	if p == nil {
+		return nil
 	}
-	d.replica.ApplyPropagationWithItems(p, items)
-	snap := d.maybeCaptureLocked()
-	return d.finish(t, snap)
+	rec := &wire.WALRecord{Kind: recPropagation, Prop: p}
+	return d.logged(rec, func() { d.replica.ApplyChunk(p) })
 }
 
 // ApplyOOB durably adopts an out-of-bound reply.
-func (d *Replica) ApplyOOB(reply core.OOBReply, source int) (bool, error) {
-	d.wmu.Lock()
-	t, err := d.stageLocked(&wire.WALRecord{Kind: recOOB, OOB: &reply, Source: source})
-	if err != nil {
-		d.wmu.Unlock()
-		return false, err
-	}
-	adopted := d.replica.ApplyOOB(reply, source)
-	snap := d.maybeCaptureLocked()
-	if err := d.finish(t, snap); err != nil {
+func (d *Replica) ApplyOOB(reply core.OOBReply, source int) (adopted bool, err error) {
+	rec := &wire.WALRecord{Kind: recOOB, OOB: &reply, Source: source}
+	if err = d.logged(rec, func() { adopted = d.replica.ApplyOOB(reply, source) }); err != nil {
 		return false, err
 	}
 	return adopted, nil
@@ -432,19 +422,12 @@ func (d *Replica) ApplyOOB(reply core.OOBReply, source int) (bool, error) {
 // reconciliation session: staged, then applied (which also raises the
 // pruned watermark when anything is adopted — see core). Returns the number
 // of items adopted.
-func (d *Replica) ApplyReconcileItems(items []core.ItemPayload, source int) (int, error) {
+func (d *Replica) ApplyReconcileItems(items []core.ItemPayload, source int) (adopted int, err error) {
 	if len(items) == 0 {
 		return 0, nil
 	}
-	d.wmu.Lock()
-	t, err := d.stageLocked(&wire.WALRecord{Kind: recReconcile, Items: items, Source: source})
-	if err != nil {
-		d.wmu.Unlock()
-		return 0, err
-	}
-	adopted := d.replica.ApplyReconcileItems(items, source)
-	snap := d.maybeCaptureLocked()
-	if err := d.finish(t, snap); err != nil {
+	rec := &wire.WALRecord{Kind: recReconcile, Items: items, Source: source}
+	if err = d.logged(rec, func() { adopted = d.replica.ApplyReconcileItems(items, source) }); err != nil {
 		return 0, err
 	}
 	return adopted, nil
@@ -453,21 +436,14 @@ func (d *Replica) ApplyReconcileItems(items []core.ItemPayload, source int) (int
 // Prune durably runs one log-pruning pass: the pass's inputs (ack table,
 // peer set, log cap) are logged so replay reproduces the same floor against
 // the rebuilt log, then the pass runs. Returns the records dropped.
-func (d *Replica) Prune() (int, error) {
-	d.wmu.Lock()
-	t, err := d.stageLocked(&wire.WALRecord{
+func (d *Replica) Prune() (dropped int, err error) {
+	rec := &wire.WALRecord{
 		Kind:       recPrune,
 		Acked:      d.replica.AckTable(),
 		PrunePeers: d.replica.PrunePeers(),
 		LogCap:     d.replica.LogCap(),
-	})
-	if err != nil {
-		d.wmu.Unlock()
-		return 0, err
 	}
-	dropped := d.replica.Prune()
-	snap := d.maybeCaptureLocked()
-	if err := d.finish(t, snap); err != nil {
+	if err = d.logged(rec, func() { dropped = d.replica.Prune() }); err != nil {
 		return 0, err
 	}
 	return dropped, nil

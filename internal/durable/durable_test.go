@@ -12,7 +12,7 @@ import (
 	"repro/internal/vv"
 )
 
-func mustOpen(t *testing.T, dir string, id, n int, opts Options) *Replica {
+func mustOpen(t testing.TB, dir string, id, n int, opts Options) *Replica {
 	t.Helper()
 	d, err := Open(dir, id, n, opts)
 	if err != nil {
@@ -368,5 +368,23 @@ func TestAntiEntropyFromReconcilesPastAPrunedLog(t *testing.T) {
 	defer d2.Close()
 	if ok, why := core.Converged(src, d2.Core()); !ok {
 		t.Fatalf("recovered replica differs: %s", why)
+	}
+}
+
+// A durable recipient charges the payload it commits to PeakPayloadBytes
+// on the inline path too, not only when it builds one as a source.
+func TestInlineCommitChargesPeakPayload(t *testing.T) {
+	src := core.NewReplica(0, 2)
+	for i := 0; i < 10; i++ {
+		src.Update(fmt.Sprintf("k%d", i), op.NewSet([]byte{byte(i)}))
+	}
+	d := mustOpen(t, t.TempDir(), 1, 2, Options{NoSync: true})
+	defer d.Close()
+	want := src.BuildPropagation(d.Core().PropagationRequest()).WireSize()
+	if shipped, err := d.AntiEntropyFrom(src); err != nil || !shipped {
+		t.Fatalf("AntiEntropyFrom = %v, %v", shipped, err)
+	}
+	if got := d.Core().Metrics().PeakPayloadBytes; got != want {
+		t.Errorf("recipient peak payload %d B, want the session's %d B", got, want)
 	}
 }

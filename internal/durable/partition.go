@@ -15,9 +15,9 @@ package durable
 // This package drives no network session. Each partition's Replica is the
 // sink a pull commits into (internal/transport's Client takes it per
 // partition), and every commit is write-ahead logged to that partition's
-// WAL before it applies. Because the sink is durable, the pull asks for
-// uncapped inline payloads and never streams: streamed chunks would apply
-// straight to the replica, past the log.
+// WAL before it applies. The pull is the one a volatile node runs: a
+// partition over the inline cap streams, and each chunk is logged as one
+// propagation record, so a crash mid-stream recovers a prefix of chunks.
 
 import (
 	"fmt"

@@ -162,8 +162,8 @@ func TestPartitionedPullDurableThenCrash(t *testing.T) {
 
 // TestPartitionedPullDivertsToReconcile prunes the source past the durable
 // recipient's acknowledged state in every partition; the next pull must
-// divert those partitions to logged reconciliation, re-offer them, and
-// still converge — then survive a crash.
+// divert those partitions to logged reconciliation, drain what remains
+// over a logged chunk stream, and still converge — then survive a crash.
 func TestPartitionedPullDivertsToReconcile(t *testing.T) {
 	const parts = 4
 	src := core.NewPartitioned(0, 2, parts, 2)

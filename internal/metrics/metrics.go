@@ -250,6 +250,8 @@ func (c Counters) String() string {
 		{"aux-replayed", c.AuxOpsReplayed},
 		{"aux-freed", c.AuxCopiesFreed},
 		{"updates", c.UpdatesApplied},
+		{"updates-regular", c.UpdatesRegular},
+		{"updates-aux", c.UpdatesAuxiliary},
 		{"deltas-sent", c.DeltasSent},
 		{"deltas-applied", c.DeltasApplied},
 		{"full-fetches", c.FullFetches},

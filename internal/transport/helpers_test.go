@@ -33,7 +33,7 @@ func pull(r *core.Replica, addr string) (bool, error) {
 // pullStream drains r's one partition over a chunked session through c,
 // whatever the payload's size.
 func pullStream(c *Client, r *core.Replica, addr string) (bool, error) {
-	return core.Drain(r, 0, peer{c: c, addr: addr, node: node(r)})
+	return core.Drain(core.InMemory(r), 0, peer{c: c, addr: addr, node: node(r)})
 }
 
 // fetchOOB is one in-memory out-of-bound copy through testClient.

@@ -109,7 +109,7 @@ func (p peer) Reconcile(r *core.Replica, pid int, ranges []core.ReconcileRange) 
 	return resp.Recon, nil
 }
 
-func (p peer) Stream(r *core.Replica, pid int, dbvv vv.VV, apply func(*core.Propagation)) (bool, error) {
+func (p peer) Stream(r *core.Replica, pid int, dbvv vv.VV, apply func(*core.Propagation) error) (bool, error) {
 	req := &wire.Request{Kind: wire.KindPartStream, From: r.ID(), Part: pid, DBVV: dbvv.Clone()}
 	return p.c.runStream(r, p.addr, req, apply)
 }
@@ -127,8 +127,8 @@ func (p peer) OOB(r *core.Replica, key string) (core.OOBReply, error) {
 
 // Limits: every catch-up checks out its own pooled connection, and as many
 // run at once as the pool keeps idle per peer, so every connection a pull
-// uses goes back to the pool for the next one. In-memory sinks announce
-// DefaultMonolithicCap.
+// uses goes back to the pool for the next one. Every pull announces
+// DefaultMonolithicCap, whatever its sinks.
 func (p peer) Limits() (int, uint64) {
 	return p.c.pool.opts.MaxIdlePerHost, DefaultMonolithicCap
 }

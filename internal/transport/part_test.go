@@ -352,10 +352,11 @@ func (o *offerLog) Offer(from int, offers []core.PartState, maxBytes uint64) ([]
 	return replies, err
 }
 
-// An uncapped negotiation — the round a pull into durable sinks drives —
-// answers every dirty partition inline, however large, and opens no stream
-// session.
-func TestPullPartOffersUncappedShipsInline(t *testing.T) {
+// A pull into sinks that are not in memory announces the same cap as any
+// other: one negotiation answers the small partition inline and diverts
+// the large one to a chunk stream, which the recipient holds a chunk at a
+// time.
+func TestPullPartLoggedSinksStream(t *testing.T) {
 	a, b, srv := startPartPair(t, 2, 8, 2)
 	rg := a.Ring()
 	big := rg.Shared(0, 1)[0]
@@ -373,7 +374,6 @@ func TestPullPartOffersUncappedShipsInline(t *testing.T) {
 	}
 	c := NewClient(Options{})
 	defer c.Close()
-	// A sink that is not in memory makes the pull uncapped.
 	sinks := memSinks(b)
 	for pid, s := range sinks {
 		if s != nil {
@@ -390,28 +390,26 @@ func TestPullPartOffersUncappedShipsInline(t *testing.T) {
 		t.Fatalf("%d partitions shipped, want 2", shipped)
 	}
 	if len(log.replies) != 1 {
-		t.Fatalf("%d offers sent, want 1 (a diverted partition re-offers)", len(log.replies))
+		t.Fatalf("%d offers sent, want 1", len(log.replies))
 	}
-	inline := 0
 	for _, pe := range log.replies[0] {
-		if pe.Stream || pe.Reconcile {
-			t.Fatalf("partition %d diverted (stream=%v reconcile=%v) with no cap", pe.Pid, pe.Stream, pe.Reconcile)
+		switch {
+		case pe.Reconcile:
+			t.Errorf("partition %d diverted to reconciliation", pe.Pid)
+		case pe.Pid == big && !pe.Stream:
+			t.Errorf("large partition %d not diverted to a stream", pe.Pid)
+		case pe.Pid == small && pe.Prop == nil:
+			t.Errorf("small partition %d not shipped inline", pe.Pid)
 		}
-		if pe.Prop != nil {
-			inline++
-		}
 	}
-	if inline != 2 {
-		t.Fatalf("%d partitions shipped inline, want 2", inline)
+	if got := a.Partition(big).Metrics().ChunksSent; got == 0 {
+		t.Error("large partition streamed no chunks")
 	}
-	if got := b.Metrics().ReconcileSessions; got != 0 {
-		t.Errorf("uncapped pull ran %d reconcile sessions", got)
+	if got := b.Partition(small).Metrics().ChunksApplied; got != 0 {
+		t.Errorf("small partition applied %d chunks, want an inline payload", got)
 	}
-	if got := a.Metrics().ChunksSent; got != 0 {
-		t.Errorf("uncapped negotiation streamed %d chunks", got)
-	}
-	if st := c.PoolStats(); st.Dials != 1 {
-		t.Errorf("dials = %d, want 1 (the negotiation connection only)", st.Dials)
+	if peak := b.Partition(big).Metrics().PeakPayloadBytes; peak == 0 || peak > 2*core.DefaultChunkBytes {
+		t.Errorf("recipient peak payload %d B, want (0, %d]", peak, 2*core.DefaultChunkBytes)
 	}
 	if ok, why := core.PartConverged(a, b); !ok {
 		t.Fatalf("not converged: %s", why)

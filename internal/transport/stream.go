@@ -137,8 +137,10 @@ func (s *Server) serveStream(bw *bufio.Writer, req *wire.Request, scratch *[]byt
 // each chunk to apply, retrying once on a fresh dial when a pooled
 // connection turns out stale before yielding a single frame. reconcile
 // reports a reconcile-diverted session: the source pruned past the
-// request's DBVV and shipped nothing. The wire cost is charged to r.
-func (c *Client) runStream(r *core.Replica, addr string, req *wire.Request, apply func(*core.Propagation)) (reconcile bool, err error) {
+// request's DBVV and shipped nothing. A failed apply ends the session with
+// its error, and the connection, mid-stream, is closed rather than pooled.
+// The wire cost is charged to r.
+func (c *Client) runStream(r *core.Replica, addr string, req *wire.Request, apply func(*core.Propagation) error) (reconcile bool, err error) {
 	pc, reused, err := c.pool.get(addr)
 	if err != nil {
 		return false, err
@@ -176,8 +178,9 @@ func (c *Client) runStream(r *core.Replica, addr string, req *wire.Request, appl
 // then apply the chunk stream. started reports whether any session frame
 // was received (a session that started must not be retried on another
 // connection — its applied prefix belongs to this request's DBVV);
-// reconcile reports a reconcile-diverted session header.
-func streamOn(pc *poolConn, req *wire.Request, apply func(*core.Propagation)) (reconcile, started bool, err error) {
+// reconcile reports a reconcile-diverted session header. The first error
+// apply returns stops the applier and the read loop, and is returned.
+func streamOn(pc *poolConn, req *wire.Request, apply func(*core.Propagation) error) (reconcile, started bool, err error) {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
 	*buf = wire.AppendRequest((*buf)[:0], req)
@@ -197,10 +200,15 @@ func streamOn(pc *poolConn, req *wire.Request, apply func(*core.Propagation)) (r
 	chunks := make(chan *core.Propagation, 1)
 	free := make(chan *core.Propagation, 4)
 	applierDone := make(chan struct{})
+	failed := make(chan struct{}) // closed once applyErr is set
+	var applyErr error
 	go func() {
 		defer close(applierDone)
 		for p := range chunks {
-			apply(p)
+			if applyErr = apply(p); applyErr != nil {
+				close(failed)
+				return
+			}
 			select {
 			case free <- p:
 			default:
@@ -210,6 +218,9 @@ func streamOn(pc *poolConn, req *wire.Request, apply func(*core.Propagation)) (r
 	defer func() {
 		close(chunks)
 		<-applierDone
+		if err == nil {
+			err = applyErr
+		}
 	}()
 
 	var sr wire.SessionReader
@@ -233,7 +244,11 @@ func streamOn(pc *poolConn, req *wire.Request, apply func(*core.Propagation)) (r
 		}
 		reconcile = sr.Begin().Reconcile
 		if chunk != nil {
-			chunks <- chunk
+			select {
+			case chunks <- chunk:
+			case <-failed:
+				return reconcile, started, applyErr
+			}
 		}
 		if done {
 			return reconcile, started, nil

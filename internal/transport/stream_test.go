@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -135,7 +136,7 @@ func TestPullStreamRemoteError(t *testing.T) {
 	defer c.Close()
 	// The server has partitions 0..3; a stream of partition 7 must surface
 	// its "not replicated here" error.
-	if _, err := core.Drain(rec, 7, peer{c: c, addr: srv.Addr(), node: node(rec)}); err == nil {
+	if _, err := core.Drain(core.InMemory(rec), 7, peer{c: c, addr: srv.Addr(), node: node(rec)}); err == nil {
 		t.Fatal("error for a stream of a partition the server lacks not surfaced")
 	}
 }
@@ -257,4 +258,73 @@ func BenchmarkE17StreamingCatchup(b *testing.B) {
 		b.ReportMetric(peak, "peak-payload-bytes")
 		b.ReportMetric(firstApply/float64(b.N), "first-apply-ns")
 	})
+}
+
+// failingSink fails its failAt-th chunk (1-based) without applying it.
+type failingSink struct {
+	core.Sink
+	failAt, chunks int
+}
+
+var errSinkFault = errors.New("injected sink fault")
+
+func (f *failingSink) ApplyChunk(p *core.Propagation) error {
+	if f.chunks++; f.chunks == f.failAt {
+		return errSinkFault
+	}
+	return f.Sink.ApplyChunk(p)
+}
+
+// A chunk the sink fails to commit ends the stream: Pull returns the
+// sink's error with only the chunks before it applied, the connection is
+// closed instead of pooled, and no goroutine of the session outlives it.
+func TestPullStreamStopsAtSinkError(t *testing.T) {
+	src := core.NewReplica(0, 2)
+	populateStream(t, src, 300, 4<<10) // ~1.2 MB > DefaultMonolithicCap
+	srv, err := Listen(src, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	srv.SetChunkBytes(64 << 10)
+	c := NewClient(Options{})
+	defer c.Close()
+	rec := core.NewReplica(1, 2)
+	goroutines := runtime.NumGoroutine()
+
+	sink := &failingSink{Sink: core.InMemory(rec), failAt: 2}
+	if _, err := c.PullPart(node(rec), []core.Sink{sink}, srv.Addr()); !errors.Is(err, errSinkFault) {
+		t.Fatalf("Pull error = %v, want the sink's fault", err)
+	}
+	if got := rec.Metrics().ChunksApplied; got != 1 {
+		t.Errorf("%d chunks applied, want 1", got)
+	}
+	if err := rec.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	c.pool.mu.Lock()
+	idle := len(c.pool.hosts[srv.Addr()])
+	c.pool.mu.Unlock()
+	if idle != 0 {
+		t.Errorf("%d connections pooled after the failed stream, want 0", idle)
+	}
+	// The server's handler ends when it sees the connection close.
+	for i := 0; i < 200 && runtime.NumGoroutine() > goroutines; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Errorf("%d goroutines after the failed pull, %d before", got, goroutines)
+	}
+
+	// The next pull dials afresh and ships the rest.
+	dials := c.PoolStats().Dials
+	if _, err := c.PullPart(node(rec), []core.Sink{core.InMemory(rec)}, srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.PoolStats().Dials; got != dials+1 {
+		t.Errorf("dials %d → %d, want one fresh dial", dials, got)
+	}
+	if ok, why := src.Snapshot().Equivalent(rec.Snapshot()); !ok {
+		t.Fatalf("recipient did not converge: %s", why)
+	}
 }

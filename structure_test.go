@@ -39,6 +39,29 @@ var sessionDecisions = map[string]func(body *ast.BlockStmt) bool{
 	"ReconcileFetchBatch slicing": func(body *ast.BlockStmt) bool { return names(body, "ReconcileFetchBatch") },
 }
 
+// sessionNonDecisions names what no non-test function may write: a session
+// takes one path whatever its sink stores, so nothing branches on the
+// concrete type of a Sink.
+var sessionNonDecisions = map[string]func(body *ast.BlockStmt) bool{
+	"type assertion or type switch naming memSink": func(body *ast.BlockStmt) bool {
+		found := false
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				found = found || n.Type != nil && names(n.Type, "memSink")
+			case *ast.TypeSwitchStmt:
+				for _, clause := range n.Body.List {
+					for _, typ := range clause.(*ast.CaseClause).List {
+						found = found || names(typ, "memSink")
+					}
+				}
+			}
+			return !found
+		})
+		return found
+	},
+}
+
 // calls reports whether n calls a function or method named name.
 func calls(n ast.Node, name string) bool {
 	found := false
@@ -69,9 +92,9 @@ func names(n ast.Node, name string) bool {
 }
 
 // TestSessionDecisionsWrittenOnce fails when a session decision gains a
-// second non-test home: every pull, in process or over TCP, goes through
-// core.Pull over a Peer. The bench/ module and tests are outside the
-// rule.
+// second non-test home, or a branch on a sink's type gains any: every
+// pull, in process or over TCP, goes through core.Pull over a Peer. The
+// bench/ module and tests are outside the rule.
 func TestSessionDecisionsWrittenOnce(t *testing.T) {
 	homes := map[string][]string{}
 	fset := token.NewFileSet()
@@ -113,6 +136,11 @@ func TestSessionDecisionsWrittenOnce(t *testing.T) {
 					homes[decision] = append(homes[decision], name)
 				}
 			}
+			for branch, in := range sessionNonDecisions {
+				if in(fn.Body) {
+					homes[branch] = append(homes[branch], name)
+				}
+			}
 		}
 		return nil
 	})
@@ -124,6 +152,12 @@ func TestSessionDecisionsWrittenOnce(t *testing.T) {
 		sort.Strings(fns)
 		if len(fns) != 1 {
 			t.Errorf("%s lives in %d non-test functions %v, want 1", decision, len(fns), fns)
+		}
+	}
+	for branch := range sessionNonDecisions {
+		if fns := homes[branch]; len(fns) > 0 {
+			sort.Strings(fns)
+			t.Errorf("%s in non-test functions %v, want none", branch, fns)
 		}
 	}
 }
