@@ -130,21 +130,26 @@ func BenchmarkAntiEntropyNoop(b *testing.B) {
 }
 
 // BenchmarkReconcileSession times one reconciliation's fingerprint phase,
-// both sides in process, over views already built: n items, d of them
+// both sides in process, over summaries already built: n items, d of them
 // rewritten at scattered keys on the source. At d = n/20 the session takes
-// the sketch; at d = n/2 the range split. The catchup rows time whole
-// sessions instead, fetch and adoption included, each after about d fresh
-// scattered rewrites made with the timer stopped: the steady state of a
-// replica that keeps reconciling. The difference varies by up to 10%
-// from session to session, as a live catch-up's does, so no two
-// consecutive sessions need a sketch of the same size. Beside the mean
-// they report the median session, and the sorted-view builds per session:
-// the d = n/2 row takes the split, which rebuilds both sides' views, and a
-// sketch that does not peel (about one in 800) falls back to it too.
+// the stamp-sized sketch; at d = n/2 the strata estimator, then the
+// listing. The catchup rows time whole sessions instead, fetch and
+// adoption included, each after about d fresh rewrites made with the timer
+// stopped: the steady state of a replica that keeps reconciling. The
+// rewrites go to scattered keys, or, in the hot row, round-robin over a
+// fixed set of hot keys, so that the stamps' bound D far exceeds the
+// difference and the session sizes its sketch from the strata estimate.
+// The difference varies by up to 10% from session to session, as a live
+// catch-up's does, so no two consecutive sessions need a sketch of the
+// same size. Beside the mean they report the median session.
 func BenchmarkReconcileSession(b *testing.B) {
-	for _, tc := range []struct{ n, d int }{{20_000, 100}, {200_000, 100}, {5000, 2500}} {
-		n, d := tc.n, tc.d
-		b.Run(fmt.Sprintf("n%d_d%d_catchup", n, d), func(b *testing.B) {
+	for _, tc := range []struct{ n, d, hot int }{{20_000, 100, 0}, {200_000, 100, 0}, {5000, 2500, 0}, {20_000, 10_000, 200}} {
+		n, d, hot := tc.n, tc.d, tc.hot
+		name := fmt.Sprintf("n%d_d%d_catchup", n, d)
+		if hot > 0 {
+			name = fmt.Sprintf("n%d_d%d_hot%d_catchup", n, d, hot)
+		}
+		b.Run(name, func(b *testing.B) {
 			src, dst := NewReplica(0, 2), NewReplica(1, 2)
 			for i := 0; i < n; i++ {
 				src.Update(fmt.Sprintf("item-%06d", i), op.NewSet([]byte{'a'}))
@@ -153,18 +158,22 @@ func BenchmarkReconcileSession(b *testing.B) {
 			// One untimed session of the same shape builds both summaries.
 			rng := rand.New(rand.NewSource(1))
 			perm, next := rng.Perm(n), 0
+			if hot > 0 {
+				perm = perm[:hot]
+			}
+			// rewrite makes about d updates and returns how many distinct
+			// keys they changed.
 			rewrite := func(v byte) int {
 				k := d - d/10 + rng.Intn(d/5+1)
 				for j := 0; j < k; j++ {
-					src.Update(fmt.Sprintf("item-%06d", perm[next%n]), op.NewSet([]byte{v, byte(next / n)}))
+					src.Update(fmt.Sprintf("item-%06d", perm[next%len(perm)]), op.NewSet([]byte{v, byte(next / len(perm))}))
 					next++
 				}
-				return k
+				return min(k, len(perm))
 			}
 			rewrite('w')
 			ReconcileAntiEntropy(dst, src)
 			sessions := make([]time.Duration, b.N)
-			builds := src.viewBuilds.Load() + dst.viewBuilds.Load()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -179,7 +188,6 @@ func BenchmarkReconcileSession(b *testing.B) {
 			b.StopTimer()
 			slices.Sort(sessions)
 			b.ReportMetric(float64(sessions[b.N/2].Nanoseconds()), "p50-ns/session")
-			b.ReportMetric(float64(src.viewBuilds.Load()+dst.viewBuilds.Load()-builds)/float64(b.N), "views/session")
 		})
 	}
 	for _, tc := range []struct{ n, d int }{{5000, 250}, {5000, 2500}, {20000, 1000}} {
@@ -192,8 +200,8 @@ func BenchmarkReconcileSession(b *testing.B) {
 			for _, i := range rand.New(rand.NewSource(1)).Perm(tc.n)[:tc.d] {
 				src.Update(fmt.Sprintf("item-%06d", i), op.NewSet([]byte{'b'}))
 			}
-			src.reconcileView()
-			dst.reconcileView()
+			src.syncDigests()
+			dst.syncDigests()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rc := dst.StartReconcile()

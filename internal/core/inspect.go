@@ -171,7 +171,10 @@ func (r *Replica) CheckInvariants() error {
 	// Log coverage holds only while no conflict has been declared: the
 	// conflict purge of Fig. 3 suspends the guarantee for the affected
 	// items until manual resolution (§5.1).
-	if r.met.ConflictsDetected.Load() == 0 {
+	r.confMu.Lock()
+	conflicted := r.conflicted
+	r.confMu.Unlock()
+	if !conflicted {
 		for k := 0; k < r.n; k++ {
 			if tail := r.logs.Component(k).Tail(); tail != nil && tail.Seq > r.dbvv[k] {
 				return fmt.Errorf("core: node %d log[%d] tail seq %d exceeds DBVV %d",

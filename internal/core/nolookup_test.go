@@ -6,20 +6,14 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestNoKeyLookupOnTheLog holds core to the Fig. 1 structure: a record is
-// reached from its item's P_j(x) pointer and an item from its record, so
-// core's non-test code never asks a log component for a key (Lookup, the
-// keyed Add), the source side of a session (BuildPropagation,
-// PlanPropagation, StartChunkSession, ChunkSession.Next and its helpers)
-// never looks an item up in the store, and the apply makes one store
-// lookup per payload item and one per tail record.
-func TestNoKeyLookupOnTheLog(t *testing.T) {
+// typeCheckCore parses and type-checks core's non-test files.
+func typeCheckCore(t *testing.T) (*token.FileSet, []*ast.File, *types.Info) {
+	t.Helper()
 	fset := token.NewFileSet()
 	paths, err := filepath.Glob("*.go")
 	if err != nil {
@@ -30,11 +24,7 @@ func TestNoKeyLookupOnTheLog(t *testing.T) {
 		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
-		src, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := parser.ParseFile(fset, p, src, 0)
+		f, err := parser.ParseFile(fset, p, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,6 +35,18 @@ func TestNoKeyLookupOnTheLog(t *testing.T) {
 	if _, err := conf.Check("repro/internal/core", fset, files, info); err != nil {
 		t.Fatal(err)
 	}
+	return fset, files, info
+}
+
+// TestNoKeyLookupOnTheLog holds core to the Fig. 1 structure: a record is
+// reached from its item's P_j(x) pointer and an item from its record, so
+// core's non-test code never asks a log component for a key (Lookup, the
+// keyed Add), the source side of a session (BuildPropagation,
+// PlanPropagation, StartChunkSession, ChunkSession.Next and its helpers)
+// never looks an item up in the store, and the apply makes one store
+// lookup per payload item and one per tail record.
+func TestNoKeyLookupOnTheLog(t *testing.T) {
+	fset, files, info := typeCheckCore(t)
 	// method names the called method "pkg.Type.Method", "" for anything else.
 	method := func(call *ast.CallExpr) string {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
@@ -100,6 +102,45 @@ func TestNoKeyLookupOnTheLog(t *testing.T) {
 			if fn.Name.Name == "applySessionLocked" && lookups != 2 {
 				t.Errorf("applySessionLocked makes %d store lookups, want 2: one per payload item, one per tail record", lookups)
 			}
+		}
+	}
+}
+
+// TestNoSortInReconciliation holds reconciliation to its unsorted design:
+// the summary is a slab in arrival order, a sketch or estimator is one
+// pass over it, and a listing is checked key by key through the digest
+// index, so reconcile.go and summary.go never call into package sort or
+// the slices package's sorts and binary searches.
+func TestNoSortInReconciliation(t *testing.T) {
+	fset, files, info := typeCheckCore(t)
+	for _, f := range files {
+		if name := filepath.Base(fset.Position(f.Pos()).Filename); name != "reconcile.go" && name != "summary.go" {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				callee, ok := info.Uses[sel.Sel].(*types.Func)
+				if !ok || callee.Pkg() == nil {
+					return true
+				}
+				switch name := callee.Name(); callee.Pkg().Path() {
+				case "sort":
+					t.Errorf("%s: %s calls sort.%s", fset.Position(sel.Pos()), fn.Name.Name, name)
+				case "slices":
+					if strings.HasPrefix(name, "Sort") || strings.HasPrefix(name, "BinarySearch") {
+						t.Errorf("%s: %s calls slices.%s", fset.Position(sel.Pos()), fn.Name.Name, name)
+					}
+				}
+				return true
+			})
 		}
 	}
 }

@@ -82,6 +82,10 @@ type persistState struct {
 	Pruned     vv.VV
 	PrunePeers []int
 	LogCap     int
+
+	// Conflicted: a conflict was declared (Replica.conflicted). Older
+	// snapshots decode it as false.
+	Conflicted bool
 }
 
 // State is a captured, self-contained copy of a replica's complete
@@ -165,6 +169,9 @@ func (r *Replica) CaptureState() *State {
 	for rec := r.aux.Head(); rec != nil; rec = rec.Next() {
 		st.Aux = append(st.Aux, persistAuxRec{Key: rec.Key, Pre: rec.Pre.Clone(), Op: rec.Op.Clone()})
 	}
+	r.confMu.Lock()
+	st.Conflicted = r.conflicted
+	r.confMu.Unlock()
 	r.runlockAll()
 
 	return &State{st: st}
@@ -239,6 +246,9 @@ func ReadState(rd io.Reader, opts ...Option) (*Replica, error) {
 	}
 	r.pruned = st.Pruned.Clone()
 	r.logCap = st.LogCap
+	r.confMu.Lock()
+	r.conflicted = st.Conflicted
+	r.confMu.Unlock()
 	if len(st.PrunePeers) > 0 {
 		r.prunePeers = make([]int, len(st.PrunePeers))
 		copy(r.prunePeers, st.PrunePeers)

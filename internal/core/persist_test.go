@@ -141,3 +141,24 @@ func TestPersistPreservesMetricsIndependence(t *testing.T) {
 		t.Error("metrics survived restore; they should reset")
 	}
 }
+
+func TestPersistKeepsConflictFlag(t *testing.T) {
+	// A conflict suspends log coverage (§5.1): after B adopts A's tail
+	// past the conflicting item, B's log holds A's record for y above the
+	// count B's DBVV gives A. The restored replica must know a conflict
+	// was declared, or its own invariant check fails.
+	a, b := NewReplica(0, 2), NewReplica(1, 2)
+	mustUpdate(t, a, "x", "at-a")
+	mustUpdate(t, b, "x", "at-b")
+	mustUpdate(t, a, "y", "at-a")
+	AntiEntropy(b, a)
+	if len(b.Conflicts()) == 0 {
+		t.Fatal("concurrent writes of x declared no conflict")
+	}
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatalf("live replica: %v", err)
+	}
+	if err := roundTripState(t, b).CheckInvariants(); err != nil {
+		t.Fatalf("restored replica: %v", err)
+	}
+}

@@ -1,67 +1,66 @@
 package core
 
-// Range-based set reconciliation: the catch-up path for replicas whose
-// DBVV predates the pruned log prefix.
+// Set reconciliation: the catch-up path for replicas whose DBVV predates
+// the pruned log prefix.
 //
 // Once log records have been pruned (prune.go), a pull request from far
 // enough in the past cannot be answered from the log — the records that
 // would tell the source *which* items the requester lacks are gone. The
 // naive fallback is a full-state transfer, O(N) however small the true
-// difference. Instead the two replicas reconcile their item sets directly,
-// following the recursive-partition scheme of Minsky–Trachtenberg ("Tree
-// algorithms for set reconciliation") in the range-fingerprint formulation
-// of Meyer ("Range-Based Set Reconciliation"): the key space is compared as
-// nested ranges, each summarized by a fingerprint that any store can
-// compute from an order-statistics view of its items, and only ranges
-// whose fingerprints differ are split further. Equal subtrees — however
-// large — cost one fingerprint exchange; the items actually shipped are
-// O(diff), and the control traffic O(diff · log N).
+// difference. Instead the two replicas reconcile their item sets directly
+// with invertible Bloom lookup tables (Goodrich–Mitzenmacher; Eppstein et
+// al., "What's the Difference?").
 //
-// The element being reconciled is the pair (key, IVV): two replicas hold
-// the same element exactly when they hold the same copy of the item, so a
-// fingerprint mismatch localizes precisely the keys where the copies
-// differ. The exchange is client-driven and stateless on the server:
+// The element being reconciled is the pair (key, IVV), hashed to a digest:
+// two replicas hold the same element exactly when they hold the same copy
+// of the item. Each replica maintains an unsorted slab of its digests with
+// their XOR (the root fingerprint), their count, and the DBVV they reflect
+// (the stamp; summary.go). The exchange is client-driven and stateless on
+// the server. Every round the client sends its root, and the server
+// answers from its own:
 //
-//	client                                server
-//	  ranges with local fp/count  ---->
-//	                              <----   per range: match | splits | key digests
-//	  (recurse on mismatches)     ---->
-//	  ...
+//	client                                 server
+//	  root fp/count + stamp        ---->
+//	                               <----   match | "send an m-cell sketch" |
+//	                                       "send your strata" | listing
+//	  root + strata estimator      ---->
+//	                               <----   "send an m-cell sketch" | listing
+//	  root + m-cell sketch         ---->
+//	                               <----   keys only the server holds |
+//	                                       "send a 2m-cell sketch" | listing
+//	  root + 2m-cell retry sketch  ---->
+//	                               <----   keys only the server holds | listing
 //
-// or, when the DBVVs bound the difference tightly enough:
+// and then:
 //
-//	  root fp/count + stamp       ---->
-//	                              <----   "send an m-cell sketch"
-//	  root + m-cell sketch        ---->
-//	                              <----   key digests only the server holds
-//
-// and then, either way:
-//
-//	  fetch differing keys        ---->   full items (BuildItems)
+//	  fetch differing keys         ---->   full items (BuildItems)
 //	  ApplyReconcileItems
 //
-// A leaf reply carries per-key digests, not items: the client filters out
-// keys whose local copy already matches (its side of an equal pair), so
-// only the true difference is fetched — this is what keeps the shipped
-// payload within a small factor of the diff, as E19 asserts. Fetched items
-// are adopted under the ordinary IVV comparison (dominating copies
-// adopted, concurrent ones declared in conflict), so reconciliation obeys
-// the same correctness rules as AcceptPropagation.
+// The paper's DBVV bounds the difference in advance: two replicas that each
+// reflect a prefix of every origin's updates (§4.1) differ in at most
+// D = Σ_k |V_s[k] − V_c[k]| items. When a sketch of about 2.8D + c cells
+// costs less than listing the server's digests, the server asks for one at
+// once. D counts updates, not items, so keys written many times (hot keys)
+// make it far larger than the difference. Then the server asks for the
+// client's strata estimator, 16 small sketches, stratum i sampling one
+// digest in 2^(i+1), and sizes the sketch from the difference it estimates,
+// with the estimate's elements taken as items: up to twice the cells the
+// estimate needs, the headroom against an estimate that falls short.
+// The server subtracts the client's sketch from its own and answers with
+// the keys of the digests only it holds. A sketch that does not peel is
+// retried once at twice its size. After that, when no sketch would cost
+// less, or when the client holds nothing, the server lists every (key,
+// digest) of its slab. So D and the estimate never decide what a session
+// finds, an honest session ends within four round trips, and nothing is
+// sorted on either side.
 //
-// The recursion pays a (key, digest) pair per item of every mismatching
-// leaf, and when the differences are scattered nearly every leaf
-// mismatches. The root round therefore carries the client's stamp — the
-// DBVV its digests reflect — and the paper's DBVV bounds the
-// difference in advance: two replicas that each reflect a prefix of every
-// origin's updates (§4.1) differ in at most D = Σ_k |V_s[k] − V_c[k]|
-// items. When a sketch of about 2.8D + c cells costs less than listing
-// the root's digests, the server asks for one instead of splitting, and
-// the second round is a subtraction of invertible Bloom lookup tables
-// (Goodrich–Mitzenmacher; Eppstein et al., "What's the Difference?"): the
-// server peels the server-only digests out and answers with their keys, a
-// leaf reply like any other. D only sizes the sketch. A sketch that does not
-// peel, or a D too large for one to pay, falls back to the split, so the
-// bound never decides what the session finds.
+// The client looks every key a reply names up in its own slab by digest
+// and fetches those whose digest it does not hold under that key, so only
+// the true difference is fetched — this is what keeps the shipped payload
+// within a small factor of the diff, as E19 asserts. Fetched items are
+// adopted under the ordinary IVV comparison (dominating copies adopted,
+// concurrent ones declared in conflict), so reconciliation obeys the same
+// correctness rules as AcceptPropagation.
 //
 // Adopted items advance the DBVV without appending log records (there are
 // no records to ship — that is why we are reconciling). The recipient's
@@ -76,8 +75,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
-	"strings"
 
 	"repro/internal/ring"
 	"repro/internal/store"
@@ -85,16 +82,10 @@ import (
 )
 
 const (
-	// reconcileBranch is the fan-out when a mismatching range splits: the
-	// range is cut at order statistics into this many sub-ranges. Depth is
-	// log_b(N), so 16 keeps round counts small without bloating replies.
-	reconcileBranch = 16
-	// reconcileLeafItems is the server-side range size at or below which a
-	// reply carries per-key digests instead of splitting further.
-	reconcileLeafItems = 32
-	// reconcileMaxRounds bounds a session's fingerprint exchanges
-	// defensively; log_16 of any realistic store is far below it.
-	reconcileMaxRounds = 64
+	// reconcileMaxRounds bounds a session's rounds. An honest session ends
+	// within four (root, strata estimator, sketch, retry sketch), so a
+	// session that reaches the cap has a server that never settles.
+	reconcileMaxRounds = 4
 	// ReconcileFetchBatch is the number of differing keys fetched per
 	// BuildItems round by the reconciliation drivers.
 	ReconcileFetchBatch = 256
@@ -111,34 +102,40 @@ const (
 	// sketchSlackCells pads every subtable, so that small differences
 	// still peel.
 	sketchSlackCells = 10
-	// sketchCellBytes and reconcilePairBytes are the wire costs the choice
-	// between sketch and split compares: a cell is an 8-byte digest sum, a
-	// 4-byte check sum and a one-byte count; a listed item is its 8-byte
-	// digest and a short key.
+	// strataCount and strataCells shape the strata estimator: stratum i
+	// is a sketch of strataCells cells over the digests that hash into it,
+	// one in 2^(i+1) (the last stratum takes the rest). A 40-cell stratum
+	// peels about 28 elements, so 16 strata span differences up to about
+	// 28·2^16 elements.
+	strataCount = 16
+	strataCells = 40
+	// sketchCellBytes and reconcilePairBytes are the wire costs the server
+	// weighs a sketch and the estimator against a listing by: a cell is an
+	// 8-byte digest sum, a 4-byte check sum and a one-byte count; a listed
+	// item is its 8-byte digest and a short key.
 	sketchCellBytes    = 13
 	reconcilePairBytes = 16
-	// sketchCheckSeed keys the check hash apart from the cell indices.
+	// sketchCheckSeed keys the check hash apart from the cell indices, and
+	// strataSeed keys the stratum apart from both.
 	sketchCheckSeed = 0x9e3779b97f4a7c15
+	strataSeed      = 0xd1b54a32d192ed03
 )
 
-// ReconcileRange is one key range [Lo, Hi) under comparison, summarized by
-// the sender's fingerprint and item count over it. HiInf marks an
-// unbounded upper end (the range runs to the end of the key space); the
-// initial request is the single range ["", +inf).
-//
-// The root range also carries the client's stamp, from which the
-// server bounds the difference, and in the second round the client's
-// sketch of the range when the server asked for one.
+// ReconcileRange is the recipient's summary of its whole item set, which
+// it sends every round of a reconciliation session: the fingerprint and
+// item count, and the stamp from which the server bounds the difference.
+// A later round adds what the server asked for: a sketch of the size it
+// named, with Retry set on the one retry after a sketch did not peel, or
+// the strata estimator.
 //
 //epi:notshared wire message value exchanged by one reconciliation session
 type ReconcileRange struct {
-	Lo     string
-	Hi     string
-	HiInf  bool
 	Fp     uint64
 	Count  uint64
 	Stamp  vv.VV
 	Sketch []SketchCell
+	Retry  bool
+	Strata []SketchCell
 }
 
 // SketchCell is one cell of an invertible Bloom lookup table over item
@@ -164,67 +161,52 @@ type KeyDigest struct {
 	Fp  uint64
 }
 
-// ReconcileReply answers one requested range, in request order. Exactly
-// one of the four forms applies: Match (fingerprints agree — the whole
-// range is settled), Splits (sub-ranges with the server's fingerprints,
-// for the client to recurse on), Keys (a leaf: the server's per-key
-// digests over the range, possibly empty, or the ones a sketch showed only
-// the server holds), or SketchCells (send the range again with a sketch of
-// that many cells).
+// ReconcileReply answers the root a round sent. Exactly one of four
+// forms applies: Match (the fingerprints agree: the sets are equal),
+// SketchCells (send the root again with a sketch of that many cells),
+// Strata (send the root again with the strata estimator), or Keys: the
+// keys and digests a sketch showed only the server holds, or the server's
+// whole slab, possibly empty.
 //
 //epi:notshared wire message value exchanged by one reconciliation session
 type ReconcileReply struct {
 	Match       bool
-	Splits      []ReconcileRange
 	Keys        []KeyDigest
-	IsLeaf      bool
 	SketchCells uint64
+	Strata      bool
 }
 
 // WireSize returns the exact encoded size of one range, term for term
 // with the wire codec's encoding.
 func (rr *ReconcileRange) WireSize() uint64 {
-	size := 1 + stringWireSize(len(rr.Lo)) + stringWireSize(len(rr.Hi)) +
-		8 + uvarintSize(rr.Count)
+	size := 1 + 8 + uvarintSize(rr.Count) + cellsWireSize(rr.Sketch) + cellsWireSize(rr.Strata)
 	if len(rr.Stamp) > 0 {
 		size += uint64(rr.Stamp.BinarySize())
-	}
-	if len(rr.Sketch) > 0 {
-		size += uvarintSize(uint64(len(rr.Sketch)))
-		for _, c := range rr.Sketch {
-			size += 8 + 4 + varintSize(c.Count)
-		}
 	}
 	return size
 }
 
-// wireSize returns the protocol-shape byte estimate for one reply.
-func (rp ReconcileReply) wireSize() uint64 {
-	size := uint64(1) + uvarintSize(uint64(len(rp.Splits))) + uvarintSize(uint64(len(rp.Keys)))
-	for i := range rp.Splits {
-		size += rp.Splits[i].WireSize()
+func cellsWireSize(cells []SketchCell) uint64 {
+	if len(cells) == 0 {
+		return 0
 	}
+	size := uvarintSize(uint64(len(cells)))
+	for _, c := range cells {
+		size += 8 + 4 + varintSize(c.Count)
+	}
+	return size
+}
+
+// wireSize returns the protocol-shape byte estimate for one reply: the
+// flags, the retired split count (always zero), the keys, and the sketch
+// size when one is asked for.
+func (rp ReconcileReply) wireSize() uint64 {
+	size := uint64(1) + 1 + uvarintSize(uint64(len(rp.Keys)))
 	for _, kd := range rp.Keys {
 		size += stringWireSize(len(kd.Key)) + 8
 	}
 	if rp.SketchCells > 0 {
 		size += uvarintSize(rp.SketchCells)
-	}
-	return size
-}
-
-func reconcileRangesWireSize(ranges []ReconcileRange) uint64 {
-	size := uvarintSize(uint64(len(ranges)))
-	for i := range ranges {
-		size += ranges[i].WireSize()
-	}
-	return size
-}
-
-func reconcileRepliesWireSize(replies []ReconcileReply) uint64 {
-	size := uvarintSize(uint64(len(replies)))
-	for _, rp := range replies {
-		size += rp.wireSize()
 	}
 	return size
 }
@@ -243,14 +225,14 @@ const (
 // index, so vectors of different (grown) lengths that are component-wise
 // equal digest identically.
 //
-// The finalizer is what makes XOR range fingerprints sound. Raw FNV-1a ends
-// in a xor-then-multiply per byte, so when two versions of an item differ
-// only in a trailing counter byte, the XOR of their digests is decided
-// mostly by carries in the low bits of the state before that byte: across
-// keys like item-000017, item-000033, ... it takes comparatively few
-// values. Two items changed alike in one range then cancel often, and the
-// range reports "match" while both copies differ. Full avalanche makes each
-// item's change an independent 64-bit value. internal/ring finalizes the
+// The finalizer is what makes XOR fingerprints and sketch cells sound.
+// Raw FNV-1a ends in a xor-then-multiply per byte, so when two versions of
+// an item differ only in a trailing counter byte, the XOR of their digests
+// is decided mostly by carries in the low bits of the state before that
+// byte: across keys like item-000017, item-000033, ... it takes
+// comparatively few values. Two items changed alike then cancel often, and
+// a fingerprint or cell reports "equal" while both copies differ. Full
+// avalanche makes each item's change an independent 64-bit value. internal/ring finalizes the
 // same hash for the same reason.
 //
 //epi:hotpath
@@ -285,32 +267,6 @@ func putUvarint(buf []byte, x uint64) int {
 	return i + 1
 }
 
-// The reconciliation state of a replica has two parts. The maintained
-// summary (digestSummary, summary.go) answers the root range, which is all
-// a session whose stamps bound the difference ever asks about. It is
-// patched at session time from the changed-item queue, so a session
-// digests only the items changed since the last one, and a node that
-// never reconciles pays one nil check per change. The sorted view
-// (digestView) answers every other range: the range split and its leaves
-// need keys in order. It is built only when a session falls back to the
-// split, from the slab, and rebuilt once a patch has moved the summary.
-
-// digestView is an order-statistics view of one replica's item set: keys
-// sorted ascending with the matching (key, IVV) digests. Range
-// fingerprints are XORs of item digests, so they compose over any
-// partition of a range and are insensitive to order — the
-// range-summarizable property the recursion relies on.
-//
-// A view is published through Replica.view and never written afterwards:
-// every session holding it reads it with no lock, and a newer item set
-// gets a new view rather than an edit of this one. A newer view with the
-// same key set shares this one's keys slice.
-type digestView struct {
-	keys  []string //epi:immutable
-	fps   []uint64 //epi:immutable
-	slots []int32  //epi:immutable each key's position in the summary's slab
-}
-
 // noteChangedLocked queues an item whose regular copy just changed for the
 // next patch of the maintained summary. Every in-place change to a regular
 // copy calls it under the control mutex: Update, delta and full adoption in
@@ -332,8 +288,6 @@ func (r *Replica) noteChangedLocked(it *store.Item) {
 func zeroState(it *store.Item) bool {
 	return it.IVV.Sum() == 0 && len(it.Value) == 0
 }
-
-func compareItemKeys(a, b *store.Item) int { return strings.Compare(a.Key, b.Key) }
 
 // syncDigests brings the maintained summary up to date with the item set.
 // A current summary costs one check under the control mutex. Otherwise the
@@ -361,7 +315,7 @@ func (r *Replica) syncDigests() {
 				r.sum.add(it, itemDigest(it.Key, it.IVV))
 			}
 		})
-		r.viewDigests.Add(uint64(len(r.sum.fps)))
+		r.digests.Add(uint64(len(r.sum.fps)))
 	}
 	r.patchDigestsLocked()
 }
@@ -369,9 +323,8 @@ func (r *Replica) syncDigests() {
 // patchDigestsLocked digests each queued item and moves the summary from
 // its old digest to the new one, in O(1) per item. A queued item new to
 // the slab is appended; none is in the zero state, since a queued item's
-// regular copy has moved. Each item is also listed for the sorted view's
-// next patch once a view exists. Caller holds the all-shard read sweep
-// plus the control mutex.
+// regular copy has moved. Caller holds the all-shard read sweep plus the
+// control mutex.
 //
 //epi:hotpath
 func (r *Replica) patchDigestsLocked() {
@@ -384,105 +337,28 @@ func (r *Replica) patchDigestsLocked() {
 			r.sum.move(s-1, g)
 		}
 	}
-	if len(r.changed) > 0 {
-		r.viewStale = true
-	}
-	r.viewDigests.Add(uint64(len(r.changed)))
+	r.digests.Add(uint64(len(r.changed)))
 	r.changed = r.changed[:0]
 	r.sum.stamp = r.dbvv.Clone()
 }
 
-// rootRange returns the root range as this replica summarizes it: the
-// maintained fingerprint, item count and stamp, all of one state, plus
-// the m-cell root sketch when m > 0 and the replica's own items
-// justify that many cells (sketchFits) — the cap a replica puts on the
-// sketch a peer asks it to build.
-func (r *Replica) rootRange(m uint64) ReconcileRange {
+// rootRange returns the root as this replica summarizes it: the maintained
+// fingerprint, item count and stamp, all of one state. From the same state
+// it adds the m-cell sketch when m > 0 and the replica's own items justify
+// that many cells (sketchFits, the cap a replica puts on the sketch a peer
+// asks it to build), and the strata estimator when strata is set.
+func (r *Replica) rootRange(m uint64, strata bool) ReconcileRange {
 	r.syncDigests()
 	r.ctl.Lock()
 	defer r.ctl.Unlock()
-	root := ReconcileRange{HiInf: true, Fp: r.sum.root, Count: uint64(len(r.sum.fps)), Stamp: r.sum.stamp}
+	root := ReconcileRange{Fp: r.sum.root, Count: uint64(len(r.sum.fps)), Stamp: r.sum.stamp}
 	if m > 0 && sketchFits(m, root.Count) {
 		root.Sketch = r.sum.sketch(int(m))
 	}
+	if strata {
+		root.Strata = r.sum.strata()
+	}
 	return root
-}
-
-// reconcileView returns the sorted view of the replica's current item
-// set, reusing the published one while the summary has not moved since.
-func (r *Replica) reconcileView() *digestView {
-	r.syncDigests()
-	r.ctl.Lock()
-	defer r.ctl.Unlock()
-	if r.view == nil || r.viewStale {
-		r.view, r.viewStale = r.digestViewLocked(), false
-	}
-	return r.view
-}
-
-// digestViewLocked builds the sorted view from the maintained slab. The
-// slab only grows, so the entries past the published view's are the
-// items new since it: they alone are sorted and merged into its order
-// (on the first build, every entry is new). Every digest is then read
-// from the slab through the view's slab positions. A rebuild thus costs
-// O(a log a) for a new items plus O(N) sequential work. Caller holds the
-// control mutex, with the summary just synced.
-//
-//epi:hotpath
-func (r *Replica) digestViewLocked() *digestView {
-	r.viewBuilds.Add(1)
-	old := r.view
-	if old == nil {
-		old = &digestView{}
-	}
-	added := make([]int32, 0, len(r.sum.items)-len(old.slots))
-	for i := len(old.slots); i < len(r.sum.items); i++ {
-		added = append(added, int32(i))
-	}
-	slices.SortFunc(added, func(a, b int32) int { return compareItemKeys(r.sum.items[a], r.sum.items[b]) })
-	// Views are immutable, so one whose key set did not change shares the
-	// old keys and positions.
-	v := &digestView{keys: old.keys, slots: old.slots}
-	if len(added) > 0 {
-		n := len(old.keys) + len(added)
-		v.keys, v.slots = make([]string, 0, n), make([]int32, 0, n)
-		i := 0
-		for _, s := range added {
-			key := r.sum.items[s].Key
-			j, _ := slices.BinarySearch(old.keys[i:], key)
-			v.keys = append(append(v.keys, old.keys[i:i+j]...), key)
-			v.slots = append(append(v.slots, old.slots[i:i+j]...), s)
-			i += j
-		}
-		v.keys = append(v.keys, old.keys[i:]...)
-		v.slots = append(v.slots, old.slots[i:]...)
-	}
-	v.fps = make([]uint64, len(v.slots))
-	for j, s := range v.slots {
-		v.fps[j] = r.sum.fps[s]
-	}
-	return v
-}
-
-// bounds returns the index interval [lo, hi) of keys inside the range.
-func (v *digestView) bounds(rr ReconcileRange) (int, int) {
-	lo, _ := slices.BinarySearch(v.keys, rr.Lo)
-	hi := len(v.keys)
-	if !rr.HiInf {
-		hi, _ = slices.BinarySearch(v.keys, rr.Hi)
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-// summarize returns the fingerprint and count over [lo, hi).
-func (v *digestView) summarize(lo, hi int) (fp uint64, count uint64) {
-	for i := lo; i < hi; i++ {
-		fp ^= v.fps[i]
-	}
-	return fp, uint64(hi - lo)
 }
 
 // stampDistance is D = Σ_k |a[k] − b[k]|, saturating: the most items two
@@ -510,24 +386,29 @@ func sketchCells(d uint64) uint64 {
 	return sketchHashes * ((7*d+9)/10 + sketchSlackCells)
 }
 
-// sketchSize returns the sketch length to ask for on a range of count
-// items whose replicas differ in at most d items, or 0 when a sketch would
-// not cost less than listing the range's digests.
-func sketchSize(d, count uint64) uint64 {
-	if d >= count {
+// sketchPays reports whether an m-cell sketch costs less on the wire than
+// listing count items.
+func sketchPays(m, count uint64) bool {
+	return m*sketchCellBytes < count*reconcilePairBytes
+}
+
+// sketchSize returns the sketch length for a server holding ours items to
+// ask for when the replicas differ in at most d items and the client holds
+// theirs, or 0 when a sketch would not cost less than listing. It asks only
+// for a sketch the client's own items justify, retry included (sketchFits),
+// so never for one from a client that holds nothing.
+func sketchSize(d, ours, theirs uint64) uint64 {
+	if d >= ours || d >= theirs || !sketchPays(sketchCells(d), ours) {
 		return 0
 	}
-	if m := sketchCells(d); m*sketchCellBytes < count*reconcilePairBytes {
-		return m
-	}
-	return 0
+	return sketchCells(d)
 }
 
 // sketchFits reports whether an m-cell sketch is well formed and no longer
-// than a difference of d items needs: the cap each side puts on a sketch
-// the other side asked for or sent.
+// than the retry of a sketch for a difference of d items: the cap each
+// side puts on a sketch the other side asked for or sent.
 func sketchFits(m, d uint64) bool {
-	return m > 0 && m%sketchHashes == 0 && m <= sketchCells(d)
+	return m > 0 && m%sketchHashes == 0 && m <= 2*sketchCells(d)
 }
 
 // sketchCheck is a digest's check hash: a cell holds exactly one digest
@@ -544,6 +425,13 @@ func sketchIndex(g uint64, i, s int) int {
 	return i*s + int(hi)
 }
 
+// stratum returns the stratum of digest g: the trailing zeros of a keyed
+// hash of g, so that stratum i samples one digest in 2^(i+1), capped at
+// the last stratum.
+func stratum(g uint64) int {
+	return min(bits.TrailingZeros64(ring.Mix64(g^strataSeed)), strataCount-1)
+}
+
 // toggle adds (n = 1) or removes (n = −1) digest g, with check hash chk, in
 // its cell of each of the four subtables. The four are written out: a
 // sketch build toggles every digest of the slab, and a loop over the
@@ -558,30 +446,39 @@ func toggle(cells []SketchCell, g uint64, chk uint32, n int64) {
 	c3.Sum, c3.Check, c3.Count = c3.Sum^g, c3.Check^chk, c3.Count+n
 }
 
+// subtract removes the peer's cells from ours, cell by cell: what is left
+// holds the digests only one side added.
+func subtract(ours, theirs []SketchCell) {
+	for j, t := range theirs {
+		ours[j].Sum ^= t.Sum
+		ours[j].Check ^= t.Check
+		ours[j].Count -= t.Count
+	}
+}
+
 func (c *SketchCell) pure() bool {
 	return (c.Count == 1 || c.Count == -1) && c.Check == sketchCheck(c.Sum)
 }
 
 // peel decodes a difference sketch (this side's cells minus the peer's) in
-// place and returns the digests only this side holds. It fails when the
-// cells do not peel to empty, and stops after 3m extractions whatever the
-// peer sent.
-func peel(cells []SketchCell) ([]uint64, bool) {
+// place. It returns the digests only this side holds and the number of
+// digests decoded on both sides. It fails when the cells do not peel to
+// empty, and stops after 3m extractions whatever the peer sent.
+func peel(cells []SketchCell) (ours []uint64, decoded int, ok bool) {
 	queue := make([]int, 0, len(cells))
 	for j := range cells {
 		if cells[j].pure() {
 			queue = append(queue, j)
 		}
 	}
-	var ours []uint64
-	for steps := 0; len(queue) > 0; {
+	for len(queue) > 0 {
 		c := cells[queue[len(queue)-1]]
 		queue = queue[:len(queue)-1]
 		if !c.pure() {
 			continue
 		}
-		if steps++; steps > 3*len(cells) {
-			return nil, false
+		if decoded++; decoded > 3*len(cells) {
+			return nil, 0, false
 		}
 		if c.Count == 1 {
 			ours = append(ours, c.Sum)
@@ -596,257 +493,207 @@ func peel(cells []SketchCell) ([]uint64, bool) {
 	}
 	for _, c := range cells {
 		if c != (SketchCell{}) {
-			return nil, false
+			return nil, 0, false
 		}
 	}
-	return ours, true
+	return ours, decoded, true
 }
 
-// sketchKeys subtracts the peer's root sketch from this replica's, peels
-// it, and returns the keys and digests only this replica holds: the leaf
-// reply the split recursion would have narrowed down to. The decoded
-// digests resolve to keys through the maintained index, and everything
-// runs in one hold of the control mutex, so the sketch and the index are
-// of one state. ok is false when the sketch does not decode or names a
-// digest that not exactly one of this replica's items holds.
-func (r *Replica) sketchKeys(theirs []SketchCell) (keys []KeyDigest, ok bool) {
+// estimate reads the size of a difference from a difference strata
+// estimator (this side's strata minus the peer's), as Eppstein et al. do:
+// it peels the strata from the sparsest down, and at the first that does
+// not peel it scales the count decoded so far by the share of digests the
+// strata above it sample, 2^(i+1). It saturates when not even the
+// sparsest stratum peels. It counts elements, digests decoded on either
+// side: an item both replicas hold in different copies is two, an item
+// only one holds is one.
+func estimate(cells []SketchCell) uint64 {
+	var count uint64
+	for i := strataCount - 1; i >= 0; i-- {
+		_, n, ok := peel(cells[i*strataCells : (i+1)*strataCells])
+		if !ok {
+			if count == 0 {
+				return math.MaxUint64
+			}
+			return count << (i + 1)
+		}
+		count += uint64(n)
+	}
+	return count
+}
+
+// lacking appends to need each listed key whose digest this replica does
+// not hold under that key: the key is absent here, its copy differs, or
+// several items hold the digest and the index names none of them (the
+// fetch then finds such a copy Equal and skips it).
+func (r *Replica) lacking(need []string, keys []KeyDigest) []string {
+	r.syncDigests()
 	r.ctl.Lock()
 	defer r.ctl.Unlock()
-	cells := r.sum.sketch(len(theirs))
-	for j, t := range theirs {
-		cells[j].Sum ^= t.Sum
-		cells[j].Check ^= t.Check
-		cells[j].Count -= t.Count
+	for _, kd := range keys {
+		if i, ok := r.sum.index.lookup(kd.Fp, r.sum.fps); !ok || r.sum.items[i].Key != kd.Key {
+			need = append(need, kd.Key)
+		}
 	}
-	ours, ok := peel(cells)
-	if !ok {
-		return nil, false
-	}
-	return r.sum.keysOf(ours)
+	return need
 }
 
-// ServeReconcile answers one round of a reconciliation session: for each
-// requested range, either confirm the fingerprint matches, split it into
-// sub-ranges with this replica's fingerprints, or — at leaf size — return
-// the per-key digests. A stamped root whose difference the two stamps
-// bound tightly enough is answered with the size of the sketch to send
-// instead, and a sketched root with the keys the sketch shows only this
-// replica holds, or with the split when it does not decode. The root is
-// answered from the maintained summary; only the split and its leaves
-// read the sorted view. Stateless: each call answers from a consistent
-// state of the current item set, so rounds interleave safely with updates
-// and other sessions (a mutation between rounds at worst re-opens a range
-// that the next round settles).
+// ServeReconcile answers one round of a reconciliation session, as the
+// package comment lays out: one root, one reply. A request of any other
+// range count gets none, since a reply may list the whole slab and one per
+// range would multiply that. Stateless: each call answers from one state
+// of the current item set, under the control mutex, so rounds interleave
+// safely with updates and other sessions (a mutation between rounds at
+// worst makes a sketch fail or leaves a difference for the next session).
 func (r *Replica) ServeReconcile(ranges []ReconcileRange) []ReconcileReply {
-	root := r.rootRange(0)
-	var sorted *digestView
-	view := func() *digestView {
-		if sorted == nil {
-			sorted = r.reconcileView()
-		}
-		return sorted
+	if len(ranges) != 1 {
+		return nil
 	}
-	replies := make([]ReconcileReply, len(ranges))
-	for i, rr := range ranges {
-		// Only the root is sketched: it is the only range an honest
-		// client stamps.
-		isRoot := rr.Lo == "" && rr.HiInf
-		fp, count := root.Fp, root.Count
-		if !isRoot {
-			fp, count = view().summarize(view().bounds(rr))
-		}
-		if fp == rr.Fp && count == rr.Count {
-			replies[i] = ReconcileReply{Match: true}
-			continue
-		}
-		// The stamp is recomputed into D every round: the server keeps no
-		// session state. In the second round D and the own item count cap
-		// the sketch it will build; a writer between the rounds only makes
-		// D larger than the sketch was sized for, and the peel decides.
-		d := uint64(math.MaxUint64)
-		if len(rr.Stamp) > 0 {
-			d = stampDistance(root.Stamp, rr.Stamp)
-		}
-		if isRoot && len(rr.Sketch) > 0 && sketchFits(uint64(len(rr.Sketch)), min(d, count)) {
-			if keys, ok := r.sketchKeys(rr.Sketch); ok {
-				replies[i] = ReconcileReply{Keys: keys, IsLeaf: true}
-				continue
-			}
-		} else if isRoot && len(rr.Sketch) == 0 && count > reconcileLeafItems {
-			if m := sketchSize(d, count); m > 0 {
-				replies[i] = ReconcileReply{SketchCells: m}
-				continue
-			}
-		}
-		v := view()
-		lo, hi := v.bounds(rr)
-		if hi-lo <= reconcileLeafItems {
-			keys := make([]KeyDigest, 0, hi-lo)
-			for j := lo; j < hi; j++ {
-				keys = append(keys, KeyDigest{Key: v.keys[j], Fp: v.fps[j]})
-			}
-			replies[i] = ReconcileReply{Keys: keys, IsLeaf: true}
-			continue
-		}
-		// Split at order statistics: near-equal item counts per sub-range,
-		// boundaries at actual keys so empty sub-ranges cannot occur.
-		n := hi - lo
-		b := reconcileBranch
-		if b > n {
-			b = n
-		}
-		splits := make([]ReconcileRange, 0, b)
-		prevLo, prevIdx := rr.Lo, lo
-		for s := 1; s <= b; s++ {
-			endIdx := lo + n*s/b
-			sub := ReconcileRange{Lo: prevLo}
-			if s == b {
-				sub.Hi, sub.HiInf = rr.Hi, rr.HiInf
-			} else {
-				sub.Hi = v.keys[endIdx]
-			}
-			sub.Fp, sub.Count = v.summarize(prevIdx, endIdx)
-			splits = append(splits, sub)
-			prevLo, prevIdx = sub.Hi, endIdx
-		}
-		replies[i] = ReconcileReply{Splits: splits}
-	}
-
+	r.syncDigests()
+	r.ctl.Lock()
+	reply := r.sum.answer(&ranges[0])
+	r.ctl.Unlock()
 	r.met.Messages.Add(1)
-	r.met.ReconcileBytes.Add(reconcileRepliesWireSize(replies))
-	return replies
+	r.met.ReconcileBytes.Add(uvarintSize(1) + reply.wireSize())
+	return []ReconcileReply{reply}
+}
+
+// answer is ServeReconcile's reply to one root. The stamp is recomputed
+// into D every round: the server keeps no session state. D and both item
+// counts cap the sketch it builds; a writer between the rounds only makes
+// D larger than the sketch was sized for, and the peel decides.
+//
+// D bounds differing items, but the strata estimate E counts elements;
+// passing E to sketchCells as items is deliberate. Each differing item is
+// one or two elements, so for rewritten (hot) keys the sketch gets twice
+// the cells E needs: the headroom against a short estimate (DESIGN §4h).
+//
+//epi:requires ctl read
+func (s *digestSummary) answer(rr *ReconcileRange) ReconcileReply {
+	count := uint64(len(s.fps))
+	if rr.Fp == s.root && rr.Count == count {
+		return ReconcileReply{Match: true}
+	}
+	d := uint64(math.MaxUint64)
+	if len(rr.Stamp) > 0 {
+		d = stampDistance(s.stamp, rr.Stamp)
+	}
+	var m uint64 // the sketch to ask for, if any
+	switch sent := uint64(len(rr.Sketch)); {
+	case sent > 0:
+		if !sketchFits(sent, min(d, count, rr.Count)) {
+			break
+		}
+		if keys, ok := s.sketchKeys(rr.Sketch); ok {
+			return ReconcileReply{Keys: keys}
+		}
+		if !rr.Retry && sketchPays(2*sent, count) {
+			m = 2 * sent
+		}
+	case len(rr.Strata) == strataCount*strataCells:
+		cells := s.strata()
+		subtract(cells, rr.Strata)
+		m = sketchSize(min(d, estimate(cells)), count, rr.Count)
+	case len(rr.Strata) == 0:
+		m = sketchSize(d, count, rr.Count)
+		if m == 0 && rr.Count > 0 && sketchPays(strataCount*strataCells, count) {
+			return ReconcileReply{Strata: true}
+		}
+	}
+	if m > 0 {
+		return ReconcileReply{SketchCells: m}
+	}
+	return ReconcileReply{Keys: s.list()}
 }
 
 // Reconciler drives the client (recipient) side of one reconciliation
 // session. Obtain one with StartReconcile, then loop: Next gives the
-// ranges to send, Handle ingests the matching replies; when Next returns
-// nil the fingerprint phase is over. If Err is then nil, NeedKeys lists
-// the keys whose copies differ, to be fetched as full items and committed
+// round's root to send, Handle ingests its reply; when Next returns nil
+// the fingerprint phase is over. If Err is then nil, NeedKeys lists the
+// keys whose copies differ, to be fetched as full items and committed
 // with ApplyReconcileItems; otherwise the session stopped short and its
 // difference is incomplete. Not safe for concurrent use.
 //
 //epi:notshared session cursor documented not safe for concurrent use; driven by one goroutine
 type Reconciler struct {
 	r        *Replica
-	pending  []ReconcileRange
+	next     *ReconcileRange // the root the next round sends; nil once settled
 	needKeys []string
 	rounds   int
 	err      error
 }
 
 // StartReconcile opens a reconciliation session (this replica is the
-// recipient). The root range carries the summary's stamp, so the source
-// can bound the difference. Charges one ReconcileSessions.
+// recipient). The root carries the summary's stamp, so the source can
+// bound the difference. Charges one ReconcileSessions.
 func (r *Replica) StartReconcile() *Reconciler {
-	root := r.rootRange(0)
+	root := r.rootRange(0, false)
 	r.met.ReconcileSessions.Add(1)
-	return &Reconciler{r: r, pending: []ReconcileRange{root}}
+	return &Reconciler{r: r, next: &root}
 }
 
-// Next returns the ranges to send this round (nil when the fingerprint
-// phase is complete) and charges the round's request traffic. A session
-// that reaches reconcileMaxRounds with ranges still pending stops with an
-// error (Err).
+// Next returns the round's request, the one root to send (nil when the
+// fingerprint phase is complete), and charges its traffic. A session that
+// reaches reconcileMaxRounds with a root still to send stops with an error
+// (Err).
 func (rc *Reconciler) Next() []ReconcileRange {
-	if len(rc.pending) == 0 || rc.err != nil {
+	if rc.next == nil || rc.err != nil {
 		return nil
 	}
 	if rc.rounds >= reconcileMaxRounds {
-		rc.err = fmt.Errorf("core: reconciliation stopped after %d rounds with %d ranges pending", rc.rounds, len(rc.pending))
+		rc.err = fmt.Errorf("core: reconciliation stopped after %d rounds unsettled", rc.rounds)
 		return nil
 	}
 	rc.rounds++
-	out := rc.pending
-	rc.pending = nil
+	root := *rc.next
+	rc.next = nil
 	rc.r.met.ReconcileRoundTrips.Add(1)
 	rc.r.met.Messages.Add(1)
-	rc.r.met.ReconcileBytes.Add(reconcileRangesWireSize(out))
-	return out
+	rc.r.met.ReconcileBytes.Add(uvarintSize(1) + root.WireSize())
+	return []ReconcileRange{root}
 }
 
-// Handle ingests one round of replies (aligned by index with the ranges
-// Next returned). Mismatching splits become next round's ranges with this
-// replica's own fingerprints; leaf digests are compared against the local
-// copies and genuinely differing keys accumulate into NeedKeys; a sketch
-// request re-sends its range with this replica's sketch. A reply count
-// that differs from the ranges sent ends the session with an error, which
-// Err reports from then on.
+// Handle ingests the reply to the root Next returned. A request for a
+// sketch or for the strata estimator re-sends the root with it, and the
+// keys of a reply are checked against the local copies, the genuinely
+// differing ones accumulating into NeedKeys. A round that is not one root
+// and one reply, or a sketch larger than this replica's own items justify,
+// ends the session with an error, which Err reports from then on.
 func (rc *Reconciler) Handle(sent []ReconcileRange, replies []ReconcileReply) error {
-	if len(replies) != len(sent) {
-		rc.err = fmt.Errorf("core: reconcile round answered %d of %d ranges", len(replies), len(sent))
-		rc.pending = nil
-		return rc.err
+	if len(sent) != 1 || len(replies) != 1 {
+		return rc.fail(fmt.Errorf("core: reconcile round answered %d replies to %d roots", len(replies), len(sent)))
 	}
-	// The sorted view is read only for split and leaf replies.
-	var sorted *digestView
-	view := func() *digestView {
-		if sorted == nil {
-			sorted = rc.r.reconcileView()
+	switch rp := replies[0]; {
+	case rp.Match:
+		// Settled.
+	case rp.SketchCells > 0 || rp.Strata:
+		next := rc.r.rootRange(rp.SketchCells, rp.Strata)
+		if rp.SketchCells > 0 && next.Sketch == nil {
+			return rc.fail(fmt.Errorf("core: source asked for a %d-cell sketch of %d items", rp.SketchCells, next.Count))
 		}
-		return sorted
-	}
-	for i, rp := range replies {
-		switch {
-		case rp.Match:
-			// Settled.
-		case rp.IsLeaf:
-			// The server's elements over this range: fetch every key whose
-			// local digest is absent or different. Keys only we hold need
-			// nothing — reconciliation, like propagation, moves data from
-			// source to recipient only.
-			if len(sent[i].Sketch) > 0 {
-				// Decoded from our sketch: each digest is one we did not
-				// hold when we built it, so every key differs.
-				for _, kd := range rp.Keys {
-					rc.needKeys = append(rc.needKeys, kd.Key)
-				}
-				continue
-			}
-			v := view()
-			for _, kd := range rp.Keys {
-				j, found := slices.BinarySearch(v.keys, kd.Key)
-				if !found || v.fps[j] != kd.Fp {
-					rc.needKeys = append(rc.needKeys, kd.Key)
-				}
-			}
-		case rp.SketchCells > 0:
-			// The source bounded the difference: send the root again with
-			// a sketch of the size it asked for. A size this replica's own
-			// items cannot justify, or a sketch of any other range, is
-			// refused by dropping the stamp, which asks for the split
-			// instead.
-			sub := ReconcileRange{Lo: sent[i].Lo, Hi: sent[i].Hi, HiInf: sent[i].HiInf}
-			if sub.Lo == "" && sub.HiInf {
-				sub = rc.r.rootRange(rp.SketchCells)
-				if sub.Sketch == nil {
-					sub.Stamp = nil
-				}
-			} else {
-				v := view()
-				sub.Fp, sub.Count = v.summarize(v.bounds(sub))
-			}
-			rc.pending = append(rc.pending, sub)
-		default:
-			v := view()
-			for _, sub := range rp.Splits {
-				fp, count := v.summarize(v.bounds(sub))
-				if fp == sub.Fp && count == sub.Count {
-					continue
-				}
-				sub.Fp, sub.Count = fp, count
-				rc.pending = append(rc.pending, sub)
-			}
-		}
+		// A sketch asked for after one was sent is the retry.
+		next.Retry = len(next.Sketch) > 0 && len(sent[0].Sketch) > 0
+		rc.next = &next
+	default:
+		// Keys only we hold need nothing — reconciliation, like
+		// propagation, moves data from source to recipient only.
+		rc.needKeys = rc.r.lacking(rc.needKeys, rp.Keys)
 	}
 	return nil
+}
+
+func (rc *Reconciler) fail(err error) error {
+	rc.err, rc.next = err, nil
+	return err
 }
 
 // Rounds returns the number of fingerprint round trips driven so far.
 func (rc *Reconciler) Rounds() int { return rc.rounds }
 
 // Err reports why the session stopped short: a round answered with the
-// wrong number of replies, or the round cap reached with ranges pending.
-// A session with an error must not fetch or commit its partial NeedKeys.
+// wrong number of replies or an oversized sketch request, or the round cap
+// reached unsettled. A session with an error must not fetch or
+// commit its partial NeedKeys.
 func (rc *Reconciler) Err() error { return rc.err }
 
 // NeedKeys returns the keys whose copies differ from the source's —

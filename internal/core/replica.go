@@ -133,16 +133,10 @@ type Replica struct {
 	// the maintained summary of the item set, built on the replica's first
 	// session and patched at session time; changed queues, once each, the
 	// items whose regular copy moved since the last patch
-	// (noteChangedLocked); view is the sorted view the range split needs,
-	// built on first use and rebuilt from the slab once a patch has moved
-	// the summary (viewStale). viewBuilds and
-	// viewDigests count sorted-view builds and item digests for tests.
-	sum         digestSummary //epi:guard ctl
-	changed     []*store.Item //epi:guard ctl
-	view        *digestView   //epi:guard ctl
-	viewStale   bool          //epi:guard ctl
-	viewBuilds  atomic.Uint64 //epi:guard atomic
-	viewDigests atomic.Uint64 //epi:guard atomic
+	// (noteChangedLocked). digests counts item digests, for tests.
+	sum     digestSummary //epi:guard ctl
+	changed []*store.Item //epi:guard ctl
+	digests atomic.Uint64 //epi:guard atomic
 
 	// store is the data plane: items with IVVs and aux copies, sharded by
 	// key hash with per-shard RWMutexes.
@@ -156,6 +150,10 @@ type Replica struct {
 	confMu     sync.Mutex
 	onConflict ConflictHandler //epi:guard confMu
 	conflicts  []Conflict      //epi:guard confMu
+	// conflicted records that a conflict was ever declared: the conflict
+	// purge of Fig. 3 then suspends log coverage (§5.1), so CheckInvariants
+	// stops checking it. Snapshots keep it.
+	conflicted bool //epi:guard confMu
 
 	// deltaMode enables record-shipping propagation (WithDeltaPropagation);
 	// deltaDepth bounds the retained per-item delta chain. Immutable after
@@ -458,6 +456,7 @@ func (r *Replica) AuxCopies() int {
 func (r *Replica) declareConflict(c Conflict) {
 	r.met.ConflictsDetected.Add(1)
 	r.confMu.Lock()
+	r.conflicted = true
 	r.onConflict(c)
 	r.confMu.Unlock()
 }

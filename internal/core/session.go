@@ -507,11 +507,15 @@ func (l *LocalPeer) Fetch(_ *Replica, keys []string) ([]ItemPayload, error) {
 	return items, nil
 }
 
-// Reconcile answers one fingerprint round over partition pid.
+// Reconcile answers one fingerprint round over partition pid. A round
+// sends exactly one root; any other count is refused with an error.
 func (l *LocalPeer) Reconcile(_ *Replica, pid int, ranges []ReconcileRange) ([]ReconcileReply, error) {
 	part := l.partition(pid)
 	if part == nil {
 		return nil, notReplicated(pid)
+	}
+	if len(ranges) != 1 {
+		return nil, fmt.Errorf("core: a reconcile round sends one root, not %d", len(ranges))
 	}
 	return part.ServeReconcile(ranges), nil
 }

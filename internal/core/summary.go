@@ -6,7 +6,7 @@ import (
 )
 
 // digestSummary is a replica's maintained summary of its item set, from
-// which reconciliation answers the root range (reconcile.go): a dense,
+// which both sides of a reconciliation answer (reconcile.go): a dense,
 // unsorted slab with one (item, digest) entry per item out of the zero
 // state, the XOR of the slab's digests (the root fingerprint), the DBVV
 // the slab reflects (the stamp), and a digest → entry index. The replica
@@ -14,7 +14,8 @@ import (
 // moves the root and the index in O(1). A root sketch is not kept: its
 // size follows the difference a session bounds, which moves between
 // sessions, so each one is built in one sequential pass over the slab
-// (sketch). It is guarded by the replica's control mutex.
+// (sketch), as are the strata estimator and the listing. Nothing in it is
+// sorted. It is guarded by the replica's control mutex.
 type digestSummary struct {
 	items []*store.Item //epi:guard ctl
 	fps   []uint64      //epi:guard ctl
@@ -57,13 +58,46 @@ func (s *digestSummary) sketch(m int) []SketchCell {
 	return cells
 }
 
-// keysOf resolves decoded digests to the keys that hold them. It reports
-// false when a digest is not held by exactly one item.
+// strata returns a new strata estimator of every digest in the slab:
+// strataCount sketches of strataCells cells, each digest toggled into the
+// one of its stratum.
 //
 //epi:requires ctl read
-func (s *digestSummary) keysOf(digests []uint64) ([]KeyDigest, bool) {
-	keys := make([]KeyDigest, 0, len(digests))
-	for _, g := range digests {
+func (s *digestSummary) strata() []SketchCell {
+	cells := make([]SketchCell, strataCount*strataCells)
+	for _, g := range s.fps {
+		i := stratum(g) * strataCells
+		toggle(cells[i:i+strataCells], g, sketchCheck(g), 1)
+	}
+	return cells
+}
+
+// list returns every entry's key and digest, in slab order.
+//
+//epi:requires ctl read
+func (s *digestSummary) list() []KeyDigest {
+	keys := make([]KeyDigest, len(s.items))
+	for i, it := range s.items {
+		keys[i] = KeyDigest{Key: it.Key, Fp: s.fps[i]}
+	}
+	return keys
+}
+
+// sketchKeys subtracts the peer's sketch from one of this slab, peels it,
+// and returns the keys and digests only this slab holds, resolved through
+// the index. ok is false when the sketch does not decode or names a digest
+// that not exactly one entry holds.
+//
+//epi:requires ctl read
+func (s *digestSummary) sketchKeys(theirs []SketchCell) (keys []KeyDigest, ok bool) {
+	cells := s.sketch(len(theirs))
+	subtract(cells, theirs)
+	ours, _, ok := peel(cells)
+	if !ok {
+		return nil, false
+	}
+	keys = make([]KeyDigest, 0, len(ours))
+	for _, g := range ours {
 		i, found := s.index.lookup(g, s.fps)
 		if !found {
 			return nil, false

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -58,6 +59,44 @@ func TestDigestIndexMatchesMap(t *testing.T) {
 					t.Fatalf("seed %d step %d: lookup of a digest %d entries hold resolved to %d", seed, step, holders[g], got)
 				}
 			}
+		}
+	}
+}
+
+func TestStrataEstimate(t *testing.T) {
+	// The strata estimator sizes the sketch when the stamps' bound is too
+	// loose. Over 40 trials per size, each side holding a common base plus
+	// its share of the difference, every estimate must fall within a
+	// factor of three of the true difference and the median within a
+	// quarter of it.
+	rng := rand.New(rand.NewSource(1))
+	for _, d := range []int{10, 100, 1000, 20_000} {
+		ratios := make([]float64, 0, 40)
+		for trial := 0; trial < 40; trial++ {
+			var ours, theirs digestSummary
+			for i := 0; i < 1000; i++ {
+				g := rng.Uint64()
+				ours.fps = append(ours.fps, g)
+				theirs.fps = append(theirs.fps, g)
+			}
+			for i := 0; i < d; i++ {
+				if i%2 == 0 {
+					ours.fps = append(ours.fps, rng.Uint64())
+				} else {
+					theirs.fps = append(theirs.fps, rng.Uint64())
+				}
+			}
+			cells := ours.strata()
+			subtract(cells, theirs.strata())
+			ratios = append(ratios, float64(estimate(cells))/float64(d))
+		}
+		slices.Sort(ratios)
+		t.Logf("d = %d: estimate/d from %.2f to %.2f, median %.2f", d, ratios[0], ratios[len(ratios)-1], ratios[len(ratios)/2])
+		if ratios[0] < 1.0/3 || ratios[len(ratios)-1] > 3 {
+			t.Errorf("d = %d: estimates from %.2f to %.2f times the difference", d, ratios[0], ratios[len(ratios)-1])
+		}
+		if m := ratios[len(ratios)/2]; m < 0.75 || m > 1.25 {
+			t.Errorf("d = %d: median estimate %.2f times the difference", d, m)
 		}
 	}
 }

@@ -144,6 +144,27 @@ func TestReconcileSessionComputesDifference(t *testing.T) {
 	}
 }
 
+// TestReconcileRequestOfManyRangesIsRefused: a round sends one root, and
+// the server answers a reconcile request of any other count with an error
+// rather than one listing of its slab per range.
+func TestReconcileRequestOfManyRangesIsRefused(t *testing.T) {
+	_, b, srv, c, _ := catchUpSetup(t, 60, 6, 32)
+	p := peer{c: c, addr: srv.Addr()}
+	bogus := core.ReconcileRange{Fp: 1}
+	for _, n := range []int{0, 2, 100} {
+		ranges := make([]core.ReconcileRange, n)
+		for i := range ranges {
+			ranges[i] = bogus
+		}
+		if replies, err := p.Reconcile(b, 0, ranges); err == nil {
+			t.Errorf("a %d-range request was answered with %d replies", n, len(replies))
+		}
+	}
+	if replies, err := p.Reconcile(b, 0, []core.ReconcileRange{bogus}); err != nil || len(replies) != 1 {
+		t.Fatalf("one root: %d replies, err %v", len(replies), err)
+	}
+}
+
 func TestPartPullDivertsToReconcile(t *testing.T) {
 	const servers, partitions, placement = 2, 4, 2
 	pa := core.NewPartitioned(0, servers, partitions, placement)
@@ -213,9 +234,8 @@ func TestPartPullDivertsToReconcile(t *testing.T) {
 }
 
 // TestReconcileShortRoundFetchesNothing runs a pull against a server that
-// diverts it to reconciliation and answers every multi-range round with
-// its last reply missing. The
-// session must fail without fetching: a partial difference committed
+// diverts it to reconciliation and answers every round with its last reply
+// missing. The session must fail without fetching: a partial difference committed
 // would raise the recipient's pruned watermark past items it never got.
 func TestReconcileShortRoundFetchesNothing(t *testing.T) {
 	src := core.NewReplica(0, 2)
@@ -257,9 +277,7 @@ func TestReconcileShortRoundFetchesNothing(t *testing.T) {
 						resp.Parts = []core.PartReply{{Pid: 0, Reconcile: true}}
 					case wire.KindReconcile:
 						resp.Recon = src.ServeReconcile(req.Ranges)
-						if len(resp.Recon) > 1 {
-							resp.Recon = resp.Recon[:len(resp.Recon)-1]
-						}
+						resp.Recon = resp.Recon[:max(len(resp.Recon)-1, 0)]
 					case wire.KindFetch:
 						fetches.Add(1)
 						resp.Items = src.BuildItems(req.Keys)

@@ -85,13 +85,14 @@ func reconcileFrameSeeds() [][]byte {
 		{respReconcile, reconRetired}, // the retired divert marker: must not decode
 		AppendResponse(nil, &Response{Recon: []core.ReconcileReply{
 			{Match: true},
-			{IsLeaf: true, Keys: []core.KeyDigest{{Key: "k", Fp: 9}}},
-			{Splits: sampleRanges()},
+			{Keys: []core.KeyDigest{{Key: "k", Fp: 9}}},
+			{Strata: true},
 		}}),
 		AppendResponse(nil, &Response{Parts: []core.PartReply{{Pid: 1, Reconcile: true}}}),
 		{0xEB, 0x01, byte(KindReconcile)},
 		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[:1]}),
 		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[1:]}),
 		AppendResponse(nil, &Response{Recon: []core.ReconcileReply{{SketchCells: 780}}}),
+		{byte(KindReconcile), 0, 0, 0, 0, 0, 1, rangeRetired}, // the retired range bounds: must not decode
 	}
 }

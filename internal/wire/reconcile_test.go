@@ -14,22 +14,26 @@ import (
 
 func sampleRanges() []core.ReconcileRange {
 	return []core.ReconcileRange{
-		{Lo: "", Hi: "", HiInf: true, Fp: 0xdeadbeefcafe, Count: 41},
-		{Lo: "a", Hi: "m", Fp: 7, Count: 0},
-		{Lo: "m", Hi: "", HiInf: true, Fp: 0, Count: 1 << 40},
+		{Fp: 0xdeadbeefcafe, Count: 41},
+		{Fp: 7, Count: 0},
+		{Fp: 0, Count: 1 << 40},
 	}
 }
 
-// sketchRanges are the second-round shapes: a stamped root, and a
-// stamped root with a sketch whose cells cover every field's range.
+// sketchRanges are the later-round shapes: a stamped root, a stamped root
+// with a sketch whose cells cover every field's range, its retry, and a
+// stamped root with a strata estimator.
 func sketchRanges() []core.ReconcileRange {
+	cells := []core.SketchCell{
+		{Sum: 1 << 63, Check: 1 << 31, Count: -1},
+		{},
+		{Sum: 9, Check: 7, Count: 1 << 40},
+	}
 	return []core.ReconcileRange{
-		{HiInf: true, Fp: 3, Count: 5000, Stamp: vv.VV{4000, 0, 1 << 33}},
-		{HiInf: true, Fp: 3, Count: 5000, Stamp: vv.VV{7}, Sketch: []core.SketchCell{
-			{Sum: 1 << 63, Check: 1 << 31, Count: -1},
-			{},
-			{Sum: 9, Check: 7, Count: 1 << 40},
-		}},
+		{Fp: 3, Count: 5000, Stamp: vv.VV{4000, 0, 1 << 33}},
+		{Fp: 3, Count: 5000, Stamp: vv.VV{7}, Sketch: cells},
+		{Fp: 3, Count: 5000, Stamp: vv.VV{7}, Sketch: cells, Retry: true},
+		{Fp: 3, Count: 5000, Stamp: vv.VV{7}, Strata: cells},
 	}
 }
 
@@ -39,8 +43,9 @@ func rangesEqual(a, b []core.ReconcileRange) bool {
 	}
 	for i := range a {
 		x, y := a[i], b[i]
-		if x.Lo != y.Lo || x.Hi != y.Hi || x.HiInf != y.HiInf || x.Fp != y.Fp || x.Count != y.Count ||
-			len(x.Stamp) != len(y.Stamp) || !x.Stamp.Equal(y.Stamp) || !slices.Equal(x.Sketch, y.Sketch) {
+		if x.Fp != y.Fp || x.Count != y.Count || x.Retry != y.Retry ||
+			len(x.Stamp) != len(y.Stamp) || !x.Stamp.Equal(y.Stamp) ||
+			!slices.Equal(x.Sketch, y.Sketch) || !slices.Equal(x.Strata, y.Strata) {
 			return false
 		}
 	}
@@ -52,8 +57,8 @@ func repliesEqual(a, b []core.ReconcileReply) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Match != b[i].Match || a[i].IsLeaf != b[i].IsLeaf || a[i].SketchCells != b[i].SketchCells ||
-			!rangesEqual(a[i].Splits, b[i].Splits) || len(a[i].Keys) != len(b[i].Keys) {
+		if a[i].Match != b[i].Match || a[i].Strata != b[i].Strata || a[i].SketchCells != b[i].SketchCells ||
+			len(a[i].Keys) != len(b[i].Keys) {
 			return false
 		}
 		for j := range a[i].Keys {
@@ -90,11 +95,11 @@ func TestReconcileRequestRoundTrip(t *testing.T) {
 func TestReconcileResponseRoundTrip(t *testing.T) {
 	replies := []core.ReconcileReply{
 		{Match: true},
-		{Splits: sampleRanges()},
-		{IsLeaf: true, Keys: []core.KeyDigest{{Key: "a", Fp: 1}, {Key: "zz", Fp: 1 << 60}}},
-		{IsLeaf: true},     // empty leaf: server has nothing in the range
-		{SketchCells: 780}, // send the range again with a sketch
+		{Keys: []core.KeyDigest{{Key: "a", Fp: 1}, {Key: "zz", Fp: 1 << 60}}},
+		{},                 // empty listing: the server holds nothing
+		{SketchCells: 780}, // send the root again with a sketch
 		{SketchCells: 1 << 40},
+		{Strata: true}, // send the root again with the strata estimator
 	}
 	for _, resp := range []*Response{
 		{Recon: replies},  // reconcile round answer
@@ -189,12 +194,13 @@ func FuzzDecodeReconcileFrames(f *testing.F) {
 	f.Add([]byte{respReconcile, reconRetired}) // the retired divert marker: must not decode
 	f.Add(AppendResponse(nil, &Response{Recon: []core.ReconcileReply{
 		{Match: true},
-		{IsLeaf: true, Keys: []core.KeyDigest{{Key: "k", Fp: 9}}},
-		{Splits: sampleRanges()},
+		{Keys: []core.KeyDigest{{Key: "k", Fp: 9}}},
+		{Strata: true},
 	}}))
 	f.Add(AppendResponse(nil, &Response{Parts: []core.PartReply{{Pid: 1, Reconcile: true}}}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[:1]}))
 	f.Add(AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()[1:]}))
+	f.Add([]byte{byte(KindReconcile), 0, 0, 0, 0, 0, 1, rangeRetired}) // the retired range bounds: must not decode
 	f.Add(AppendResponse(nil, &Response{Recon: []core.ReconcileReply{{SketchCells: 780}}}))
 	f.Add([]byte{0xEB, 0x01, byte(KindReconcile)})
 	f.Add([]byte{0xFF, 0x00, 0xFF})
@@ -228,11 +234,10 @@ func FuzzDecodeReconcileFrames(f *testing.F) {
 // sketch's cell count must fit the bytes present, so that a corrupt count
 // cannot make the decoder allocate for cells that are not there.
 func TestReconcileDecodeRejectsMalformedSketch(t *testing.T) {
-	// A request with one empty range: kind, from, DBVV, key, keys,
-	// max-bytes, one range (flags, lo, hi, fp), then the range's tail and
-	// the partition.
+	// A request with one range: kind, from, DBVV, key, keys, max-bytes,
+	// one range (flags, fp), then the range's tail and the partition.
 	request := func(flags byte, tail ...byte) []byte {
-		buf := []byte{byte(KindReconcile), 0, 0, 0, 0, 0, 1, flags, 0, 0}
+		buf := []byte{byte(KindReconcile), 0, 0, 0, 0, 0, 1, flags}
 		return append(append(buf, make([]byte, 8)...), tail...)
 	}
 	if err := DecodeRequest(request(0, 0, 0), new(Request)); err != nil {
@@ -243,6 +248,7 @@ func TestReconcileDecodeRejectsMalformedSketch(t *testing.T) {
 		"oversized count":  request(rangeSketch, 0, 0xFF, 0xFF, 0x03, 1, 2, 3),
 		"truncated cell":   request(rangeSketch, 0, 1, 1, 2, 3),
 		"empty stamp":      request(rangeStamp, 0, 0, 0),
+		"zero-cell strata": request(rangeStrata, 0, 0, 0),
 	} {
 		if err := DecodeRequest(req, new(Request)); err == nil {
 			t.Errorf("%s: decoded", name)
@@ -256,8 +262,9 @@ func TestReconcileDecodeRejectsMalformedSketch(t *testing.T) {
 }
 
 // The retired unpartitioned reply's flag bits (you-are-current, inline
-// payload, stream instead, and the reconcile section's divert marker) stay
-// unassigned: a response carrying one comes from a version-3 peer or from
+// payload, stream instead, and the reconcile section's divert marker) and
+// the retired range split's (a leaf reply, a non-zero split count) stay
+// unassigned: a response carrying one comes from an older peer or from
 // corruption and must not decode.
 func TestDecodeResponseRejectsRetiredFlags(t *testing.T) {
 	for name, resp := range map[string][]byte{
@@ -265,10 +272,31 @@ func TestDecodeResponseRejectsRetiredFlags(t *testing.T) {
 		"inline payload":   append([]byte{1 << 1}, AppendPropagation(nil, sampleProp())...),
 		"stream instead":   {1 << 5},
 		"reconcile divert": {respReconcile, 1 << 0},
+		"reconcile leaf":   {respReconcile, reconReplies, 1, replyRetired, 0, 0},
+		"reconcile splits": {respReconcile, reconReplies, 1, 0, 1, 0},
 	} {
 		if err := DecodeResponse(resp, new(Response)); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
+	}
+	well := []byte{respReconcile, reconReplies, 1, 0, 0, 0}
+	if err := DecodeResponse(well, new(Response)); err != nil {
+		t.Errorf("an empty listing reply was rejected: %v", err)
+	}
+}
+
+// A range with the retired bounds flag, which every version-4 root set,
+// must not decode.
+func TestDecodeRequestRejectsRetiredRangeFlag(t *testing.T) {
+	buf := AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sampleRanges()[:1]})
+	if err := DecodeRequest(buf, new(Request)); err != nil {
+		t.Fatalf("well-formed root rejected: %v", err)
+	}
+	// kind, from, DBVV, key, keys, max-bytes, the range count, then the
+	// range's flags.
+	buf[7] |= rangeRetired
+	if err := DecodeRequest(buf, new(Request)); err == nil {
+		t.Error("a range with the retired bounds flag decoded")
 	}
 }
 
@@ -303,6 +331,19 @@ func reconcileFuzzPair(tb testing.TB) (src *core.Replica, root, sketched *Reques
 
 func serveReconcileSeeds(tb testing.TB) [][]byte {
 	_, root, sketched := reconcileFuzzPair(tb)
+	// A well-formed strata estimator of another replica's items.
+	other := core.NewReplica(1, 2)
+	for i := 0; i < 48; i++ {
+		if err := other.Update(fmt.Sprintf("k%03d", i), op.NewSet([]byte("other"))); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	rc := other.StartReconcile()
+	first := rc.Next()
+	if err := rc.Handle(first, []core.ReconcileReply{{Strata: true}}); err != nil {
+		tb.Fatal(err)
+	}
+	strata := rc.Next()[0]
 	garbage := *sketched
 	garbage.Ranges = slices.Clone(sketched.Ranges)
 	garbage.Ranges[0].Sketch = []core.SketchCell{{Sum: 1, Check: 2, Count: 1}, {Count: -1}, {Sum: 3}}
@@ -312,21 +353,23 @@ func serveReconcileSeeds(tb testing.TB) [][]byte {
 		AppendRequest(nil, &garbage),
 		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sketchRanges()}),
 		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: sampleRanges()}),
+		AppendRequest(nil, &Request{Kind: KindReconcile, Ranges: []core.ReconcileRange{strata}}),
 	}
 }
 
 // FuzzServeReconcile feeds arbitrary reconcile requests — stamped,
-// sketched, both or neither — to ServeReconcile on a small fixed replica.
-// It must not panic, must answer every range within the replica's own
-// bounds, and must allocate in proportion to the ranges it was sent, never
-// to the sizes or counts they claim.
+// sketched, with strata, any mix or none — to ServeReconcile on a small fixed replica.
+// It must not panic, must answer a request of one root with one reply
+// within the replica's own bounds and any other request with none, and
+// must allocate within a fixed budget, never in proportion to the sizes or
+// counts the ranges claim.
 func FuzzServeReconcile(f *testing.F) {
 	src, _, _ := reconcileFuzzPair(f)
 	for _, seed := range serveReconcileSeeds(f) {
 		f.Add(seed)
 	}
 	const items = 64
-	src.ServeReconcile(nil) // build the view outside the measurement
+	src.ServeReconcile([]core.ReconcileRange{{}}) // build the summary outside the measurement
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req Request
 		if err := DecodeRequest(data, &req); err != nil || req.Kind != KindReconcile {
@@ -336,16 +379,19 @@ func FuzzServeReconcile(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		replies := src.ServeReconcile(req.Ranges)
 		runtime.ReadMemStats(&after)
-		if len(replies) != len(req.Ranges) {
-			t.Fatalf("%d replies to %d ranges", len(replies), len(req.Ranges))
+		want := 0
+		if len(req.Ranges) == 1 {
+			want = 1
+		}
+		if len(replies) != want {
+			t.Fatalf("%d replies to %d ranges, want %d", len(replies), len(req.Ranges), want)
 		}
 		for _, rp := range replies {
-			if len(rp.Keys) > items || len(rp.Splits) > 16 || rp.SketchCells > 3*items {
-				t.Fatalf("reply beyond the replica's bounds: %d keys, %d splits, %d sketch cells",
-					len(rp.Keys), len(rp.Splits), rp.SketchCells)
+			if len(rp.Keys) > items || rp.SketchCells > 3*items {
+				t.Fatalf("reply beyond the replica's bounds: %d keys, %d sketch cells", len(rp.Keys), rp.SketchCells)
 			}
 		}
-		if alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(64<<10)*uint64(len(req.Ranges)+1); alloc > budget {
+		if alloc, budget := after.TotalAlloc-before.TotalAlloc, uint64(64<<10); alloc > budget {
 			t.Fatalf("serving %d ranges allocated %d B, budget %d B", len(req.Ranges), alloc, budget)
 		}
 	})

@@ -192,8 +192,8 @@ func ReadSessionFrame(r *bufio.Reader, buf []byte) (byte, []byte, error) {
 // SessionReader validates a streamed session's frame sequence: exactly one
 // Begin first, chunks numbered densely from zero, one End whose totals
 // match what was received, nothing after End. Feed it each frame in wire
-// order; any violation — duplicate, reordered, missing or trailing frames,
-// undecodable payloads — is an error, and an errored reader rejects all
+// order; any violation — duplicate, reordered, missing, empty or trailing
+// frames, undecodable payloads — is an error, and an errored reader rejects all
 // further input. It never panics on corrupt input and never yields a chunk
 // out of order, so a recipient applying chunks as they arrive cannot be
 // driven into a state the monolithic path could not reach.
@@ -276,6 +276,10 @@ func (s *SessionReader) FeedInto(frameType byte, payload []byte, spare *core.Pro
 		}
 		if seq != s.nextSeq {
 			return nil, false, s.fail("chunk %d, want %d", seq, s.nextSeq)
+		}
+		// A source never cuts a chunk with neither records nor items.
+		if p.RecordCount() == 0 && len(p.Items) == 0 {
+			return nil, false, s.fail("chunk %d is empty", seq)
 		}
 		s.nextSeq++
 		s.records += uint64(p.RecordCount())

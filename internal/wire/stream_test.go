@@ -181,6 +181,14 @@ func TestSessionProtocolViolations(t *testing.T) {
 			t.Fatal("accepted")
 		}
 	})
+	t.Run("empty chunk", func(t *testing.T) {
+		var sr SessionReader
+		sr.Feed(KindSessionBegin, begin)
+		empty := AppendSessionChunk(nil, 0, &core.Propagation{Tails: make([][]core.TailRecord, 2)})
+		if p, _, err := sr.Feed(KindSessionChunk, empty); err == nil {
+			t.Fatalf("accepted, yielding %+v", p)
+		}
+	})
 	t.Run("end totals mismatch", func(t *testing.T) {
 		var sr SessionReader
 		sr.Feed(KindSessionBegin, begin)

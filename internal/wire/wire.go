@@ -13,7 +13,7 @@
 //
 // A client opening a framed connection first sends two bytes:
 //
-//	[Magic 0xEB] [Version 0x04]
+//	[Magic 0xEB] [Version 0x05]
 //
 // The magic byte is a sanity check that the peer speaks this codec at all;
 // the version byte names the codec below. A wrong magic or an unknown
@@ -63,9 +63,11 @@ const (
 	// the request's database name; version 3 added the reconcile range's
 	// view stamp and sketch and the reply's sketch size; version 4 retired
 	// the unpartitioned session (KindStream and the KindPropagation reply
-	// fields), so every pull negotiates partitions. An older peer is closed
-	// at the preamble instead of failing mid-session.
-	Version = 4
+	// fields), so every pull negotiates partitions; version 5 retired the
+	// reconcile range split (range bounds, splits and leaves) and added the
+	// strata estimator and the retry sketch. An older peer is closed at the
+	// preamble instead of failing mid-session.
+	Version = 5
 	// FrameRequest marks a client-to-server frame.
 	FrameRequest = 0x01
 	// FrameResponse marks a server-to-client frame.
@@ -106,9 +108,10 @@ const (
 	// server answers with a session frame sequence (KindSessionBegin, zero
 	// or more KindSessionChunk, KindSessionEnd); see stream.go.
 	KindPartStream Kind = 6
-	// KindReconcile drives one round of range-based set reconciliation: the
-	// request carries the recipient's unresolved ranges (Request.Ranges),
-	// the response one verdict per range (Response.Recon). Used when the
+	// KindReconcile drives one round of set reconciliation: the request
+	// carries the recipient's root summary, its one range (Request.Ranges),
+	// the response the verdict on it (Response.Recon); a request of any
+	// other range count is answered with an error. Used when the
 	// recipient's DBVV predates the source's pruned-log watermark, so a
 	// log-based session can no longer serve it; see core.ServeReconcile.
 	KindReconcile Kind = 7
@@ -142,9 +145,9 @@ type Request struct {
 	// KindReconcile exchange targets, on a partitioned server);
 	// Request.DBVV carries the recipient's DBVV for that partition.
 	Part int
-	// Ranges carries the recipient's unresolved fingerprint ranges
-	// (KindReconcile only). Encoded only for that kind, so every other
-	// kind's encoding is byte-identical to the pre-reconciliation codec.
+	// Ranges carries the recipient's root summary (KindReconcile only).
+	// Encoded only for that kind, so every other kind's encoding is
+	// byte-identical to the pre-reconciliation codec.
 	Ranges []core.ReconcileRange
 }
 
@@ -157,8 +160,7 @@ type Response struct {
 	// Parts answers a KindPartPropagation request, one entry per offered
 	// partition, in the request's order.
 	Parts []core.PartReply
-	// Recon carries the per-range verdicts answering a KindReconcile
-	// request, in the request's range order.
+	// Recon carries the verdict answering a KindReconcile request's root.
 	Recon []core.ReconcileReply
 	// Err carries a server-side error description, empty on success.
 	Err string
@@ -781,19 +783,24 @@ func (d *decoder) oob() core.OOBReply {
 
 // ---- Reconciliation ----
 
-// ReconcileRange flag bits. A stamp or sketch follows the count only when
-// its bit is set, so a plain range encodes as it did before either existed.
+// ReconcileRange flag bits. A stamp, sketch or strata estimator follows
+// the count only when its bit is set. rangeRetired, a version-4 root's
+// unbounded end, is refused.
 const (
-	rangeHiInf = 1 << iota
+	rangeRetired = 1 << iota
 	rangeStamp
 	rangeSketch
+	rangeRetry
+	rangeStrata
 )
 
-// ReconcileReply flag bits.
+// ReconcileReply flag bits. replyRetired, a version-4 leaf, is refused,
+// as is a non-zero split count, kept after the flags for that purpose.
 const (
 	replyMatch = 1 << iota
-	replyIsLeaf
+	replyRetired
 	replySketch
+	replyStrata
 )
 
 // sketchCellMin is the fewest bytes one encoded sketch cell occupies.
@@ -802,30 +809,39 @@ const sketchCellMin = 8 + 4 + 1
 //epi:hotpath
 func appendReconcileRange(buf []byte, rr *core.ReconcileRange) []byte {
 	var flags byte
-	if rr.HiInf {
-		flags |= rangeHiInf
-	}
 	if len(rr.Stamp) > 0 {
 		flags |= rangeStamp
 	}
 	if len(rr.Sketch) > 0 {
 		flags |= rangeSketch
 	}
+	if rr.Retry {
+		flags |= rangeRetry
+	}
+	if len(rr.Strata) > 0 {
+		flags |= rangeStrata
+	}
 	buf = append(buf, flags)
-	buf = appendString(buf, rr.Lo)
-	buf = appendString(buf, rr.Hi)
 	buf = binary.LittleEndian.AppendUint64(buf, rr.Fp)
 	buf = binary.AppendUvarint(buf, rr.Count)
 	if len(rr.Stamp) > 0 {
 		buf = rr.Stamp.AppendBinary(buf)
 	}
-	if len(rr.Sketch) > 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(rr.Sketch)))
-		for _, c := range rr.Sketch {
-			buf = binary.LittleEndian.AppendUint64(buf, c.Sum)
-			buf = binary.LittleEndian.AppendUint32(buf, c.Check)
-			buf = binary.AppendVarint(buf, c.Count)
-		}
+	buf = appendSketch(buf, rr.Sketch)
+	return appendSketch(buf, rr.Strata)
+}
+
+// appendSketch appends a run of sketch cells after its length; an empty
+// run, whose flag is clear, appends nothing.
+func appendSketch(buf []byte, cells []core.SketchCell) []byte {
+	if len(cells) == 0 {
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(cells)))
+	for _, c := range cells {
+		buf = binary.LittleEndian.AppendUint64(buf, c.Sum)
+		buf = binary.LittleEndian.AppendUint32(buf, c.Check)
+		buf = binary.AppendVarint(buf, c.Count)
 	}
 	return buf
 }
@@ -833,12 +849,13 @@ func appendReconcileRange(buf []byte, rr *core.ReconcileRange) []byte {
 //epi:hotpath
 func (d *decoder) reconcileRange() core.ReconcileRange {
 	flags := d.byte()
+	if flags&rangeRetired != 0 {
+		d.fail("reconcile range carries the bounds flag, retired in version 5")
+	}
 	rr := core.ReconcileRange{
-		HiInf: flags&rangeHiInf != 0,
-		Lo:    d.string(),
-		Hi:    d.string(),
 		Fp:    d.u64(),
 		Count: d.uvarint(),
+		Retry: flags&rangeRetry != 0,
 	}
 	if flags&rangeStamp != 0 {
 		if rr.Stamp = d.vv(); d.err == nil && len(rr.Stamp) == 0 {
@@ -847,6 +864,9 @@ func (d *decoder) reconcileRange() core.ReconcileRange {
 	}
 	if flags&rangeSketch != 0 {
 		rr.Sketch = d.sketch()
+	}
+	if flags&rangeStrata != 0 {
+		rr.Strata = d.sketch()
 	}
 	return rr
 }
@@ -875,17 +895,13 @@ func appendReconcileReply(buf []byte, rp *core.ReconcileReply) []byte {
 	if rp.Match {
 		flags |= replyMatch
 	}
-	if rp.IsLeaf {
-		flags |= replyIsLeaf
-	}
 	if rp.SketchCells > 0 {
 		flags |= replySketch
 	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(rp.Splits)))
-	for i := range rp.Splits {
-		buf = appendReconcileRange(buf, &rp.Splits[i])
+	if rp.Strata {
+		flags |= replyStrata
 	}
+	buf = append(buf, flags, 0) // the retired split count
 	buf = binary.AppendUvarint(buf, uint64(len(rp.Keys)))
 	for i := range rp.Keys {
 		buf = appendString(buf, rp.Keys[i].Key)
@@ -900,13 +916,15 @@ func appendReconcileReply(buf []byte, rp *core.ReconcileReply) []byte {
 //epi:hotpath
 func (d *decoder) reconcileReply() core.ReconcileReply {
 	flags := d.byte()
+	if flags&replyRetired != 0 {
+		d.fail("reconcile reply carries the leaf flag, retired in version 5")
+	}
+	if d.uvarint() != 0 {
+		d.fail("reconcile reply carries splits, retired in version 5")
+	}
 	rp := core.ReconcileReply{
 		Match:  flags&replyMatch != 0,
-		IsLeaf: flags&replyIsLeaf != 0,
-	}
-	nsplits := d.count()
-	for i := uint64(0); i < nsplits && d.err == nil; i++ {
-		rp.Splits = append(rp.Splits, d.reconcileRange())
+		Strata: flags&replyStrata != 0,
 	}
 	nkeys := d.count()
 	for i := uint64(0); i < nkeys && d.err == nil; i++ {
