@@ -73,7 +73,8 @@ func (r *Replica) buildPropagationWithMap(recipientDBVV interface{ Get(int) uint
 	defer r.runlockAll()
 
 	p := &Propagation{Source: r.id, Tails: make([][]TailRecord, r.n)}
-	selected := make(map[string]*store.Item)
+	at := make(map[string]int32)
+	var selected []*store.Item
 	for k := 0; k < r.n; k++ {
 		if r.dbvv[k] <= recipientDBVV.Get(k) {
 			continue
@@ -81,10 +82,13 @@ func (r *Replica) buildPropagationWithMap(recipientDBVV interface{ Get(int) uint
 		floor := recipientDBVV.Get(k)
 		tail := make([]TailRecord, 0, 8)
 		r.logs.Component(k).TailAfter(floor, func(rec *logvec.Record) {
-			tail = append(tail, TailRecord{Key: rec.Item.Key, Seq: rec.Seq})
-			if _, ok := selected[rec.Item.Key]; !ok {
-				selected[rec.Item.Key] = rec.Item
+			pos, ok := at[rec.Item.Key]
+			if !ok {
+				pos = int32(len(selected))
+				at[rec.Item.Key] = pos
+				selected = append(selected, rec.Item)
 			}
+			tail = append(tail, TailRecord{Item: pos, Seq: rec.Seq})
 		})
 		p.Tails[k] = tail
 	}

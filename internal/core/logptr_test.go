@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/logvec"
 	"repro/internal/op"
 	"repro/internal/vv"
 )
@@ -22,6 +23,117 @@ import (
 // acted at least once over the 60 seeds, no conflict may arise, and every
 // group converges once the schedule ends.
 func TestLogPointersRandomized(t *testing.T) {
+	acted := logPointerHistories(t, func(dst, _ *Replica) Sink { return InMemory(dst) })
+	for _, path := range []string{"update", "monolithic apply", "streamed apply", "out-of-bound copy", "intra-node replay", "prune", "snapshot restore", "growth"} {
+		if acted[path] == 0 {
+			t.Errorf("no step took the %s path", path)
+		}
+	}
+	t.Logf("steps that acted: %v", acted)
+}
+
+// TestTailRecordsResolveInTheirMessage drives TestLogPointersRandomized's
+// histories, growth and intra-node replays included, and checks every
+// message a session applies on the inline, chunk, delta-mode and NeedFull
+// fetch paths: each tail record points at an item the same message
+// carries, and that item is the one the source's record (origin, seq)
+// belongs to; seqs ascend within a tail; every carried item has a record;
+// and a fetch replaces only delta items of the message it completes.
+func TestTailRecordsResolveInTheirMessage(t *testing.T) {
+	seen := map[string]int{}
+	logPointerHistories(t, func(dst, src *Replica) Sink {
+		return resolvingSink{Sink: InMemory(dst), t: t, src: src, seen: seen}
+	})
+	for _, path := range []string{"inline", "chunk", "delta", "fetch"} {
+		if seen[path] == 0 {
+			t.Errorf("no applied message took the %s path", path)
+		}
+	}
+	t.Logf("messages checked: %v", seen)
+}
+
+// resolvingSink checks each propagation against its source before applying
+// it (TestTailRecordsResolveInTheirMessage).
+type resolvingSink struct {
+	Sink
+	t    *testing.T
+	src  *Replica
+	seen map[string]int
+}
+
+func (s resolvingSink) ApplyPropagationWithItems(p *Propagation, items []ItemPayload) error {
+	s.check("inline", p, items)
+	return s.Sink.ApplyPropagationWithItems(p, items)
+}
+
+func (s resolvingSink) ApplyChunk(p *Propagation) error {
+	s.check("chunk", p, nil)
+	return s.Sink.ApplyChunk(p)
+}
+
+func (s resolvingSink) check(path string, p *Propagation, fetched []ItemPayload) {
+	t := s.t
+	t.Helper()
+	keyAt := s.src.recordKeys()
+	referenced := make([]bool, len(p.Items))
+	for k, tail := range p.Tails {
+		var prev uint64
+		for j, rec := range tail {
+			if rec.Item < 0 || int(rec.Item) >= len(p.Items) {
+				t.Fatalf("%s: origin %d record %d points at item %d of %d", path, k, j, rec.Item, len(p.Items))
+			}
+			if rec.Seq <= prev {
+				t.Fatalf("%s: origin %d record %d: seq %d after %d", path, k, j, rec.Seq, prev)
+			}
+			prev = rec.Seq
+			if got, want := p.Items[rec.Item].Key, keyAt[k][rec.Seq]; got != want {
+				t.Fatalf("%s: origin %d record (seq %d) resolves to item %q, the source's record is for %q", path, k, rec.Seq, got, want)
+			}
+			referenced[rec.Item] = true
+		}
+	}
+	deltas := map[string]bool{}
+	for i, it := range p.Items {
+		if !referenced[i] {
+			t.Fatalf("%s: item %d (%q) is carried without a record", path, i, it.Key)
+		}
+		if it.IsDelta {
+			deltas[it.Key] = true
+		}
+	}
+	for _, it := range fetched {
+		if !deltas[it.Key] {
+			t.Fatalf("%s: fetched %q, which the message carries in full or not at all", path, it.Key)
+		}
+	}
+	s.seen[path]++
+	if len(deltas) > 0 {
+		s.seen["delta"]++
+	}
+	if len(fetched) > 0 {
+		s.seen["fetch"]++
+	}
+}
+
+// recordKeys maps each origin's live record seqs to their items' keys.
+func (r *Replica) recordKeys() []map[uint64]string {
+	r.rlockAll()
+	defer r.runlockAll()
+	out := make([]map[uint64]string, r.n)
+	for k := range out {
+		out[k] = map[uint64]string{}
+		r.logs.Component(k).TailAfter(0, func(rec *logvec.Record) {
+			out[k][rec.Seq] = rec.Item.Key
+		})
+	}
+	return out
+}
+
+// logPointerHistories runs TestLogPointersRandomized's schedules, with
+// every session applied through sink(recipient, source), and returns how
+// many steps took each path.
+func logPointerHistories(t *testing.T, sink func(dst, src *Replica) Sink) map[string]int {
+	t.Helper()
 	const seeds, steps, items, maxServers = 60, 160, 12, 5
 	acted := map[string]int{}
 	for seed := int64(1); seed <= seeds; seed++ {
@@ -56,14 +168,14 @@ func TestLogPointersRandomized(t *testing.T) {
 			case c < 10:
 				path = "monolithic apply"
 				dst, src := pair()
-				if AntiEntropy(dst, src) {
+				if shipped, _ := PullReplica(sink(dst, src), src); shipped {
 					acted[path]++
 				}
 			case c < 12:
 				path = "streamed apply"
 				dst, src := pair()
 				before := dst.Metrics().ChunksApplied
-				streamAntiEntropy(dst, src, 48)
+				Drain(sink(dst, src), 0, streamPeer{LocalPeer: localReplica(src), chunkBytes: 48})
 				if dst.Metrics().ChunksApplied > before {
 					acted[path]++
 				}
@@ -110,7 +222,8 @@ func TestLogPointersRandomized(t *testing.T) {
 		}
 		for round := 0; round < 3*len(reps); round++ {
 			for i := range reps {
-				AntiEntropy(reps[i], reps[(i+1)%len(reps)])
+				src := reps[(i+1)%len(reps)]
+				PullReplica(sink(reps[i], src), src)
 				reps[i].RunIntraNodePropagation()
 			}
 		}
@@ -118,12 +231,7 @@ func TestLogPointersRandomized(t *testing.T) {
 			t.Fatalf("seed %d: no convergence: %s", seed, why)
 		}
 	}
-	for _, path := range []string{"update", "monolithic apply", "streamed apply", "out-of-bound copy", "intra-node replay", "prune", "snapshot restore", "growth"} {
-		if acted[path] == 0 {
-			t.Errorf("no step took the %s path", path)
-		}
-	}
-	t.Logf("steps that acted: %v", acted)
+	return acted
 }
 
 // newestCopies returns the replicas whose current copy of key (auxiliary

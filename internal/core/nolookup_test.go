@@ -42,9 +42,10 @@ func typeCheckCore(t *testing.T) (*token.FileSet, []*ast.File, *types.Info) {
 // reached from its item's P_j(x) pointer and an item from its record, so
 // core's non-test code never asks a log component for a key (Lookup, the
 // keyed Add), the source side of a session (BuildPropagation,
-// PlanPropagation, StartChunkSession, ChunkSession.Next and its helpers)
+// PlanPropagation, StartChunkSession, ChunkSession.Next and their helpers)
 // never looks an item up in the store, and the apply makes one store
-// lookup per payload item and one per tail record.
+// lookup per payload item and none per tail record, which points at its
+// payload by position.
 func TestNoKeyLookupOnTheLog(t *testing.T) {
 	fset, files, info := typeCheckCore(t)
 	// method names the called method "pkg.Type.Method", "" for anything else.
@@ -74,7 +75,7 @@ func TestNoKeyLookupOnTheLog(t *testing.T) {
 	storeLookups := map[string]bool{"store.Store.Get": true, "store.Store.Ensure": true, "store.Store.EnsureLean": true}
 	sourceSide := map[string]bool{
 		"BuildPropagation": true, "PlanPropagation": true, "StartChunkSession": true,
-		"Next": true, "statusLocked": true, "payloadLocked": true,
+		"Next": true, "statusLocked": true, "payloadLocked": true, "reach": true,
 	}
 	for _, f := range files {
 		for _, decl := range f.Decls {
@@ -99,8 +100,8 @@ func TestNoKeyLookupOnTheLog(t *testing.T) {
 				}
 				return true
 			})
-			if fn.Name.Name == "applySessionLocked" && lookups != 2 {
-				t.Errorf("applySessionLocked makes %d store lookups, want 2: one per payload item, one per tail record", lookups)
+			if fn.Name.Name == "applySessionLocked" && lookups != 1 {
+				t.Errorf("applySessionLocked makes %d store lookups, want 1: one per payload item, which its tail records reach by position", lookups)
 			}
 		}
 	}

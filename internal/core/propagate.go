@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/logvec"
@@ -10,14 +11,18 @@ import (
 	"repro/internal/vv"
 )
 
-// TailRecord is one log record shipped during propagation: item Key was
-// updated by the origin server owning the enclosing tail, and Seq is the
-// origin's update sequence number (§4.2). Constant size per record.
+// TailRecord is one log record shipped during propagation: the item at
+// position Item of the same message's Items was updated by the origin
+// server owning the enclosing tail, and Seq is the origin's update
+// sequence number (§4.2). Like P_j(x) in Fig. 1 the record points at its
+// item instead of naming its key, so a message names each key once, and
+// the recipient resolves each item once however many records point at it.
+// Seqs ascend within a tail.
 //
 //epi:notshared value record inside a Propagation; snapshotted under the build sweep
 type TailRecord struct {
-	Key string
-	Seq uint64
+	Item int32
+	Seq  uint64
 }
 
 // ItemPayload carries one data item from source to recipient. Only regular
@@ -56,7 +61,8 @@ type DeltaLink struct {
 
 // Propagation is the reply message of SendPropagation (Fig. 2): the tail
 // vector D (one tail of records per origin server) and the item set S with
-// per-item IVVs. A nil Propagation means "you-are-current".
+// per-item IVVs. Every record of D points at an item of S by its position
+// in Items. A nil Propagation means "you-are-current".
 //
 //epi:notshared single-owner message: built by one replica, shipped, then consumed by the recipient (Owned transfers buffer ownership)
 type Propagation struct {
@@ -72,10 +78,10 @@ type Propagation struct {
 	// owned propagation must therefore be applied at most once.
 	Owned bool
 
-	// FrameKeys marks a propagation whose keys are slices of one string
-	// holding a whole decoded frame (wire.DecodeSessionChunkInto). The
-	// recipient gives a new item a key string of its own, so that the
-	// frame is not kept alive; log records name their item, not a key.
+	// FrameKeys marks a propagation whose item keys are slices of one
+	// string holding a whole decoded frame (wire.DecodeSessionChunkInto).
+	// The recipient gives a new item a key string of its own, so that the
+	// frame is not kept alive.
 	FrameKeys bool
 
 	// arena is the IVV slab a chunk session carved this chunk's payload
@@ -95,24 +101,44 @@ func (p *Propagation) WireSize() uint64 {
 	if p == nil {
 		return 16 // "you-are-current" message
 	}
-	size := varintSize(int64(p.Source)) + uvarintSize(uint64(len(p.Tails)))
-	for _, tail := range p.Tails {
-		size += uvarintSize(uint64(len(tail)))
-		for _, rec := range tail {
-			size += recordWireSize(rec)
-		}
-	}
-	size += uvarintSize(uint64(len(p.Items)))
+	vals, slots := p.SlabSizes()
+	size := varintSize(int64(p.Source)) + uvarintSize(uint64(len(p.Items))) + uvarintSize(vals) + uvarintSize(slots)
 	for i := range p.Items {
 		size += p.Items[i].wireSize()
+	}
+	size += uvarintSize(uint64(len(p.Tails)))
+	for _, tail := range p.Tails {
+		size += uvarintSize(uint64(len(tail)))
+		prev := tailStart
+		for _, rec := range tail {
+			size += recordWireSize(prev, rec)
+			prev = rec
+		}
 	}
 	return size
 }
 
-// recordWireSize is the exact encoded size of one tail record: the
-// length-prefixed key plus the uvarint sequence number.
-func recordWireSize(rec TailRecord) uint64 {
-	return stringWireSize(len(rec.Key)) + uvarintSize(rec.Seq)
+// SlabSizes returns the value bytes and version-vector slots (IVV, plus
+// Pre for a delta item) p's items hold, which the codec's item-section
+// header carries so that a decoder can size its slabs before the items
+// arrive.
+func (p *Propagation) SlabSizes() (vals, slots uint64) {
+	for i := range p.Items {
+		it := &p.Items[i]
+		vals += uint64(len(it.Value))
+		slots += uint64(len(it.IVV) + len(it.Pre))
+	}
+	return vals, slots
+}
+
+// tailStart is the record a tail's first record is encoded against: its
+// position delta counts from -1 and its seq delta from 0.
+var tailStart = TailRecord{Item: -1}
+
+// recordWireSize is the exact encoded size of tail record rec following
+// prev in its tail: the zig-zag position delta plus the uvarint seq delta.
+func recordWireSize(prev, rec TailRecord) uint64 {
+	return varintSize(int64(rec.Item)-int64(prev.Item)) + uvarintSize(rec.Seq-prev.Seq)
 }
 
 // wireSize is the exact encoded size of one item payload, term for term
@@ -205,7 +231,7 @@ func (r *Replica) BuildPropagation(recipientDBVV vv.VV) *Propagation {
 	}
 
 	p := &Propagation{Source: r.id, Tails: make([][]TailRecord, r.n)}
-	var selected []*store.Item
+	var sel selection
 	for k := 0; k < r.n; k++ {
 		if r.dbvv[k] <= recipientDBVV.Get(k) {
 			continue // D_k = NULL
@@ -213,20 +239,15 @@ func (r *Replica) BuildPropagation(recipientDBVV vv.VV) *Propagation {
 		floor := recipientDBVV.Get(k)
 		tail := make([]TailRecord, 0, 8)
 		r.logs.Component(k).TailAfter(floor, func(rec *logvec.Record) {
-			it := rec.Item
-			tail = append(tail, TailRecord{Key: it.Key, Seq: rec.Seq})
 			r.met.ItemsExamined.Add(1)
-			if !it.Selected() {
-				it.SetSelected(true)
-				selected = append(selected, it)
-			}
+			tail = append(tail, TailRecord{Item: sel.reach(rec.Item, k, recipientDBVV), Seq: rec.Seq})
 		})
 		p.Tails[k] = tail
 		r.met.LogRecordsSent.Add(uint64(len(tail)))
 	}
 
-	p.Items = make([]ItemPayload, 0, len(selected))
-	for _, it := range selected {
+	p.Items = make([]ItemPayload, 0, len(sel.items))
+	for _, it := range sel.items {
 		it.SetSelected(false) // flip flags back (§6)
 		if r.deltaMode && store.ChainValid(it.Deltas, it.IVV) {
 			// Ship the delta form only when it is actually smaller than the
@@ -266,6 +287,51 @@ func (r *Replica) BuildPropagation(recipientDBVV vv.VV) *Propagation {
 	r.met.BytesSent.Add(size)
 	metrics.StoreMax(&r.met.PeakPayloadBytes, size)
 	return p
+}
+
+// selection gives the items a session's source walk selects their
+// positions in the message's Items, in the order the walk first reaches
+// them (BuildPropagation, PlanPropagation); the walk visits the origins in
+// ascending order. An item the walk reaches from one origin's tail only —
+// every item, while one server writes — costs its IsSelected flag (§6) and
+// no lookup. An item whose P_j(x) pointers show a record a later origin's
+// walk will also reach enters multi when it is selected, and that walk
+// finds its position there.
+//
+//epi:notshared per-walk scratch, local to one BuildPropagation or PlanPropagation sweep
+type selection struct {
+	items []*store.Item
+	multi map[*store.Item]int32
+}
+
+// reach returns the position of it, whose record origin k's walk over the
+// records above floor has just reached, selecting it on its first reach.
+// An item already selected and not in multi was selected outside this
+// walk (a flag left set, or a walk racing this one): no position is right
+// for its record, so reach panics rather than point it at another item.
+// Caller holds the control mutex.
+func (s *selection) reach(it *store.Item, k int, floor vv.VV) int32 {
+	if it.Selected() {
+		at, ok := s.multi[it]
+		if !ok {
+			panic(fmt.Sprintf("core: item %q reached from origin %d was selected outside this walk", it.Key, k))
+		}
+		return at
+	}
+	it.SetSelected(true)
+	at := int32(len(s.items))
+	s.items = append(s.items, it)
+	recs := it.LogRecords()
+	for l := k + 1; l < len(recs); l++ {
+		if lr := recs[l]; lr != nil && lr.Seq > floor.Get(l) {
+			if s.multi == nil {
+				s.multi = make(map[*store.Item]int32)
+			}
+			s.multi[it] = at
+			break
+		}
+	}
+	return at
 }
 
 // BuildItems serves full copies of the named items — the second round of a
@@ -437,15 +503,24 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 	// records this node genuinely lacked at session start.
 	pre := r.dbvv.Clone()
 
-	conflicting := make(map[string]bool)
+	// resolved[i] is the local item payload i applied to, and nil where
+	// the payload conflicted or was skipped, so that tail records reach
+	// their items by position with no store lookup and skip those payloads'
+	// records (Fig. 3).
+	var fixed [8]*store.Item
+	resolved := fixed[:0]
+	if len(p.Items) > len(fixed) {
+		resolved = make([]*store.Item, 0, len(p.Items))
+	}
 	var copied []*store.Item
-	for _, payload := range p.Items {
+	for i, payload := range p.Items {
 		if payload.IsDelta {
 			if full, ok := extras[payload.Key]; ok {
 				payload = full // fetched replacement: treat as whole-item
 			}
 		}
 		it := r.store.EnsureLean(payload.Key, p.FrameKeys)
+		resolved = append(resolved, it)
 		r.met.IVVComparisons.Add(1)
 		switch payload.IVV.Compare(it.IVV) {
 		case vv.Dominates:
@@ -457,7 +532,7 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 					// item and purge its records; the next session ships
 					// it again.
 					r.met.AnomaliesIgnored.Add(1)
-					conflicting[payload.Key] = true
+					resolved[i] = nil
 					continue
 				}
 				newVal := it.Value
@@ -472,7 +547,7 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 				}
 				if applyErr {
 					r.met.AnomaliesIgnored.Add(1)
-					conflicting[payload.Key] = true
+					resolved[i] = nil
 					continue
 				}
 				it.IVV.AccumulateDelta(payload.IVV, r.dbvv)
@@ -526,7 +601,7 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 				Source: p.Source,
 				Stage:  "accept",
 			})
-			conflicting[payload.Key] = true
+			resolved[i] = nil
 		case vv.Equal:
 			// Already obtained via a concurrent session; nothing to do.
 		case vv.DominatedBy:
@@ -542,7 +617,15 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 	for k, tail := range p.Tails {
 		comp := r.logs.Component(k)
 		for _, rec := range tail {
-			if rec.Seq <= pre.Get(k) || conflicting[rec.Key] {
+			if uint(rec.Item) >= uint(len(resolved)) {
+				// Every record points at an item of its own message (the
+				// decoder refuses any other), so this is a protocol bug,
+				// surfaced defensively.
+				r.met.AnomaliesIgnored.Add(1)
+				continue
+			}
+			it := resolved[rec.Item]
+			if rec.Seq <= pre.Get(k) || it == nil {
 				continue
 			}
 			// While no conflict has ever been declared, incoming records
@@ -553,13 +636,6 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 			// manual resolution (§5.1) — so an older record may reappear
 			// here; drop it rather than corrupt the component's order.
 			if t := comp.Tail(); t != nil && rec.Seq < t.Seq {
-				r.met.AnomaliesIgnored.Add(1)
-				continue
-			}
-			it := r.store.Get(rec.Key)
-			if it == nil {
-				// Every shipped record's item ships beside it, so this is
-				// a protocol bug, surfaced defensively.
 				r.met.AnomaliesIgnored.Add(1)
 				continue
 			}

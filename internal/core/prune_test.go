@@ -35,9 +35,9 @@ func TestNoteSessionAckLearnsOnlyNonEmptyTails(t *testing.T) {
 	p := &Propagation{
 		Source: 1,
 		Tails: [][]TailRecord{
-			{{Key: "a", Seq: 4}, {Key: "b", Seq: 9}}, // origin 0: tail ends at 9
-			{},                                       // origin 1: empty — teaches nothing
-			{{Key: "c", Seq: 2}},                     // origin 2: ends at 2
+			{{Item: 0, Seq: 4}, {Item: 1, Seq: 9}}, // origin 0: tail ends at 9
+			{},                                     // origin 1: empty — teaches nothing
+			{{Item: 2, Seq: 2}},                    // origin 2: ends at 2
 		},
 	}
 	r.NoteSessionAck(1, p)

@@ -404,12 +404,13 @@ func TestPropagationWireSize(t *testing.T) {
 		t.Errorf("nil WireSize = %d, want 16", nilProp.WireSize())
 	}
 	p := &Propagation{
-		Tails: [][]TailRecord{{{Key: "ab", Seq: 1}}},
+		Tails: [][]TailRecord{{{Item: 0, Seq: 1}}},
 		Items: []ItemPayload{{Key: "ab", Value: []byte("xyz"), IVV: vv.New(2)}},
 	}
-	// Exact codec terms: source varint (1) + tail count (1) + per-tail
-	// count (1) + record key "ab" (1+2) + seq (1) + item count (1) +
-	// item flags (1) + key (1+2) + value "xyz" (1+3) + IVV <0,0> (3) = 19.
+	// Exact codec terms: source varint (1) + item count (1) + slab header
+	// (1+1) + item flags (1) + key (1+2) + value "xyz" (1+3) + IVV <0,0>
+	// (3) + tail count (1) + per-tail count (1) + record position delta (1)
+	// + seq delta (1) = 19.
 	if got := p.WireSize(); got != 19 {
 		t.Errorf("WireSize = %d, want 19", got)
 	}

@@ -100,6 +100,15 @@ type ChunkSession struct {
 	tails [][]*logvec.Record
 	pos   []int // per-origin cursor into tails
 
+	// open maps each item with session records partially emitted into
+	// the current chunk to its position in the chunk's Items. The chunk
+	// may close only when it is empty: a record whose item ships in a
+	// different chunk would let the recipient's log tail outrun its DBVV
+	// between the two commits. Only items with records pending at more
+	// than one origin ever enter it, so it is empty between chunks, and
+	// while one server writes no record looks it up.
+	open map[*store.Item]int32
+
 	// frontier is the sequence number of the last emitted record per
 	// origin. An item is complete — its payload ships — once every origin's
 	// live record for it is either outside the session window or at/behind
@@ -214,15 +223,12 @@ func (s *ChunkSession) Next() *Propagation {
 	p := s.shell(itemCap)
 	var used uint64
 	var nrecs uint64
-	// Count of items with session records partially emitted into this
-	// chunk. The chunk may close only when none remain: a record whose item
-	// ships in a different chunk would let the recipient's log tail outrun
-	// its DBVV between the two commits.
-	open := 0
 
 	// Advance the per-origin frontiers round-robin, one record per origin
 	// per sweep, so frontiers move roughly together and items whose records
-	// span origins complete early rather than holding the chunk open.
+	// span origins complete early rather than holding the chunk open. An
+	// item takes the next position in the chunk's Items at its first record
+	// here, and its payload fills that position at its last.
 sweep:
 	for {
 		progressed := false
@@ -233,19 +239,8 @@ sweep:
 			rec := s.tails[k][s.pos[k]]
 			s.pos[k]++
 			s.frontier[k] = rec.Seq
-			if p.Tails[k] == nil {
-				c := len(s.tails[k]) - s.pos[k] + 1
-				if c > itemCap+8 {
-					c = itemCap + 8
-				}
-				p.Tails[k] = make([]TailRecord, 0, c)
-			}
-			tr := TailRecord{Key: rec.Item.Key, Seq: rec.Seq}
-			p.Tails[k] = append(p.Tails[k], tr)
-			used += recordWireSize(tr)
-			nrecs++
 			progressed = true
-			emitted, pending, ok := s.statusLocked(rec.Item)
+			pending, ok := s.statusLocked(rec.Item)
 			if !ok {
 				// Updated mid-session: the copy now covers records beyond
 				// the session target. Abort — discard this unsent chunk
@@ -255,17 +250,49 @@ sweep:
 				s.done = true
 				return nil
 			}
-			if pending == 0 {
-				if emitted > 0 {
-					open--
+			// The item's position: the one its first record in this chunk
+			// gave it while records remain pending, the next one otherwise.
+			// Membership in open decides, not a count of emitted records: a
+			// snapshot record pruned since the session began is no longer
+			// live, so no count of live records sees it.
+			at, isOpen := int32(len(p.Items)), false
+			if len(s.open) > 0 {
+				if a, found := s.open[rec.Item]; found {
+					at, isOpen = a, true
 				}
+			}
+			switch {
+			case pending > 0 && !isOpen:
+				p.Items = append(p.Items, ItemPayload{})
+				if s.open == nil {
+					s.open = make(map[*store.Item]int32)
+				}
+				s.open[rec.Item] = at
+			case pending == 0 && isOpen:
+				delete(s.open, rec.Item)
+				p.Items[at] = s.payloadLocked(rec.Item)
+				used += p.Items[at].wireSize()
+			case pending == 0:
 				payload := s.payloadLocked(rec.Item)
 				used += payload.wireSize()
 				p.Items = append(p.Items, payload)
-			} else if emitted == 0 {
-				open++
 			}
-			if used >= budget && open == 0 {
+			if p.Tails[k] == nil {
+				c := len(s.tails[k]) - s.pos[k] + 1
+				if c > itemCap+8 {
+					c = itemCap + 8
+				}
+				p.Tails[k] = make([]TailRecord, 0, c)
+			}
+			prev := tailStart
+			if n := len(p.Tails[k]); n > 0 {
+				prev = p.Tails[k][n-1]
+			}
+			tr := TailRecord{Item: at, Seq: rec.Seq}
+			p.Tails[k] = append(p.Tails[k], tr)
+			used += recordWireSize(prev, tr)
+			nrecs++
+			if used >= budget && len(s.open) == 0 {
 				break sweep
 			}
 		}
@@ -348,29 +375,22 @@ func (s *ChunkSession) Recycle(p *Propagation) {
 // statusLocked classifies an item's live records right after one of its
 // session records was emitted (the per-origin frontier already covers it).
 // Caller holds the all-shard read sweep. It returns the number of the
-// item's OTHER session records already emitted in this chunk, the number
-// still pending ahead of the frontiers, and ok=false when any live record
-// sits beyond the session target — the item was updated mid-session and
-// the session must abort. Chunks never close with an item partially
-// emitted, so "already emitted" records are always from the current chunk.
-func (s *ChunkSession) statusLocked(it *store.Item) (emitted, pending int, ok bool) {
+// item's session records still pending ahead of the frontiers, and
+// ok=false when any live record sits beyond the session target — the item
+// was updated mid-session and the session must abort.
+func (s *ChunkSession) statusLocked(it *store.Item) (pending int, ok bool) {
 	for l, lr := range it.LogRecords() {
 		if lr == nil {
 			continue
 		}
 		switch {
 		case lr.Seq > s.target.Get(l):
-			return 0, 0, false // superseded mid-session
-		case lr.Seq <= s.floor.Get(l):
-			// Outside the session window: the recipient already counts it.
-		case lr.Seq <= s.frontier[l]:
-			emitted++
-		default:
-			pending++
+			return 0, false // superseded mid-session
+		case lr.Seq > s.frontier[l]:
+			pending++ // above the frontier, so above the session floor too
 		}
 	}
-	// The record just emitted is at its frontier; count only the others.
-	return emitted - 1, pending, true
+	return pending, true
 }
 
 // payloadLocked clones the payload for an item whose last session record
@@ -458,20 +478,24 @@ func (r *Replica) PlanPropagation(recipientDBVV vv.VV, maxBytes uint64) SessionP
 	// sum passes the cap: the answer is "stream" however much tail is left.
 	plan := PlanMonolithic
 	size := varintSize(int64(r.id)) + uvarintSize(uint64(r.n))
-	var selected []*store.Item
+	var sel selection
+	var vals, slots uint64
 walk:
 	for k := 0; k < r.n; k++ {
 		nrecs := uint64(0)
 		if floor := recipientDBVV.Get(k); r.dbvv[k] > floor {
+			prev := tailStart
 			for rec := r.logs.Component(k).TailStart(floor); rec != nil; rec = rec.Next() {
 				it := rec.Item
-				size += recordWireSize(TailRecord{Key: it.Key, Seq: rec.Seq})
-				nrecs++
 				if !it.Selected() {
-					it.SetSelected(true)
-					selected = append(selected, it)
 					size += 1 + stringWireSize(len(it.Key)) + stringWireSize(len(it.Value)) + uint64(it.IVV.BinarySize())
+					vals += uint64(len(it.Value))
+					slots += uint64(len(it.IVV))
 				}
+				tr := TailRecord{Item: sel.reach(it, k, recipientDBVV), Seq: rec.Seq}
+				size += recordWireSize(prev, tr)
+				prev = tr
+				nrecs++
 				if size > maxBytes {
 					plan = PlanStream
 					break walk
@@ -480,10 +504,10 @@ walk:
 		}
 		size += uvarintSize(nrecs)
 	}
-	for _, it := range selected {
+	for _, it := range sel.items {
 		it.SetSelected(false)
 	}
-	if size+uvarintSize(uint64(len(selected))) > maxBytes {
+	if size+uvarintSize(uint64(len(sel.items)))+uvarintSize(vals)+uvarintSize(slots) > maxBytes {
 		plan = PlanStream
 	}
 	return plan

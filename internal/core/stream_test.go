@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/logvec"
 	"repro/internal/op"
 	"repro/internal/store"
 	"repro/internal/vv"
@@ -153,6 +154,99 @@ func TestChunkSessionAbortsOnMidSessionUpdate(t *testing.T) {
 	}
 	if got := readString(t, recipient, "item/0099"); got != "rewritten-mid-session" {
 		t.Fatalf("item/0099 = %q after follow-up, want the mid-session value", got)
+	}
+}
+
+// TestChunkSessionSurvivesPruneBetweenChunks prunes a capped source between
+// two chunks of a session, so that snapshot records not yet emitted drop
+// from the log while their items keep a record at the other origin. Every
+// later record must still point at its own item, no placeholder may ship,
+// and the recipient must end consistent and converge. With the source at
+// id 0 a pruned record is emitted before its item's other record; at id 1,
+// after it.
+func TestChunkSessionSurvivesPruneBetweenChunks(t *testing.T) {
+	for _, src := range []int{0, 1} {
+		t.Run(fmt.Sprintf("source=%d", src), func(t *testing.T) {
+			const items = 60
+			source, writer := NewReplica(src, 3), NewReplica(1-src, 3)
+			for i := 0; i < items; i++ {
+				mustUpdate(t, source, fmt.Sprintf("item/%02d", i), "first")
+			}
+			AntiEntropy(writer, source)
+			for i := 0; i < items; i++ {
+				mustUpdate(t, writer, fmt.Sprintf("item/%02d", i), fmt.Sprintf("second-%02d", i))
+			}
+			AntiEntropy(source, writer)
+			source.SetLogCap(80)
+
+			// The key each session record names, read before any pruning.
+			want := make([]map[uint64]string, 3)
+			for k := range want {
+				want[k] = make(map[uint64]string)
+				source.logs.Component(k).TailAfter(0, func(rec *logvec.Record) {
+					want[k][rec.Seq] = rec.Item.Key
+				})
+			}
+
+			recipient := NewReplica(2, 3)
+			s := source.StartChunkSession(recipient.PropagationRequest(), 512)
+			check := func(p *Propagation) {
+				t.Helper()
+				for i := range p.Items {
+					if p.Items[i].Key == "" {
+						t.Fatalf("chunk %d ships an unfilled item at position %d", s.Chunks(), i)
+					}
+				}
+				for k, tail := range p.Tails {
+					for _, rec := range tail {
+						if rec.Item < 0 || int(rec.Item) >= len(p.Items) {
+							t.Fatalf("chunk %d: record %d@%d points past %d items", s.Chunks(), rec.Seq, k, len(p.Items))
+						}
+						if got := p.Items[rec.Item].Key; got != want[k][rec.Seq] {
+							t.Fatalf("chunk %d: record %d@%d points at %q, want %q", s.Chunks(), rec.Seq, k, got, want[k][rec.Seq])
+						}
+					}
+				}
+			}
+			p := s.Next()
+			if p == nil {
+				t.Fatal("first chunk is nil")
+			}
+			check(p)
+			recipient.ApplyChunk(p)
+			if s.pos[src] >= items {
+				t.Fatalf("first chunk emitted all %d records at origin %d; nothing left to prune", items, src)
+			}
+
+			// Other keys overflow the cap, and the prune drops every session
+			// record at the source's origin, emitted or not.
+			for i := 0; i < 100; i++ {
+				mustUpdate(t, source, fmt.Sprintf("other/%03d", i), "x")
+			}
+			if got := source.Prune(); got < items {
+				t.Fatalf("Prune dropped %d records, want at least %d", got, items)
+			}
+			for p = s.Next(); p != nil; p = s.Next() {
+				check(p)
+				recipient.ApplyChunk(p)
+			}
+			if s.records != 2*items {
+				t.Fatalf("session emitted %d records, want %d", s.records, 2*items)
+			}
+			checkAll(t, recipient)
+			for i := 0; i < items; i++ {
+				key := fmt.Sprintf("item/%02d", i)
+				if got := readString(t, recipient, key); got != fmt.Sprintf("second-%02d", i) {
+					t.Fatalf("%s = %q after the session", key, got)
+				}
+			}
+
+			AntiEntropy(recipient, source)
+			checkAll(t, source, recipient)
+			if ok, why := Converged(source, recipient); !ok {
+				t.Fatalf("not converged after the follow-up pull: %s", why)
+			}
+		})
 	}
 }
 

@@ -95,10 +95,12 @@ func TestSnapshotFloorCrashRecovery(t *testing.T) {
 }
 
 // TestWALRecordWithoutMagicFailsRecovery stages a log record that does not
-// lead with wire.WALMagic — a pre-varint gob record, or a varint record with
-// its magic byte lost — and checks recovery refuses the directory: Open
-// fails naming the magic instead of skipping the record and diverging from
-// what the replica acknowledged.
+// lead with wire.WALMagic — a pre-varint gob record, a varint record with
+// its magic byte lost, or a record of the previous codec, whose magic 0xE2
+// led propagations that named a key in every tail record — and checks
+// recovery refuses the directory: Open fails naming the magic instead of
+// skipping or misparsing the record and diverging from what the replica
+// acknowledged.
 func TestWALRecordWithoutMagicFailsRecovery(t *testing.T) {
 	var gobRec bytes.Buffer
 	if err := gob.NewEncoder(&gobRec).Encode(struct {
@@ -109,12 +111,15 @@ func TestWALRecordWithoutMagicFailsRecovery(t *testing.T) {
 	}
 	noMagic := wire.AppendWALRecord(nil, &wire.WALRecord{Kind: recUpdate, Key: "k", Op: op.NewSet([]byte("v")), HasOp: true})
 	noMagic[0] = 0
+	previous := wire.AppendWALRecord(nil, &wire.WALRecord{Kind: recUpdate, Key: "k", Op: op.NewSet([]byte("v")), HasOp: true})
+	previous[0] = 0xE2
 	for _, tc := range []struct {
 		name    string
 		payload []byte
 	}{
 		{"gob-record", gobRec.Bytes()},
 		{"magic-cleared", noMagic},
+		{"previous-codec", previous},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

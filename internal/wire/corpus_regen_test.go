@@ -8,10 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/op"
+	"repro/internal/vv"
 )
 
-// Seed corpora for the session-frame, reconcile-frame and reconcile-serve
-// fuzz drivers are committed under testdata/fuzz/ so the CI fuzz smoke (and
+// Seed corpora for the session-frame, reconcile-frame, reconcile-serve,
+// propagation and WAL-record fuzz drivers are committed under testdata/fuzz/ so the CI fuzz smoke (and
 // every plain `go test` run, which executes corpus entries as seed cases)
 // always exercises real frames instead of starting from an empty corpus. The
 // corpus duplicates the drivers' f.Add seeds on purpose: the drivers keep
@@ -41,17 +43,76 @@ func TestRegenerateSeedCorpora(t *testing.T) {
 	write("FuzzSessionFrames", sessionFrameSeeds())
 	write("FuzzDecodeReconcileFrames", reconcileFrameSeeds())
 	write("FuzzServeReconcile", serveReconcileSeeds(t))
+	write("FuzzDecodePropagation", propagationSeeds())
+	write("FuzzDecodeWALRecord", walRecordSeeds())
 }
 
 // TestSeedCorporaPresent keeps the committed corpus from silently
 // disappearing: every driver must have at least one on-disk seed.
 func TestSeedCorporaPresent(t *testing.T) {
-	for _, fuzzName := range []string{"FuzzSessionFrames", "FuzzDecodeReconcileFrames", "FuzzServeReconcile"} {
+	for _, fuzzName := range []string{"FuzzSessionFrames", "FuzzDecodeReconcileFrames", "FuzzServeReconcile", "FuzzDecodePropagation", "FuzzDecodeWALRecord"} {
 		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", fuzzName))
 		if err != nil || len(entries) == 0 {
 			t.Errorf("no committed seed corpus for %s (err %v); run WIRE_REGEN_CORPUS=1 go test -run TestRegenerateSeedCorpora ./internal/wire", fuzzName, err)
 		}
 	}
+}
+
+// propagationSeeds covers the version-6 propagation layout: tails from
+// several origins pointing back and forth into the items, a delta item,
+// a record pointing past the items, and item-section headers that claim
+// too few and too many value bytes.
+func propagationSeeds() [][]byte {
+	return [][]byte{
+		AppendPropagation(nil, sampleProp()),
+		AppendPropagation(nil, &core.Propagation{Source: 0}),
+		AppendPropagation(nil, &core.Propagation{
+			Source: 1,
+			Tails:  [][]core.TailRecord{{{Item: 0, Seq: 9}}},
+			Items: []core.ItemPayload{{
+				Key: "k", IsDelta: true, IVV: vv.VV{2}, Pre: vv.VV{1},
+				Chain: []core.DeltaLink{{Op: op.NewSet([]byte("v")), Origin: 0}},
+			}},
+		}),
+		slabHeaderClaiming(3), // honest
+		AppendPropagation(nil, danglingProp()),
+		slabHeaderClaiming(2),    // too few value bytes
+		slabHeaderClaiming(4),    // too many
+		slabHeaderClaiming(0x7F), // more than the frame holds
+		{0x00, 0x00},
+	}
+}
+
+// slabHeaderClaiming encodes a propagation of one full item carrying
+// "abc" whose item-section header claims vals value bytes; 3 is honest.
+func slabHeaderClaiming(vals byte) []byte {
+	b := AppendPropagation(nil, &core.Propagation{
+		Tails: [][]core.TailRecord{{{Item: 0, Seq: 7}}},
+		Items: []core.ItemPayload{{Key: "k", Value: []byte("abc"), IVV: vv.VV{7}}},
+	})
+	b[2] = vals // after the source and the item count
+	return b
+}
+
+// danglingProp has a record that points past its one item.
+func danglingProp() *core.Propagation {
+	return &core.Propagation{
+		Tails: [][]core.TailRecord{{{Item: 0, Seq: 2}, {Item: 1, Seq: 3}}},
+		Items: []core.ItemPayload{{Key: "k", Value: []byte("v"), IVV: vv.VV{3}}},
+	}
+}
+
+// walRecordSeeds covers every WAL record kind, a propagation record
+// pointing past its items, and a record under the previous codec's magic.
+func walRecordSeeds() [][]byte {
+	var seeds [][]byte
+	for _, rec := range sampleWALRecords() {
+		seeds = append(seeds, AppendWALRecord(nil, &rec))
+	}
+	dangling := AppendWALRecord(nil, &WALRecord{Kind: 2, Prop: danglingProp()})
+	previous := append([]byte(nil), seeds[0]...)
+	previous[0] = 0xE2
+	return append(seeds, dangling, previous, []byte{WALMagic}, []byte{WALMagic, 1, 0xFF})
 }
 
 func sessionFrameSeeds() [][]byte {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/op"
 	"repro/internal/vv"
 )
 
@@ -93,17 +92,9 @@ func FuzzDecodeResponse(f *testing.F) {
 }
 
 func FuzzDecodePropagation(f *testing.F) {
-	f.Add(AppendPropagation(nil, sampleProp()))
-	f.Add(AppendPropagation(nil, &core.Propagation{Source: 0}))
-	f.Add(AppendPropagation(nil, &core.Propagation{
-		Source: 1,
-		Tails:  [][]core.TailRecord{{{Key: "k", Seq: 9}}},
-		Items: []core.ItemPayload{{
-			Key: "k", IsDelta: true, IVV: vv.VV{2}, Pre: vv.VV{1},
-			Chain: []core.DeltaLink{{Op: op.NewSet([]byte("v")), Origin: 0}},
-		}},
-	}))
-	f.Add([]byte{0x00, 0x00})
+	for _, seed := range propagationSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePropagation(data)
 		if err != nil {

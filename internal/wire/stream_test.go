@@ -17,7 +17,7 @@ func sampleChunk(seq uint64) *core.Propagation {
 	return &core.Propagation{
 		Source: 0,
 		Tails: [][]core.TailRecord{
-			{{Key: "a", Seq: seq*2 + 1}, {Key: "b", Seq: seq*2 + 2}},
+			{{Item: 0, Seq: seq*2 + 1}, {Item: 1, Seq: seq*2 + 2}},
 			nil,
 		},
 		Items: []core.ItemPayload{

@@ -18,8 +18,11 @@ import (
 
 // WALMagic is the first byte of every varint-encoded WAL record. Distinct
 // from the connection Magic (0xEB) so a WAL segment byte-copied into a
-// frame (or vice versa) cannot be mistaken for the other format.
-const WALMagic = 0xE2
+// frame (or vice versa) cannot be mistaken for the other format. It names
+// the record layout too, since a record has no version byte: 0xE2 led the
+// records whose propagations named a key in every tail record, and
+// recovery refuses them rather than misparse them.
+const WALMagic = 0xE3
 
 // WALRecord is one durable log entry: which protocol action ran and the
 // inputs replay needs to reproduce it. Field use by kind mirrors

@@ -13,7 +13,7 @@
 //
 // A client opening a framed connection first sends two bytes:
 //
-//	[Magic 0xEB] [Version 0x05]
+//	[Magic 0xEB] [Version 0x06]
 //
 // The magic byte is a sanity check that the peer speaks this codec at all;
 // the version byte names the codec below. A wrong magic or an unknown
@@ -40,6 +40,27 @@
 // operations reuse op.(Op).Marshal. Decoders validate every count against
 // the bytes actually present, so corrupt frames cannot force huge
 // allocations.
+//
+// # Propagations
+//
+// A propagation (an inline reply, a session chunk, a WAL record) names
+// each key once, in its item; a tail record points at its item by position:
+//
+//	[varint source]
+//	[uvarint item count] [uvarint value bytes] [uvarint vector slots] [item]*
+//	[uvarint tail count] ([uvarint record count] [record]*)*
+//
+//	item:   [flags] [key] [value] [IVV] (+ [pre-vector] [chain] when a delta)
+//	record: [varint position delta] [uvarint seq delta]
+//
+// The item section's header holds the value bytes and version-vector
+// slots (IVVs, and the pre-vectors of delta items) of its items exactly,
+// so a decoder sizes its slabs before the items arrive; items that overrun it, or fall short of it, fail the decode. A
+// record's position counts from the previous record's in the same tail
+// (from -1 for the first), and its seq from the previous record's (from 0
+// for the first); seqs ascend, so every seq delta is positive. Items come
+// first so that the decoder checks each position against the item count
+// as it reads it.
 package wire
 
 import (
@@ -65,9 +86,11 @@ const (
 	// the unpartitioned session (KindStream and the KindPropagation reply
 	// fields), so every pull negotiates partitions; version 5 retired the
 	// reconcile range split (range bounds, splits and leaves) and added the
-	// strata estimator and the retry sketch. An older peer is closed at the
-	// preamble instead of failing mid-session.
-	Version = 5
+	// strata estimator and the retry sketch; version 6 made a tail record
+	// point at its item by position instead of naming its key, and put the
+	// item section, with its slab header, before the tails. An older peer
+	// is closed at the preamble instead of failing mid-session.
+	Version = 6
 	// FrameRequest marks a client-to-server frame.
 	FrameRequest = 0x01
 	// FrameResponse marks a server-to-client frame.
@@ -570,17 +593,22 @@ func decodeReconSection(d *decoder, resp *Response) {
 
 func appendPropagation(buf []byte, p *core.Propagation) []byte {
 	buf = binary.AppendVarint(buf, int64(p.Source))
+	vals, slots := p.SlabSizes()
+	buf = binary.AppendUvarint(buf, uint64(len(p.Items)))
+	buf = binary.AppendUvarint(buf, vals)
+	buf = binary.AppendUvarint(buf, slots)
+	for i := range p.Items {
+		buf = appendItem(buf, &p.Items[i])
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(p.Tails)))
 	for _, tail := range p.Tails {
 		buf = binary.AppendUvarint(buf, uint64(len(tail)))
+		prevItem, prevSeq := int64(-1), uint64(0)
 		for _, rec := range tail {
-			buf = appendString(buf, rec.Key)
-			buf = binary.AppendUvarint(buf, rec.Seq)
+			buf = binary.AppendVarint(buf, int64(rec.Item)-prevItem)
+			buf = binary.AppendUvarint(buf, rec.Seq-prevSeq)
+			prevItem, prevSeq = int64(rec.Item), rec.Seq
 		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(p.Items)))
-	for i := range p.Items {
-		buf = appendItem(buf, &p.Items[i])
 	}
 	return buf
 }
@@ -618,9 +646,50 @@ func (d *decoder) propagationInto(p *core.Propagation) {
 	p.Source = int(d.varint())
 	p.Owned = false
 	p.FrameKeys = d.str != ""
-	ntails := d.count()
+	nitems := d.count()
+	// The item section's header: the value bytes and vector slots its
+	// items hold. Each of them takes at least one byte of the frame, so a
+	// header claiming more than the remaining bytes is corrupt, and the
+	// slabs sized from it never outgrow the frame.
+	vals, slots := d.uvarint(), d.uvarint()
+	if rest := uint64(len(d.buf) - d.pos); d.err == nil && (vals > rest || slots > rest-vals) {
+		d.fail("item section claims %d value bytes and %d vector slots in %d remaining bytes", vals, slots, rest)
+	}
 	if d.err != nil {
 		p.Tails, p.Items = nil, nil
+		return
+	}
+	// An honest item takes well over six bytes, so a hostile count cannot
+	// force a large presize.
+	bound := min(nitems, uint64(len(d.buf)-d.pos)/6)
+	items := p.Items[:0]
+	if uint64(cap(items)) < bound {
+		items = make([]core.ItemPayload, 0, bound)
+	}
+	if d.arena {
+		// A recipient keeps each adopted value and IVV, and with them the
+		// whole slab, for the item's life: the header sizes the slabs to
+		// the items exactly.
+		d.valArena = make([]byte, 0, vals)
+		d.vvArena = make([]uint64, 0, slots)
+	}
+	for i := uint64(0); i < nitems && d.err == nil; i++ {
+		it := d.item()
+		n, m := uint64(len(it.Value)), uint64(len(it.IVV)+len(it.Pre))
+		if n > vals || m > slots {
+			d.fail("item %d overruns the item section's header", i)
+		}
+		vals, slots = vals-n, slots-m
+		items = append(items, it)
+	}
+	if d.err == nil && (vals != 0 || slots != 0) {
+		d.fail("item section's header claims %d value bytes and %d vector slots its items do not hold", vals, slots)
+	}
+	p.Items = items
+
+	ntails := d.count()
+	if d.err != nil {
+		p.Tails = nil
 		return
 	}
 	// old retains the shell's inner tail slices across the outer reset so
@@ -642,63 +711,24 @@ func (d *decoder) propagationInto(p *core.Propagation) {
 			// from forcing a large allocation before decoding fails.
 			tail = make([]core.TailRecord, 0, min(nrecs, uint64(len(d.buf)-d.pos)/2))
 		}
+		prevItem, prevSeq := int64(-1), uint64(0)
 		for j := uint64(0); j < nrecs && d.err == nil; j++ {
-			tail = append(tail, core.TailRecord{Key: d.string(), Seq: d.uvarint()})
+			at := prevItem + d.varint()
+			delta := d.uvarint()
+			seq := prevSeq + delta
+			switch {
+			case d.err != nil:
+			case at < 0 || at >= int64(len(items)):
+				d.fail("tail %d record %d points at item %d of %d", i, j, at, len(items))
+			case delta == 0 || seq < prevSeq:
+				d.fail("tail %d record %d: seqs do not ascend", i, j)
+			}
+			tail = append(tail, core.TailRecord{Item: int32(at), Seq: seq})
+			prevItem, prevSeq = at, seq
 		}
 		outer = append(outer, tail)
 	}
 	p.Tails = outer
-	nitems := d.count()
-	if d.err == nil {
-		// Same presize guard: an honest item takes well over six bytes.
-		bound := min(nitems, uint64(len(d.buf)-d.pos)/6)
-		items := p.Items[:0]
-		if uint64(cap(items)) < bound {
-			items = make([]core.ItemPayload, 0, bound)
-		}
-		p.Items = items
-		if d.arena && bound > 0 {
-			// A recipient keeps each adopted value and IVV, and with them
-			// the whole slab, for the item's life: size the slabs to the
-			// items exactly. Items the scan cannot size fall back to the
-			// remaining frame bytes for values and 4 slots per IVV, which
-			// covers the common shapes; a longer vector gets its own
-			// allocation.
-			vals, ivvs, ok := d.itemSlabSizes(nitems)
-			if !ok {
-				vals, ivvs = len(d.buf)-d.pos, 4*int(bound)
-			}
-			d.valArena = make([]byte, 0, vals)
-			d.vvArena = make([]uint64, 0, ivvs)
-		}
-	}
-	for i := uint64(0); i < nitems && d.err == nil; i++ {
-		p.Items = append(p.Items, d.item())
-	}
-}
-
-// itemSlabSizes scans the n encoded items ahead, without decoding them,
-// and returns the value bytes and IVV slots they hold. ok is false when
-// an item does not scan: a delta item, or corrupt input that the decode
-// proper then rejects.
-func (d *decoder) itemSlabSizes(n uint64) (vals, ivvs int, ok bool) {
-	s := decoder{buf: d.buf, pos: d.pos}
-	for i := uint64(0); i < n; i++ {
-		if s.byte()&itemDelta != 0 {
-			return 0, 0, false
-		}
-		s.raw()
-		vals += len(s.raw())
-		c := s.count()
-		for j := uint64(0); j < c; j++ {
-			s.uvarint()
-		}
-		ivvs += int(c)
-		if s.err != nil {
-			return 0, 0, false
-		}
-	}
-	return vals, ivvs, true
 }
 
 // ---- ItemPayload ----

@@ -55,8 +55,8 @@ func sampleProp() *core.Propagation {
 		Source: 2,
 		Tails: [][]core.TailRecord{
 			nil,
-			{{Key: "x", Seq: 4}, {Key: "y", Seq: 5}},
-			{{Key: "z", Seq: 1}},
+			{{Item: 0, Seq: 4}, {Item: 1, Seq: 5}},
+			{{Item: 2, Seq: 1}, {Item: 0, Seq: 3}},
 		},
 		Items: []core.ItemPayload{
 			{Key: "x", Value: []byte("value-x"), IVV: vv.VV{1, 4, 0}},
@@ -67,6 +67,7 @@ func sampleProp() *core.Propagation {
 					{Op: op.NewWriteAt(2, []byte("mid")), Origin: 1},
 				},
 			},
+			{Key: "z", Value: []byte("value-z"), IVV: vv.VV{0, 0, 1}},
 		},
 	}
 }
@@ -106,6 +107,33 @@ func TestPropagationRoundTrip(t *testing.T) {
 	}
 	if !propsEqual(p, got) {
 		t.Fatalf("round trip mangled propagation:\n%+v\n%+v", p, got)
+	}
+}
+
+// A version-6 propagation is checked section by section: a record must
+// point at one of the message's items, seqs must ascend within a tail, and
+// the item section's header must hold its items' value bytes exactly. Each violation is a decode error, never a panic.
+func TestDecodePropagationRejectsMalformedSections(t *testing.T) {
+	if _, err := DecodePropagation(slabHeaderClaiming(3)); err != nil {
+		t.Fatalf("honest header: %v", err)
+	}
+	descending := AppendPropagation(nil, &core.Propagation{
+		Tails: [][]core.TailRecord{{{Item: 0, Seq: 5}, {Item: 0, Seq: 5}}},
+		Items: []core.ItemPayload{{Key: "k", Value: []byte("v"), IVV: vv.VV{5}}},
+	})
+	for name, buf := range map[string][]byte{
+		"position past the items": AppendPropagation(nil, danglingProp()),
+		"seq not ascending":       descending,
+		"header claims too few":   slabHeaderClaiming(2),
+		"header claims too many":  slabHeaderClaiming(4),
+		"header outgrows frame":   slabHeaderClaiming(0x7F),
+	} {
+		if _, err := DecodePropagation(buf); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+		if _, _, err := DecodeSessionChunk(append([]byte{0}, buf...)); err == nil {
+			t.Errorf("%s: decoded as a chunk", name)
+		}
 	}
 }
 

@@ -60,6 +60,59 @@ func TestWireSizeWithinTenPercentOfEncoding(t *testing.T) {
 			}
 		})
 	}
+	// A record's size depends on the record before it in its tail, so the
+	// sizes must stay exact where tails interleave items: a propagation
+	// from several origins, and every chunk of a drained session.
+	t.Run("multi_origin", func(t *testing.T) {
+		source, recipient := multiOriginShape(t)
+		p := source.BuildPropagation(recipient.PropagationRequest())
+		if est, actual := p.WireSize(), uint64(len(AppendPropagation(nil, p))); est != actual {
+			t.Errorf("multi-origin WireSize %d != encoded %d", est, actual)
+		}
+	})
+	t.Run("chunks", func(t *testing.T) {
+		source, recipient := multiOriginShape(t)
+		s := source.StartChunkSession(recipient.DBVV(), 512)
+		chunks := 0
+		for p := s.Next(); p != nil; p = s.Next() {
+			if est, actual := p.WireSize(), uint64(len(AppendPropagation(nil, p))); est != actual {
+				t.Errorf("chunk %d: WireSize %d != encoded %d", chunks, est, actual)
+			}
+			chunks++
+		}
+		if chunks < 4 {
+			t.Fatalf("session drained in %d chunks; the shape should need several", chunks)
+		}
+	})
+}
+
+// multiOriginShape returns a source of n = 4 servers whose items carry
+// live records at up to three origins, and a fresh recipient: origin 0
+// writes 200 items; origin 1, after learning them, rewrites the first
+// 100; origin 2, after learning those, rewrites 30 of them and writes 30
+// new ones, and is the source.
+func multiOriginShape(t testing.TB) (source, recipient *core.Replica) {
+	t.Helper()
+	rs := []*core.Replica{core.NewReplica(0, 4), core.NewReplica(1, 4), core.NewReplica(2, 4), core.NewReplica(3, 4)}
+	pull := func(dst, src *core.Replica) {
+		if p := src.BuildPropagation(dst.PropagationRequest()); p != nil {
+			dst.ApplyPropagation(p)
+		}
+	}
+	update := func(r *core.Replica, from, to int, fill string) {
+		for i := from; i < to; i++ {
+			if err := r.Update(fmt.Sprintf("key/%04d", i), op.NewSet([]byte(fill))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	update(rs[0], 0, 200, "written by origin 0")
+	pull(rs[1], rs[0])
+	update(rs[1], 0, 100, "origin 1")
+	pull(rs[2], rs[1])
+	update(rs[2], 50, 80, "and origin 2")
+	update(rs[2], 200, 230, "origin 2 alone")
+	return rs[2], rs[3]
 }
 
 // Delta payloads take the chain-encoding branch of the size accounting;
