@@ -47,7 +47,8 @@ test-all:
 ## propagation benchmark (E16), the propagation builders, the pooled
 ## transport round trip (E15), the reconciliation session with its
 ## maintained summary (E19), the in-process streamed catch-up into a
-## volatile and into a durable recipient, and the per-update cost up to
+## volatile and into a durable recipient, one durable checkpoint after
+## 1 024 updates at N = 20 000 and 200 000, and the per-update cost up to
 ## N = 100 000. 100 iterations each (10 for the reconciliation, whose
 ## largest row holds 200 000 items, and 3 for each catch-up, 20 000
 ## rewrites each): checks they run, not their timing.
@@ -56,6 +57,7 @@ bench:
 	$(GO) test -run=NONE -bench=BenchmarkReconcileSession -benchtime=10x ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkStreamCatchUp -benchtime=3x ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkDurableStreamCatchUp -benchtime=3x ./internal/durable
+	$(GO) test -run=NONE -bench=BenchmarkCheckpoint -benchtime=3x ./internal/durable
 	$(GO) test -run=NONE -bench='BenchmarkUpdate$$' -benchtime=100x .
 	$(GO) test -run=NONE -bench=BenchmarkTransportRoundTrip -benchtime=100x -benchmem ./internal/transport
 
@@ -64,7 +66,8 @@ bench:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-## fuzz-wire: short fuzz pass over the wire codec decoders, and over
+## fuzz-wire: short fuzz pass over the wire codec decoders (the
+## checkpoint file decoder among them), and over
 ## ServeReconcile fed decoded stamped and sketched ranges. The session and
 ## reconcile targets start from the committed seed corpora under
 ## internal/wire/testdata/fuzz/; new crashers land beside them and CI
@@ -78,4 +81,5 @@ fuzz-wire:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeReconcileFrames -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzServeReconcile -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzDecodeWALRecord -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzRecovery -fuzztime=10s ./internal/wal

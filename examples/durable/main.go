@@ -1,4 +1,4 @@
-// Durable: crash-recoverable replicas — snapshot + write-ahead log.
+// Durable: crash-recoverable replicas — checkpoints + write-ahead log.
 //
 // A replica's protocol state (DBVV, per-item version vectors, the bounded
 // log vector) must survive restarts: a replica that forgot its vectors
@@ -52,7 +52,7 @@ func main() {
 	must(peer.Update("doc/0042", repro.Set([]byte("rev-2"))))
 	must(peer.Update("doc/0043", repro.Set([]byte("rev-2"))))
 
-	// Second life: recover from snapshot + WAL replay.
+	// Second life: recover from checkpoints + WAL replay.
 	node, err = durable.Open(dir, 1, 2, durable.Options{SnapshotEvery: 500})
 	if err != nil {
 		log.Fatal(err)

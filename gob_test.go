@@ -10,14 +10,10 @@ import (
 	"testing"
 )
 
-// gobAllowed names the one non-test file still permitted to import
-// encoding/gob: the snapshot encoder. The wire protocol and the WAL have
-// their own varint codecs, so gob must not creep back into either.
-const gobAllowed = "internal/core/persist.go"
-
-// TestGobConfinedToSnapshot fails if any non-test Go file other than the
-// snapshot encoder imports encoding/gob. The bench/ module and testdata/
-// fixtures are skipped: neither is part of the program.
+// TestGobConfinedToSnapshot fails if any non-test Go file imports
+// encoding/gob: the wire protocol, the WAL and the checkpoint files each
+// have a varint codec. The bench/ module and testdata/ fixtures are
+// skipped: neither is part of the program.
 func TestGobConfinedToSnapshot(t *testing.T) {
 	fset := token.NewFileSet()
 	var offenders []string
@@ -40,7 +36,7 @@ func TestGobConfinedToSnapshot(t *testing.T) {
 			return err
 		}
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" && filepath.ToSlash(path) != gobAllowed {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
 				offenders = append(offenders, filepath.ToSlash(path))
 			}
 		}
@@ -50,6 +46,6 @@ func TestGobConfinedToSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, path := range offenders {
-		t.Errorf("%s imports encoding/gob; only %s may", path, gobAllowed)
+		t.Errorf("%s imports encoding/gob; no program file may", path)
 	}
 }

@@ -124,7 +124,7 @@ func Start(cfg Config) (*Node, error) {
 		placement = cfg.Servers
 	}
 	if cfg.DataDir != "" {
-		// One WAL + snapshot chain per owned partition under
+		// One WAL + checkpoint chain per owned partition under
 		// DataDir/part-NNNN/, all sharing one group committer so concurrent
 		// partitions amortize into shared fsyncs.
 		dp, err := durable.OpenPartitioned(cfg.DataDir, cfg.ID, cfg.Servers, partitions, placement, cfg.DurableOptions)
@@ -274,7 +274,7 @@ func (n *Node) WALStats() (st wal.CommitterStats, ok bool) {
 }
 
 // Close stops the anti-entropy loop, the pooled client and the server,
-// snapshotting durable state.
+// checkpointing durable state.
 func (n *Node) Close() error {
 	close(n.stop)
 	<-n.done

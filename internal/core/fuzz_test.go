@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/op"
@@ -68,7 +67,7 @@ func FuzzProtocolInterleaving(f *testing.F) {
 	})
 }
 
-// FuzzSnapshotRoundTrip serializes a replica driven by an arbitrary script
+// FuzzSnapshotRoundTrip checkpoints a replica driven by an arbitrary script
 // and requires restore to produce an equivalent, invariant-clean replica.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
@@ -87,7 +86,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 		for _, r := range []*Replica{a, b} {
-			restored := roundTripStateFuzz(t, r)
+			restored := roundTripState(t, r)
 			if ok, why := r.Snapshot().Equivalent(restored.Snapshot()); !ok {
 				t.Fatalf("restore not equivalent: %s", why)
 			}
@@ -96,17 +95,4 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 		}
 	})
-}
-
-func roundTripStateFuzz(t *testing.T, r *Replica) *Replica {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := r.WriteState(&buf); err != nil {
-		t.Fatalf("WriteState: %v", err)
-	}
-	restored, err := ReadState(&buf)
-	if err != nil {
-		t.Fatalf("ReadState: %v", err)
-	}
-	return restored
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"sort"
 
 	"repro/internal/store"
@@ -109,6 +110,9 @@ func (r *Replica) ItemValue(key string) ([]byte, bool) {
 //  4. IsSelected flags are all clear outside SendPropagation (§6).
 //  5. Auxiliary log structure is well-formed, and every auxiliary record
 //     refers to an item that still has an auxiliary copy.
+//
+// Under 2 it also checks that every record lies above its component's
+// truncation floor, which checkpoint restore relies on.
 func (r *Replica) CheckInvariants() error {
 	r.rlockAll()
 	defer r.runlockAll()
@@ -166,6 +170,10 @@ func (r *Replica) CheckInvariants() error {
 			if r.store.Get(rec.Item.Key) != rec.Item {
 				return fmt.Errorf("core: node %d log %d names an item %q the store does not hold", r.id, j, rec.Item.Key)
 			}
+		}
+		// Checkpoint restore re-links exactly the seqs above the floor.
+		if head := comp.Head(); head != nil && head.Seq <= r.trunc.Get(j) {
+			return fmt.Errorf("core: node %d log %d holds seq %d at or below its truncation floor %d", r.id, j, head.Seq, r.trunc.Get(j))
 		}
 	}
 	// Log coverage holds only while no conflict has been declared: the
@@ -250,4 +258,53 @@ func Converged(replicas ...*Replica) (bool, string) {
 		}
 	}
 	return true, ""
+}
+
+// CheckpointDiff describes the first difference between two full
+// checkpoints, or returns "" when they hold the same replica state. Item
+// order and the representation of nothing (an empty value, a missing
+// trailing vector component or log seq) do not count. It sorts both
+// checkpoints' items. For tests, which compare a restored replica with
+// the one it was checkpointed from.
+func CheckpointDiff(a, b *Checkpoint) string {
+	sortImages := func(c *Checkpoint) {
+		sort.Slice(c.Items, func(i, j int) bool { return c.Items[i].Key < c.Items[j].Key })
+	}
+	sortImages(a)
+	sortImages(b)
+	if len(a.Items) != len(b.Items) {
+		return fmt.Sprintf("%d items vs %d", len(a.Items), len(b.Items))
+	}
+	for i := range a.Items {
+		x, y := a.Items[i], b.Items[i]
+		if x.Key != y.Key || !bytes.Equal(x.Value, y.Value) || !x.IVV.Equal(y.IVV) ||
+			x.HasAux != y.HasAux || !bytes.Equal(x.AuxValue, y.AuxValue) || !x.AuxIVV.Equal(y.AuxIVV) ||
+			!vv.VV(x.Seqs).Equal(vv.VV(y.Seqs)) || !reflect.DeepEqual(x.Deltas, y.Deltas) {
+			return fmt.Sprintf("item %+v vs %+v", x, y)
+		}
+	}
+	if len(a.Acked) != len(b.Acked) {
+		return fmt.Sprintf("ack tables %v vs %v", a.Acked, b.Acked)
+	}
+	for j := range a.Acked {
+		if !a.Acked[j].Equal(b.Acked[j]) {
+			return fmt.Sprintf("ack tables %v vs %v", a.Acked, b.Acked)
+		}
+	}
+	switch {
+	case !a.DBVV.Equal(b.DBVV):
+		return fmt.Sprintf("DBVVs %v vs %v", a.DBVV, b.DBVV)
+	case !a.Pruned.Equal(b.Pruned):
+		return fmt.Sprintf("watermarks %v vs %v", a.Pruned, b.Pruned)
+	case !a.Trunc.Equal(b.Trunc):
+		return fmt.Sprintf("truncation floors %v vs %v", a.Trunc, b.Trunc)
+	}
+	ca, cb := *a, *b
+	for _, c := range []*Checkpoint{&ca, &cb} {
+		c.Items, c.Acked, c.DBVV, c.Pruned, c.Trunc, c.imaged = nil, nil, nil, nil, nil, nil
+	}
+	if !reflect.DeepEqual(ca, cb) {
+		return fmt.Sprintf("control state %+v vs %+v", ca, cb)
+	}
+	return ""
 }

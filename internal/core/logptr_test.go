@@ -13,10 +13,11 @@ import (
 // TestLogPointersRandomized drives small replica groups through random
 // schedules of every path that makes, supersedes or drops a log record —
 // updates, monolithic and streamed applies, out-of-bound copies with their
-// intra-node replay, pruning under a log cap, a snapshot restore and
-// server-set growth — and checks after every step, on every replica, that
-// the P_j(x) pointers on the items and the records in the components
-// agree both ways (CheckInvariants). An item is updated by any replica
+// intra-node replay, pruning under a log cap, a restore from a base
+// checkpoint and its deltas, and server-set growth — and checks after
+// every step, on every replica, that the P_j(x) pointers on the items and
+// the records in the components agree both ways (CheckInvariants). Each
+// restore must also rebuild exactly the state the replica had. An item is updated by any replica
 // whose current copy is the newest one anywhere, so writers hand items
 // over without conflicts, and a writer holding an auxiliary copy makes an
 // update that intra-node propagation later replays. Each path must have
@@ -143,9 +144,11 @@ func logPointerHistories(t *testing.T, sink func(dst, src *Replica) Sink) map[st
 			opts = append(opts, WithDeltaPropagationDepth(2))
 		}
 		reps := make([]*Replica, 3)
+		chains := make([]checkpointChain, len(reps))
 		for i := range reps {
 			reps[i] = NewReplica(i, len(reps), opts...)
 			reps[i].ConfigurePruning([]int{0, 1, 2})
+			chains[i] = newChain(reps[i])
 		}
 		itemKey := func(i int) string { return fmt.Sprintf("x%02d", i) }
 		pair := func() (*Replica, *Replica) {
@@ -196,7 +199,10 @@ func logPointerHistories(t *testing.T, sink func(dst, src *Replica) Sink) map[st
 			case c < 19:
 				path = "snapshot restore"
 				i := rng.Intn(len(reps))
-				reps[i] = roundTripStateFuzz(t, reps[i])
+				chains[i] = append(chains[i], reps[i].CaptureCheckpoint(false))
+				if rng.Intn(2) == 0 {
+					reps[i], chains[i] = restoreChain(t, reps[i], chains[i])
+				}
 				acted[path]++
 			default:
 				path = "growth"
@@ -206,6 +212,7 @@ func logPointerHistories(t *testing.T, sink func(dst, src *Replica) Sink) map[st
 				n := len(reps) + 1
 				reps[rng.Intn(len(reps))].Grow(n)
 				reps = append(reps, NewReplica(n-1, n, opts...))
+				chains = append(chains, newChain(reps[n-1]))
 				acted[path]++
 			}
 			if path != "snapshot restore" && auxOpsReplayed(reps) > replayed {

@@ -82,6 +82,11 @@ func (r *Replica) ApplyOOB(reply OOBReply, source int) bool {
 			Value: store.CloneBytes(reply.Value),
 			IVV:   reply.IVV.Clone(),
 		}
+		if r.tracking {
+			r.ctl.Lock()
+			r.markDirtyLocked(it)
+			r.ctl.Unlock()
+		}
 		r.met.OOBAdopted.Add(1)
 		return true
 	case vv.Concurrent:

@@ -1,259 +1,319 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
+	"sort"
 
-	"repro/internal/auxlog"
-	"repro/internal/logvec"
 	"repro/internal/op"
 	"repro/internal/store"
 	"repro/internal/vv"
 )
 
-// Snapshot/restore of complete replica state. A replica's protocol state —
-// DBVV, item IVVs, log vector, auxiliary structures — must survive restarts
-// byte-exactly: a replica that forgot its version vectors would either
-// re-fetch the whole database or, worse, mis-order updates. The encoding is
-// gob with a versioned header, written atomically by callers (write to a
-// temporary file, rename).
+// Checkpoints of replica state. A replica's protocol state — DBVV, item
+// IVVs, log vector, auxiliary structures, pruning state — must survive
+// restarts exactly: a replica that forgot its version vectors would either
+// re-fetch the whole database or, worse, mis-order updates.
+//
+// A checkpoint is the control state plus full images of some items. The
+// durable layer takes one every SnapshotEvery logged actions, imaging only
+// the items changed since the previous one (the dirty list below), so a
+// checkpoint costs O(changed items) under its ordering lock, not O(N). A
+// base is a checkpoint holding every item; MergeCheckpoints folds deltas
+// into one, and RestoreCheckpoint rebuilds a replica from it.
+//
+// The log vector is not stored as lists: each image carries the seqs of
+// its item's live records, one per origin, and restore re-links each
+// component from the seqs above that origin's truncation floor, in seq
+// order. That is exact because a component is sorted by seq, holds at most
+// one record per item, and loses a record in only two ways: supersession,
+// which re-images the item, and pruning, which only drops records at or
+// below a floor the control state keeps (Trunc). The pruned watermark is
+// not that floor: reconcile adoption raises it without dropping anything.
 
-const (
-	persistMagic = 0x45504944 // "EPID"
-	// Version history: 1 = through PR 6; 2 adds the pruning state (ack
-	// table, watermark, peer set, log cap). Version-1 snapshots are still
-	// accepted — their pruning state is simply empty, which is safe (an
-	// unknown ack pins the prune floor at zero).
-	persistVersion = 2
-)
-
-//epi:notshared gob codec value assembled or decoded by one goroutine
-type persistItem struct {
+// ItemImage is one item's complete state at a checkpoint.
+//
+//epi:notshared codec value assembled or decoded by one goroutine
+type ItemImage struct {
 	Key      string
 	Value    []byte
 	IVV      vv.VV
 	HasAux   bool
 	AuxValue []byte
 	AuxIVV   vv.VV
-
-	Deltas []persistDelta
+	Deltas   []store.Delta
+	// Seqs[j] is the seq of the item's record in origin j's log component,
+	// 0 when it has none there (seqs start at 1).
+	Seqs []uint64
 }
 
-//epi:notshared gob codec value assembled or decoded by one goroutine
-type persistDelta struct {
-	Op     op.Op
-	Pre    vv.VV
-	Origin int
-}
-
-//epi:notshared gob codec value assembled or decoded by one goroutine
-type persistLogRec struct {
-	Key string
-	Seq uint64
-}
-
-//epi:notshared gob codec value assembled or decoded by one goroutine
-type persistAuxRec struct {
+// AuxRecord is one auxiliary log entry: an update made to an auxiliary
+// copy, with the auxiliary IVV it was made against.
+//
+//epi:notshared codec value assembled or decoded by one goroutine
+type AuxRecord struct {
 	Key string
 	Pre vv.VV
 	Op  op.Op
 }
 
-//epi:notshared gob codec value assembled or decoded by one goroutine
-type persistState struct {
-	Magic   uint32
-	Version uint16
-	ID      int
-	N       int
-	DBVV    vv.VV
-	Items   []persistItem
-	Logs    [][]persistLogRec // indexed by origin, oldest first
-	Aux     []persistAuxRec   // global arrival order, oldest first
-	Delta   bool              // record-shipping mode enabled
+// Checkpoint is a replica's control state plus full images of some of its
+// items: all of them in a base, the ones changed since the previous
+// checkpoint in a delta. Every buffer is the checkpoint's own, so encoding
+// it happens entirely outside the replica's locks.
+//
+//epi:notshared captured clone owned by the checkpointing goroutine
+type Checkpoint struct {
+	// Floor and Prev label the checkpoint's place in a chain: the durable
+	// layer sets Floor to the WAL position the checkpoint supersedes and
+	// Prev to the Floor of the checkpoint it follows (0: none). Core
+	// carries them and never reads them.
+	Floor, Prev uint64
 
-	// Pruning state (version >= 2): the acked-DBVV table (indexed by peer
-	// id, nil = nothing learned), the pruned watermark, the configured
-	// peer set and the per-component log cap. Persisting the watermark is
-	// a correctness requirement, not an optimization: a restarted replica
-	// that forgot its records were pruned would serve log-based sessions
-	// with silent gaps.
-	Acked      []vv.VV
+	ID, N int
+	DBVV  vv.VV
+	// Pruned is the pruned watermark; Trunc, at or below it, is the join
+	// of the floors the log was truncated by.
 	Pruned     vv.VV
+	Trunc      vv.VV
+	Acked      []vv.VV // indexed by peer id; nil: nothing learned
 	PrunePeers []int
 	LogCap     int
-
-	// Conflicted: a conflict was declared (Replica.conflicted). Older
-	// snapshots decode it as false.
 	Conflicted bool
+	Delta      bool // record-shipping mode enabled
+	Aux        []AuxRecord
+	Items      []ItemImage
+
+	// imaged holds the replica's items whose images a delta captured, so
+	// that RequeueCheckpoint can put them back on the dirty list.
+	imaged []*store.Item
 }
 
-// State is a captured, self-contained copy of a replica's complete
-// protocol state: every buffer and vector is cloned, so encoding it
-// happens entirely outside the replica's locks. The durable layer
-// captures under its write-ahead ordering lock and serializes after
-// releasing it, so writers pause only for the clone, not for the gob
-// encode and disk I/O of a snapshot.
+// TrackCheckpoints starts the dirty list: from now on every item whose
+// image changes is listed, once, until the next CaptureCheckpoint. A
+// replica nothing checkpoints never calls it, and marking then costs one
+// flag check.
 //
-//epi:notshared captured clone owned by the snapshotting goroutine
-type State struct {
-	st persistState
+//epi:init the durable layer enables tracking before the replica is published
+func (r *Replica) TrackCheckpoints() { r.tracking = true }
+
+// markDirtyLocked lists it for the next checkpoint. Called wherever an
+// item's value, IVV, auxiliary copy, delta chain or log pointers change,
+// except pruning, whose drops the truncation floors account for.
+//
+//epi:requires ctl
+func (r *Replica) markDirtyLocked(it *store.Item) {
+	if !r.tracking || it.Dirty() {
+		return
+	}
+	it.SetDirty(true)
+	r.dirty = append(r.dirty, it)
 }
 
-// Encode serializes the captured state to w (the WriteState format).
-func (s *State) Encode(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(&s.st)
-}
-
-// WriteState serializes the replica's complete protocol state to w. The
-// replica remains usable; the snapshot is consistent — it is cloned under
-// the all-shard read sweep plus the control mutex, so concurrent reads
-// proceed and updates wait only for the clone, not for the encoding, which
-// happens after the locks are released.
-func (r *Replica) WriteState(w io.Writer) error {
-	return r.CaptureState().Encode(w)
-}
-
-// CaptureState clones the replica's complete protocol state under the
-// all-shard read sweep plus the control mutex and returns it for encoding
-// outside the locks.
-func (r *Replica) CaptureState() *State {
+// CaptureCheckpoint clones, under the all-shard read sweep plus the
+// control mutex, the control state and the images of the items changed
+// since the previous delta capture, and empties the dirty list; that costs
+// O(changed items), plus the control state. With all set it images every
+// item instead and leaves the dirty list as it is: a full capture is a
+// view, and the deltas that follow it still cover what it saw.
+func (r *Replica) CaptureCheckpoint(all bool) *Checkpoint {
 	r.rlockAll()
-	st := persistState{
-		Magic:   persistMagic,
-		Version: persistVersion,
-		ID:      r.id,
-		N:       r.n,
-		DBVV:    r.dbvv.Clone(),
-		Logs:    make([][]persistLogRec, r.n),
-		Delta:   r.deltaMode,
-		Pruned:  r.pruned.Clone(),
-		LogCap:  r.logCap,
+	defer r.runlockAll()
+	c := r.checkpointLocked(all)
+	if !all {
+		for _, it := range r.dirty {
+			it.SetDirty(false)
+		}
+		r.dirty = nil
+	}
+	return c
+}
+
+// checkpointLocked clones the control state plus every item's image (all)
+// or the dirty items' images. Caller holds the all-shard read sweep plus
+// the control mutex.
+func (r *Replica) checkpointLocked(all bool) *Checkpoint {
+	c := &Checkpoint{
+		ID:     r.id,
+		N:      r.n,
+		DBVV:   r.dbvv.Clone(),
+		Pruned: r.pruned.Clone(),
+		Trunc:  r.trunc.Clone(),
+		LogCap: r.logCap,
+		Delta:  r.deltaMode,
 	}
 	if len(r.prunePeers) > 0 {
-		st.PrunePeers = make([]int, len(r.prunePeers))
-		copy(st.PrunePeers, r.prunePeers)
+		c.PrunePeers = append([]int(nil), r.prunePeers...)
 	}
 	if len(r.acked) > 0 {
-		st.Acked = make([]vv.VV, len(r.acked))
+		c.Acked = make([]vv.VV, len(r.acked))
 		for j, v := range r.acked {
-			st.Acked[j] = v.Clone()
+			c.Acked[j] = v.Clone()
 		}
-	}
-	r.store.ForEach(func(it *store.Item) {
-		pi := persistItem{
-			Key:   it.Key,
-			Value: store.CloneBytes(it.Value),
-			IVV:   it.IVV.Clone(),
-		}
-		if it.Aux != nil {
-			pi.HasAux = true
-			pi.AuxValue = store.CloneBytes(it.Aux.Value)
-			pi.AuxIVV = it.Aux.IVV.Clone()
-		}
-		for _, d := range it.Deltas {
-			pi.Deltas = append(pi.Deltas, persistDelta{
-				Op: d.Op.Clone(), Pre: d.Pre.Clone(), Origin: d.Origin,
-			})
-		}
-		st.Items = append(st.Items, pi)
-	})
-	for k := 0; k < r.n; k++ {
-		comp := r.logs.Component(k)
-		recs := make([]persistLogRec, 0, comp.Len())
-		for rec := comp.Head(); rec != nil; rec = rec.Next() {
-			recs = append(recs, persistLogRec{Key: rec.Item.Key, Seq: rec.Seq})
-		}
-		st.Logs[k] = recs
 	}
 	for rec := r.aux.Head(); rec != nil; rec = rec.Next() {
-		st.Aux = append(st.Aux, persistAuxRec{Key: rec.Key, Pre: rec.Pre.Clone(), Op: rec.Op.Clone()})
+		c.Aux = append(c.Aux, AuxRecord{Key: rec.Key, Pre: rec.Pre.Clone(), Op: rec.Op.Clone()})
+	}
+	if all {
+		c.Items = make([]ItemImage, 0, r.store.Len())
+		r.store.ForEach(func(it *store.Item) { c.Items = append(c.Items, imageOf(it)) })
+	} else {
+		c.Items = make([]ItemImage, 0, len(r.dirty))
+		for _, it := range r.dirty {
+			c.Items = append(c.Items, imageOf(it))
+		}
+		c.imaged = r.dirty
 	}
 	r.confMu.Lock()
-	st.Conflicted = r.conflicted
+	c.Conflicted = r.conflicted
 	r.confMu.Unlock()
-	r.runlockAll()
-
-	return &State{st: st}
+	return c
 }
 
-// ReadState reconstructs a replica from a snapshot written by WriteState.
-// Options (conflict handlers) are applied as in NewReplica.
+// imageOf clones one item's state. Caller holds the item's shard lock and
+// the control mutex.
 //
-//epi:init durable recovery installs snapshot state into an unpublished replica
-func ReadState(rd io.Reader, opts ...Option) (*Replica, error) {
-	var st persistState
-	if err := gob.NewDecoder(rd).Decode(&st); err != nil {
-		return nil, fmt.Errorf("core: decode snapshot: %w", err)
+//epi:requires ctl read
+func imageOf(it *store.Item) ItemImage {
+	img := ItemImage{
+		Key:   it.Key,
+		Value: store.CloneBytes(it.Value),
+		IVV:   it.IVV.Clone(),
 	}
-	if st.Magic != persistMagic {
-		return nil, fmt.Errorf("core: bad snapshot magic %#x", st.Magic)
+	if it.Aux != nil {
+		img.HasAux = true
+		img.AuxValue = store.CloneBytes(it.Aux.Value)
+		img.AuxIVV = it.Aux.IVV.Clone()
 	}
-	if st.Version != 1 && st.Version != persistVersion {
-		return nil, fmt.Errorf("core: unsupported snapshot version %d", st.Version)
+	for _, d := range it.Deltas {
+		img.Deltas = append(img.Deltas, store.Delta{Op: d.Op.Clone(), Pre: d.Pre.Clone(), Origin: d.Origin})
 	}
-	if st.N <= 0 || st.ID < 0 || st.ID >= st.N {
-		return nil, fmt.Errorf("core: snapshot has invalid identity %d of %d", st.ID, st.N)
+	for j, rec := range it.LogRecords() {
+		if rec == nil {
+			continue
+		}
+		if img.Seqs == nil {
+			img.Seqs = make([]uint64, len(it.LogRecords()))
+		}
+		img.Seqs[j] = rec.Seq
 	}
-	if len(st.Logs) != st.N {
-		return nil, fmt.Errorf("core: snapshot has %d log components for %d servers", len(st.Logs), st.N)
+	return img
+}
+
+// RequeueCheckpoint puts the items a delta imaged back on the dirty list,
+// for a checkpoint that could not be published: the next capture images
+// them again, as they are then.
+func (r *Replica) RequeueCheckpoint(c *Checkpoint) {
+	r.ctl.Lock()
+	defer r.ctl.Unlock()
+	for _, it := range c.imaged {
+		r.markDirtyLocked(it)
+	}
+}
+
+// MergeCheckpoints folds checkpoints, oldest first, into one: the control
+// state and labels of the last, and for each key the image of the latest
+// checkpoint holding it. Merging a base with every delta that follows it
+// gives a base. The result shares the inputs' buffers.
+func MergeCheckpoints(cps ...*Checkpoint) *Checkpoint {
+	if len(cps) == 0 {
+		return nil
+	}
+	last := cps[len(cps)-1]
+	out := *last
+	out.imaged = nil
+	n := 0
+	for _, c := range cps {
+		n += len(c.Items)
+	}
+	out.Items = make([]ItemImage, 0, n)
+	at := make(map[string]int, n)
+	for _, c := range cps {
+		for _, img := range c.Items {
+			if i, ok := at[img.Key]; ok {
+				out.Items[i] = img
+				continue
+			}
+			at[img.Key] = len(out.Items)
+			out.Items = append(out.Items, img)
+		}
+	}
+	return &out
+}
+
+// RestoreCheckpoint builds a replica from a checkpoint holding every item
+// (a base, or a merge of one with its deltas). Options (conflict handlers)
+// apply as in NewReplica. The replica takes over c's buffers.
+//
+//epi:init durable recovery installs checkpoint state into an unpublished replica
+func RestoreCheckpoint(c *Checkpoint, opts ...Option) (*Replica, error) {
+	if c.N <= 0 || c.ID < 0 || c.ID >= c.N {
+		return nil, fmt.Errorf("core: checkpoint has invalid identity %d of %d", c.ID, c.N)
+	}
+	if c.DBVV.Len() != c.N {
+		return nil, fmt.Errorf("core: checkpoint DBVV has %d components for %d servers", c.DBVV.Len(), c.N)
+	}
+	if c.Trunc.Len() > c.N || c.Pruned.Len() > c.N {
+		return nil, fmt.Errorf("core: checkpoint floors are longer than its %d servers", c.N)
 	}
 
 	// The replica is not yet shared, but the restore mutates both planes;
 	// take the full sweep for form so the lock annotations stay honest.
-	r := NewReplica(st.ID, st.N, opts...)
+	r := NewReplica(c.ID, c.N, opts...)
 	r.lockAll()
 	defer r.unlockAll()
 
-	r.deltaMode = r.deltaMode || st.Delta
-	r.dbvv = st.DBVV.Clone()
-	if r.dbvv.Len() != st.N {
-		return nil, fmt.Errorf("core: snapshot DBVV has %d components for %d servers", r.dbvv.Len(), st.N)
+	r.deltaMode = r.deltaMode || c.Delta
+	r.dbvv = c.DBVV.Clone()
+	// byOrigin[j] collects the live records of origin j's component.
+	type entry struct {
+		seq uint64
+		it  *store.Item
 	}
-	for _, pi := range st.Items {
-		it := r.store.Ensure(pi.Key)
-		it.Value = store.CloneBytes(pi.Value)
-		it.IVV = pi.IVV.Clone()
-		if pi.HasAux {
-			it.Aux = &store.AuxCopy{
-				Value: store.CloneBytes(pi.AuxValue),
-				IVV:   pi.AuxIVV.Clone(),
+	byOrigin := make([][]entry, c.N)
+	for i := range c.Items {
+		img := &c.Items[i]
+		if len(img.Seqs) > c.N {
+			return nil, fmt.Errorf("core: checkpoint item %q has records at %d origins of %d", img.Key, len(img.Seqs), c.N)
+		}
+		if r.store.Get(img.Key) != nil {
+			return nil, fmt.Errorf("core: checkpoint holds item %q twice", img.Key)
+		}
+		it := r.store.EnsureLean(img.Key, false)
+		it.Value = img.Value
+		it.IVV = img.IVV
+		if img.HasAux {
+			it.Aux = &store.AuxCopy{Value: img.AuxValue, IVV: img.AuxIVV}
+		}
+		it.Deltas = img.Deltas
+		for j, s := range img.Seqs {
+			if s > c.Trunc.Get(j) {
+				byOrigin[j] = append(byOrigin[j], entry{s, it})
 			}
 		}
-		for _, d := range pi.Deltas {
-			it.Deltas = append(it.Deltas, store.Delta{
-				Op: d.Op.Clone(), Pre: d.Pre.Clone(), Origin: d.Origin,
-			})
+	}
+	for j, recs := range byOrigin {
+		sort.Slice(recs, func(a, b int) bool { return recs[a].seq < recs[b].seq })
+		comp := r.logs.Component(j)
+		for i, e := range recs {
+			if i > 0 && e.seq == recs[i-1].seq {
+				return nil, fmt.Errorf("core: checkpoint log %d holds seq %d for %q and %q", j, e.seq, recs[i-1].it.Key, e.it.Key)
+			}
+			comp.Append(e.it, e.seq)
 		}
 	}
-	r.logs = logvec.NewVector(st.N)
-	for k, recs := range st.Logs {
-		comp := r.logs.Component(k)
-		for _, rec := range recs {
-			it := r.store.Get(rec.Key)
-			if it == nil {
-				return nil, fmt.Errorf("core: snapshot log %d holds a record for %q, which it has no item for", k, rec.Key)
-			}
-			if t := comp.Tail(); t != nil && rec.Seq < t.Seq {
-				return nil, fmt.Errorf("core: snapshot log %d is out of order at %q", k, rec.Key)
-			}
-			comp.Append(it, rec.Seq)
-		}
-	}
-	r.aux = auxlog.New()
-	for _, rec := range st.Aux {
+	for _, rec := range c.Aux {
 		r.aux.Append(rec.Key, rec.Pre, rec.Op)
 	}
-	r.pruned = st.Pruned.Clone()
-	r.logCap = st.LogCap
+	r.pruned = c.Pruned.Clone()
+	r.trunc = c.Trunc.Clone()
+	r.logCap = c.LogCap
 	r.confMu.Lock()
-	r.conflicted = st.Conflicted
+	r.conflicted = c.Conflicted
 	r.confMu.Unlock()
-	if len(st.PrunePeers) > 0 {
-		r.prunePeers = make([]int, len(st.PrunePeers))
-		copy(r.prunePeers, st.PrunePeers)
+	if len(c.PrunePeers) > 0 {
+		r.prunePeers = append([]int(nil), c.PrunePeers...)
 	}
-	for j, v := range st.Acked {
+	for j, v := range c.Acked {
 		if v != nil && j != r.id {
 			r.noteAckLocked(j, v)
 		}

@@ -1,17 +1,18 @@
-package core
+package core_test
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/op"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
-func populatedReplica(b *testing.B, items int) *Replica {
+func populatedReplica(b *testing.B, items int) *core.Replica {
 	b.Helper()
-	r := NewReplica(0, 3)
+	r := core.NewReplica(0, 3)
 	for i := 0; i < items; i++ {
 		if err := r.Update(workload.Key(i), op.NewSet(make([]byte, 64))); err != nil {
 			b.Fatal(err)
@@ -20,40 +21,37 @@ func populatedReplica(b *testing.B, items int) *Replica {
 	return r
 }
 
-// BenchmarkWriteState measures full-state snapshot serialization, the
-// periodic cost of the durable layer.
+// BenchmarkWriteState measures a base checkpoint — every item imaged and
+// encoded — the cost a compaction's output and a recovery's input scale
+// with.
 func BenchmarkWriteState(b *testing.B) {
 	for _, items := range []int{100, 10000} {
 		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
 			r := populatedReplica(b, items)
-			var buf bytes.Buffer
-			r.WriteState(&buf)
-			b.SetBytes(int64(buf.Len()))
+			buf := wire.AppendCheckpoint(nil, r.CaptureCheckpoint(true))
+			b.SetBytes(int64(len(buf)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf.Reset()
-				if err := r.WriteState(&buf); err != nil {
-					b.Fatal(err)
-				}
+				buf = wire.AppendCheckpoint(buf[:0], r.CaptureCheckpoint(true))
 			}
 		})
 	}
 }
 
-// BenchmarkReadState measures recovery-time snapshot deserialization.
+// BenchmarkReadState measures recovery from a base checkpoint: decode,
+// then restore.
 func BenchmarkReadState(b *testing.B) {
 	for _, items := range []int{100, 10000} {
 		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
-			r := populatedReplica(b, items)
-			var buf bytes.Buffer
-			if err := r.WriteState(&buf); err != nil {
-				b.Fatal(err)
-			}
-			data := buf.Bytes()
+			data := wire.AppendCheckpoint(nil, populatedReplica(b, items).CaptureCheckpoint(true))
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ReadState(bytes.NewReader(data)); err != nil {
+				c, err := wire.DecodeCheckpoint(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := core.RestoreCheckpoint(c); err != nil {
 					b.Fatal(err)
 				}
 			}

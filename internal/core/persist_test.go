@@ -1,22 +1,19 @@
 package core
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"repro/internal/op"
+	"repro/internal/vv"
 )
 
+// roundTripState restores a replica from a full checkpoint of r.
 func roundTripState(t *testing.T, r *Replica) *Replica {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := r.WriteState(&buf); err != nil {
-		t.Fatalf("WriteState: %v", err)
-	}
-	restored, err := ReadState(&buf)
+	restored, err := RestoreCheckpoint(r.CaptureCheckpoint(true))
 	if err != nil {
-		t.Fatalf("ReadState: %v", err)
+		t.Fatalf("RestoreCheckpoint: %v", err)
 	}
 	return restored
 }
@@ -106,28 +103,30 @@ func TestPersistAfterRandomizedRun(t *testing.T) {
 	}
 }
 
-func TestReadStateRejectsGarbage(t *testing.T) {
-	if _, err := ReadState(bytes.NewReader([]byte("not a snapshot"))); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ReadState(bytes.NewReader(nil)); err == nil {
-		t.Error("empty input accepted")
+func TestRestoreCheckpointRejectsBadIdentity(t *testing.T) {
+	for _, c := range []*Checkpoint{
+		{ID: 0, N: 0},
+		{ID: 2, N: 2, DBVV: vv.New(2)},
+		{ID: -1, N: 2, DBVV: vv.New(2)},
+		{ID: 0, N: 2, DBVV: vv.New(3)},
+		{ID: 0, N: 2, DBVV: vv.New(2), Trunc: vv.New(3)},
+	} {
+		if _, err := RestoreCheckpoint(c); err == nil {
+			t.Errorf("checkpoint %d/%d with DBVV %v and floors %v accepted", c.ID, c.N, c.DBVV, c.Trunc)
+		}
 	}
 }
 
-func TestReadStateRejectsBadHeader(t *testing.T) {
-	r := NewReplica(0, 2)
-	var buf bytes.Buffer
-	if err := r.WriteState(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Re-encode with a corrupted magic by decoding into the private struct
-	// is overkill; instead corrupt the stream after the gob type header so
-	// decode fails structurally.
-	data := buf.Bytes()
-	data[len(data)-1] ^= 0xFF
-	if _, err := ReadState(bytes.NewReader(data)); err == nil {
-		t.Error("corrupted snapshot accepted")
+func TestRestoreCheckpointRejectsBadLog(t *testing.T) {
+	for name, items := range map[string][]ItemImage{
+		"same key twice":        {{Key: "x"}, {Key: "x"}},
+		"one seq for two items": {{Key: "x", Seqs: []uint64{4}}, {Key: "y", Seqs: []uint64{4}}},
+		"records past n":        {{Key: "x", Seqs: []uint64{1, 0, 2}}},
+	} {
+		c := &Checkpoint{ID: 0, N: 2, DBVV: vv.New(2), Items: items}
+		if _, err := RestoreCheckpoint(c); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -161,4 +160,33 @@ func TestPersistKeepsConflictFlag(t *testing.T) {
 	if err := roundTripState(t, b).CheckInvariants(); err != nil {
 		t.Fatalf("restored replica: %v", err)
 	}
+}
+
+// checkpointChain is a replica's base checkpoint and the deltas captured
+// after it, oldest first, as the durable layer keeps them in files.
+type checkpointChain []*Checkpoint
+
+// newChain starts tracking r's changes and takes its base.
+func newChain(r *Replica) checkpointChain {
+	r.TrackCheckpoints()
+	return checkpointChain{r.CaptureCheckpoint(true)}
+}
+
+// restoreChain rebuilds r from its chain and checks the rebuilt replica
+// against it: the same full checkpoint — control state, every item image
+// and every log component as (key, seq) pairs — and clean invariants. It
+// returns the rebuilt replica and a chain started from it.
+func restoreChain(t *testing.T, r *Replica, chain checkpointChain) (*Replica, checkpointChain) {
+	t.Helper()
+	restored, err := RestoreCheckpoint(MergeCheckpoints(chain...))
+	if err != nil {
+		t.Fatalf("restore from %d checkpoints: %v", len(chain), err)
+	}
+	if why := CheckpointDiff(r.CaptureCheckpoint(true), restored.CaptureCheckpoint(true)); why != "" {
+		t.Fatalf("restore from %d checkpoints differs from the replica: %s", len(chain), why)
+	}
+	if err := restored.CheckInvariants(); err != nil {
+		t.Fatalf("restored replica: %v", err)
+	}
+	return restored, newChain(restored)
 }

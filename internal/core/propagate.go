@@ -640,6 +640,7 @@ func (r *Replica) applySessionLocked(p *Propagation, extras map[string]ItemPaylo
 				continue
 			}
 			comp.Append(it, rec.Seq)
+			r.markDirtyLocked(it)
 			r.met.LogRecordsApplied.Add(1)
 		}
 	}
@@ -696,6 +697,7 @@ func (r *Replica) intraNodePropagateLocked(it *store.Item) {
 			r.met.IVVComparisons.Add(1)
 			if it.IVV.DominatesOrEqual(it.Aux.IVV) {
 				it.Aux = nil
+				r.markDirtyLocked(it)
 				r.met.AuxCopiesFreed.Add(1)
 			}
 			return

@@ -278,6 +278,8 @@ func (r *Replica) Prune() int {
 	dropped := r.logs.TruncateBefore(floor)
 	r.pruned = r.pruned.Extended(r.n)
 	r.pruned.Merge(floor)
+	r.trunc = r.trunc.Extended(r.n)
+	r.trunc.Merge(floor)
 	if dropped > 0 {
 		r.met.PrunedRecords.Add(uint64(dropped))
 	}

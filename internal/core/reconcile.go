@@ -275,6 +275,7 @@ func putUvarint(buf []byte, x uint64) int {
 // reconciles this is one nil check. The item's flag admits it once, so the
 // queue never holds more entries than the store has items.
 func (r *Replica) noteChangedLocked(it *store.Item) {
+	r.markDirtyLocked(it)
 	if r.sum.index.cells == nil || it.Queued() {
 		return
 	}

@@ -138,6 +138,14 @@ type Replica struct {
 	changed []*store.Item //epi:guard ctl
 	digests atomic.Uint64 //epi:guard atomic
 
+	// Checkpoint state (see persist.go): tracking turns the dirty list on,
+	// once, before the replica is shared; dirty lists, once each, the items
+	// whose image changed since the last checkpoint capture; trunc is the
+	// join of every floor the log vector was truncated by.
+	tracking bool          //epi:immutable
+	dirty    []*store.Item //epi:guard ctl
+	trunc    vv.VV         //epi:guard ctl //epi:monotone merge=Merge,Extended
+
 	// store is the data plane: items with IVVs and aux copies, sharded by
 	// key hash with per-shard RWMutexes.
 	store *store.Store //epi:immutable
@@ -257,6 +265,7 @@ func (r *Replica) Update(key string, o op.Op) error {
 		}
 		r.ctl.Lock()
 		r.aux.Append(key, it.Aux.IVV, o)
+		r.markDirtyLocked(it)
 		r.ctl.Unlock()
 		it.Aux.Value = newVal
 		it.Aux.IVV = it.Aux.IVV.Extended(r.id + 1)

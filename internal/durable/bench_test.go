@@ -64,3 +64,61 @@ func BenchmarkDurableStreamCatchUp(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCheckpoint measures one checkpoint after 1 024 single-item
+// updates at a replica holding N items: wmu-us is the time writers wait
+// for the capture under the ordering lock, publish-us the encode, write,
+// fsync and rename after it, and bytes the delta file's size. Each of the
+// three should follow the 1 024 changed items, not N.
+func BenchmarkCheckpoint(b *testing.B) {
+	for _, n := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			src := core.NewReplica(0, 2)
+			val := make([]byte, 16)
+			for i := 0; i < n; i++ {
+				src.Update(fmt.Sprintf("item-%07d", i), op.NewSet(val))
+			}
+			d := mustOpen(b, b.TempDir(), 1, 2, Options{SnapshotEvery: 1 << 30})
+			defer d.CloseWithoutSnapshot()
+			if _, err := d.AntiEntropyFrom(src); err != nil {
+				b.Fatal(err)
+			}
+			if err := d.Snapshot(); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			var under, publish time.Duration
+			var bytes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < 1024; j++ {
+					val[0], val[1] = byte(i), byte(j)
+					if err := d.Update(fmt.Sprintf("item-%07d", rng.Intn(n)), op.NewSet(val)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				before := d.CheckpointStats().DeltaBytes
+				start := time.Now()
+				d.wmu.Lock()
+				c, err := d.captureLocked()
+				d.wmu.Unlock()
+				captured := time.Now()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := d.publish(c, true); err != nil {
+					b.Fatal(err)
+				}
+				under += captured.Sub(start)
+				publish += time.Since(captured)
+				bytes += d.CheckpointStats().DeltaBytes - before
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(under.Microseconds())/float64(b.N), "wmu-us")
+			b.ReportMetric(float64(publish.Microseconds())/float64(b.N), "publish-us")
+			b.ReportMetric(float64(bytes)/float64(b.N), "bytes")
+		})
+	}
+}

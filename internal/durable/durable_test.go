@@ -21,9 +21,9 @@ func mustOpen(t testing.TB, dir string, id, n int, opts Options) *Replica {
 	return d
 }
 
-// latestSnapshotPath returns the snapshot file recovery would load — the
-// highest-floor snapshot-NNNNNNNN.bin, or "" when the directory holds no
-// snapshot.
+// latestSnapshotPath returns the newest checkpoint file recovery would
+// load — the highest-floor base-/delta-NNNNNNNN.ckpt — or "" when the
+// directory holds no checkpoint.
 func latestSnapshotPath(dir string) string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -33,7 +33,7 @@ func latestSnapshotPath(dir string) string {
 	var floor uint64
 	for _, e := range entries {
 		var f uint64
-		if _, err := fmt.Sscanf(e.Name(), snapshotPrefix+"%08d"+snapshotSuffix, &f); err != nil {
+		if !parseFloor(e.Name(), basePrefix, &f) && !parseFloor(e.Name(), deltaPrefix, &f) {
 			continue
 		}
 		if f >= floor {

@@ -144,9 +144,9 @@ func TestSnapshotFailurePropagates(t *testing.T) {
 	dir := t.TempDir()
 	d := mustOpen(t, dir, 0, 1, Options{NoSync: true})
 	d.Update("x", op.NewSet([]byte("v")))
-	// Squat a directory on the snapshot temp path so os.Create fails
+	// Squat a directory on the checkpoint temp path so os.Create fails
 	// (chmod-based denial does not bind when tests run as root).
-	blocker := filepath.Join(dir, "snapshot.tmp")
+	blocker := filepath.Join(dir, deltaTemp)
 	if err := os.Mkdir(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,10 @@ package durable
 // Per-partition durable logging.
 //
 // A durable partitioned node is k independent durable replicas — one
-// directory, WAL and snapshot chain per owned partition, laid out as
+// directory, WAL and checkpoint chain per owned partition, laid out as
 // dir/part-NNNN/ — sharing ONE group committer. Partition independence
 // keeps recovery exact (each partition replays its own log onto its own
-// snapshot, exactly the single-replica contract of Open), while the shared
+// checkpoints, exactly the single-replica contract of Open), while the shared
 // committer keeps durability cheap: writers landing on different
 // partitions stage into the same commit stream, so one leader round
 // flushes every dirty partition's segment and k concurrent partitions
@@ -53,7 +53,7 @@ type Partitioned struct {
 // dir/part-NNNN/; all partitions share one group committer, either
 // opts.Committer or a fresh one driven by opts.CommitDelay.
 //
-// A directory laid out by Open — a root-level wal/ or snapshot — is
+// A directory laid out by Open — a root-level wal/ or checkpoint — is
 // refused: opening it here would start every partition empty and re-issue
 // (origin, seq) pairs the node's peers already hold.
 func OpenPartitioned(dir string, id, n, partitions, placement int, opts Options) (*Partitioned, error) {
@@ -108,9 +108,10 @@ func refuseReplicaLayout(dir string) error {
 		return fmt.Errorf("durable: readdir: %w", err)
 	}
 	for _, e := range entries {
-		if e.Name() == walDir || strings.HasPrefix(e.Name(), snapshotPrefix) {
+		name := e.Name()
+		if name == walDir || strings.HasPrefix(name, basePrefix) || strings.HasPrefix(name, deltaPrefix) || strings.HasPrefix(name, gobPrefix) {
 			return fmt.Errorf("durable: %s belongs to an unpartitioned replica; a partitioned node keeps its state under %s/",
-				filepath.Join(dir, e.Name()), fmt.Sprintf(partDirFmt, 0))
+				filepath.Join(dir, name), fmt.Sprintf(partDirFmt, 0))
 		}
 	}
 	return nil
@@ -164,8 +165,8 @@ func (p *Partitioned) Prune() (int, error) {
 	return dropped, nil
 }
 
-// Snapshot writes every owned partition's full state and drops its
-// superseded log prefix, returning the first error.
+// Snapshot checkpoints every owned partition and drops its superseded log
+// prefix, returning the first error.
 func (p *Partitioned) Snapshot() error {
 	var first error
 	for _, part := range p.parts {
@@ -185,7 +186,7 @@ func (p *Partitioned) Snapshot() error {
 func (p *Partitioned) WALStats() wal.CommitterStats { return p.com.Stats() }
 
 // WALRecords returns the total logged actions not yet superseded by a
-// snapshot, across all owned partitions.
+// checkpoint, across all owned partitions.
 func (p *Partitioned) WALRecords() int {
 	total := 0
 	for _, part := range p.parts {
@@ -196,7 +197,7 @@ func (p *Partitioned) WALRecords() int {
 	return total
 }
 
-// Close snapshots and releases every partition, returning the first error.
+// Close checkpoints and releases every partition, returning the first error.
 func (p *Partitioned) Close() error {
 	var first error
 	for _, part := range p.parts {
@@ -211,7 +212,7 @@ func (p *Partitioned) Close() error {
 }
 
 // CloseWithoutSnapshot releases every partition's WAL without
-// snapshotting — recovery replays the logs. Crash tests only.
+// checkpointing — recovery replays the logs. Crash tests only.
 func (p *Partitioned) CloseWithoutSnapshot() error {
 	var first error
 	for _, part := range p.parts {

@@ -119,6 +119,11 @@ type Item struct {
 	// queue free of duplicates.
 	queued bool //epi:guard ctl
 
+	// dirty marks an item on the replica's checkpoint list: its image
+	// changed since the last checkpoint. Serialized by the control mutex
+	// like queued, and for the same reason.
+	dirty bool //epi:guard ctl
+
 	// slot is the item's 1-based position in the replica's reconcile
 	// digest slab, 0 while it has none; serialized by the control mutex.
 	slot int32 //epi:guard ctl
@@ -151,6 +156,16 @@ func (it *Item) Queued() bool { return it.queued }
 //
 //epi:requires ctl
 func (it *Item) SetQueued(v bool) { it.queued = v }
+
+// Dirty reports whether the item is on the checkpoint list.
+//
+//epi:requires ctl read
+func (it *Item) Dirty() bool { return it.dirty }
+
+// SetDirty sets the checkpoint list flag.
+//
+//epi:requires ctl
+func (it *Item) SetDirty(v bool) { it.dirty = v }
 
 // Slot returns the item's 1-based reconcile slab position (0: none).
 //

@@ -13,7 +13,7 @@ import (
 )
 
 // Seed corpora for the session-frame, reconcile-frame, reconcile-serve,
-// propagation and WAL-record fuzz drivers are committed under testdata/fuzz/ so the CI fuzz smoke (and
+// propagation, WAL-record and checkpoint fuzz drivers are committed under testdata/fuzz/ so the CI fuzz smoke (and
 // every plain `go test` run, which executes corpus entries as seed cases)
 // always exercises real frames instead of starting from an empty corpus. The
 // corpus duplicates the drivers' f.Add seeds on purpose: the drivers keep
@@ -45,12 +45,13 @@ func TestRegenerateSeedCorpora(t *testing.T) {
 	write("FuzzServeReconcile", serveReconcileSeeds(t))
 	write("FuzzDecodePropagation", propagationSeeds())
 	write("FuzzDecodeWALRecord", walRecordSeeds())
+	write("FuzzDecodeCheckpoint", checkpointSeeds())
 }
 
 // TestSeedCorporaPresent keeps the committed corpus from silently
 // disappearing: every driver must have at least one on-disk seed.
 func TestSeedCorporaPresent(t *testing.T) {
-	for _, fuzzName := range []string{"FuzzSessionFrames", "FuzzDecodeReconcileFrames", "FuzzServeReconcile", "FuzzDecodePropagation", "FuzzDecodeWALRecord"} {
+	for _, fuzzName := range []string{"FuzzSessionFrames", "FuzzDecodeReconcileFrames", "FuzzServeReconcile", "FuzzDecodePropagation", "FuzzDecodeWALRecord", "FuzzDecodeCheckpoint"} {
 		entries, err := os.ReadDir(filepath.Join("testdata", "fuzz", fuzzName))
 		if err != nil || len(entries) == 0 {
 			t.Errorf("no committed seed corpus for %s (err %v); run WIRE_REGEN_CORPUS=1 go test -run TestRegenerateSeedCorpora ./internal/wire", fuzzName, err)
